@@ -19,12 +19,11 @@
 //!   accumulate serially in batch order — bit-identical at any
 //!   `ELEV_THREADS`, and prefix-stable because shard 0 is a prefix of
 //!   every population size;
-//! - **files** follow the `.elevmdl` framing discipline (magic /
-//!   version header, `len u32 | payload | FNV-1a-64` records, footer
-//!   with record count and whole-file checksum, manifest published
-//!   last via [`featstore::atomic_write`]), so torn writes classify as
-//!   the same structured [`StoreError`] classes the feature store
-//!   pins;
+//! - **files** are `durable` framed files (magic / version header,
+//!   `len u32 | payload | FNV-1a-64` records, footer with record count
+//!   and whole-file checksum, manifest published last via
+//!   [`durable::atomic_write`]), so torn writes classify as the same
+//!   structured [`durable::Error`] classes the feature store pins;
 //! - **queries** iterate centroids, entries, and probes in fixed
 //!   ascending order, so merged results are invariant to thread count
 //!   and shard order.
@@ -32,12 +31,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use durable::{Dec, Enc, Error, FramedReader, FramedWriter, ManifestLines};
 use exec::Executor;
-use featstore::{
-    atomic_write, fnv1a64, fnv1a64_continue, FeatureStore, RowBuf, StoreError,
-};
-use std::fs::File;
-use std::io::Write;
+use featstore::{FeatureStore, RowBuf};
 use std::path::{Path, PathBuf};
 
 /// IVF sidecar files start with these bytes.
@@ -45,11 +41,6 @@ pub const MAGIC: &[u8; 8] = b"ELEVANN\x01";
 
 /// Container format version this build reads and writes.
 pub const FORMAT_VERSION: u32 = 1;
-
-/// Byte length of the fixed sidecar header (magic + version + two
-/// u64 shape fields + config fingerprint + header checksum) — the
-/// same shape as the feature store's.
-pub const HEADER_LEN: usize = 8 + 4 + 8 + 8 + 8 + 8;
 
 /// Index manifest file name, written last on publish.
 pub const ANN_MANIFEST: &str = "ann.txt";
@@ -59,11 +50,6 @@ pub const CODEBOOK_FILE: &str = "codebook.ann";
 
 const TAG_CENTROID: u32 = 1;
 const TAG_LIST: u32 = 1;
-const TAG_FOOTER: u32 = 2;
-
-fn io_err(e: std::io::Error) -> StoreError {
-    StoreError::Io(e.to_string())
-}
 
 /// Canonical posting-list sidecar file name of shard `index`.
 pub fn ann_shard_file_name(index: usize) -> String {
@@ -73,268 +59,6 @@ pub fn ann_shard_file_name(index: usize) -> String {
 /// L2 norm of a value slice.
 pub fn l2(values: &[f32]) -> f32 {
     values.iter().map(|v| v * v).sum::<f32>().sqrt()
-}
-
-// ---- framing (the `.elevmdl` discipline, sidecar flavour) --------------
-
-/// Append-only writer for one framed sidecar file: buffered,
-/// checksummed records, footer + fsync + atomic rename on finish.
-struct FramedWriter {
-    file: std::io::BufWriter<File>,
-    tmp: PathBuf,
-    path: PathBuf,
-    offset: u64,
-    content_fnv: u64,
-    records: u64,
-}
-
-impl FramedWriter {
-    fn create(path: &Path, a: u64, b: u64, config: u64) -> Result<Self, StoreError> {
-        let dir = path
-            .parent()
-            .filter(|d| !d.as_os_str().is_empty())
-            .ok_or_else(|| StoreError::Io(format!("{} has no parent", path.display())))?;
-        let name = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .ok_or_else(|| StoreError::Io(format!("{} has no file name", path.display())))?;
-        let tmp = dir.join(format!(".{name}.tmp"));
-        let file = File::create(&tmp).map_err(io_err)?;
-        let mut header = Vec::with_capacity(HEADER_LEN);
-        header.extend_from_slice(MAGIC);
-        header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        header.extend_from_slice(&a.to_le_bytes());
-        header.extend_from_slice(&b.to_le_bytes());
-        header.extend_from_slice(&config.to_le_bytes());
-        let fnv = fnv1a64(&header);
-        header.extend_from_slice(&fnv.to_le_bytes());
-        let mut w = Self {
-            file: std::io::BufWriter::new(file),
-            tmp,
-            path: path.to_path_buf(),
-            offset: 0,
-            content_fnv: 0xcbf2_9ce4_8422_2325,
-            records: 0,
-        };
-        w.write_raw(&header)?;
-        Ok(w)
-    }
-
-    fn write_raw(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
-        self.file.write_all(bytes).map_err(io_err)?;
-        self.content_fnv = fnv1a64_continue(self.content_fnv, bytes);
-        self.offset += bytes.len() as u64;
-        Ok(())
-    }
-
-    fn write_record(&mut self, payload: &[u8]) -> Result<u64, StoreError> {
-        let mut rec = Vec::with_capacity(4 + payload.len() + 8);
-        rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        rec.extend_from_slice(payload);
-        rec.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-        self.write_raw(&rec)?;
-        self.records += 1;
-        Ok(self.offset)
-    }
-
-    fn finish(mut self) -> Result<u64, StoreError> {
-        let mut p = Vec::with_capacity(4 + 8 + 8);
-        p.extend_from_slice(&TAG_FOOTER.to_le_bytes());
-        p.extend_from_slice(&self.records.to_le_bytes());
-        p.extend_from_slice(&self.content_fnv.to_le_bytes());
-        // The footer is not itself counted in `records`.
-        let mut rec = Vec::with_capacity(4 + p.len() + 8);
-        rec.extend_from_slice(&(p.len() as u32).to_le_bytes());
-        rec.extend_from_slice(&p);
-        rec.extend_from_slice(&fnv1a64(&p).to_le_bytes());
-        self.write_raw(&rec)?;
-        self.file.flush().map_err(io_err)?;
-        self.file.get_ref().sync_all().map_err(io_err)?;
-        std::fs::rename(&self.tmp, &self.path).map_err(io_err)?;
-        if let Some(dir) = self.path.parent() {
-            if let Ok(d) = File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
-        Ok(self.offset)
-    }
-}
-
-/// Streaming reader over one framed sidecar file; every corruption
-/// mode classifies exactly as the feature store's reader does.
-struct FramedReader {
-    file: File,
-    len: u64,
-    offset: u64,
-    a: u64,
-    b: u64,
-    config: u64,
-    records_seen: u64,
-    done: bool,
-    content_fnv: u64,
-}
-
-impl FramedReader {
-    fn open(path: &Path) -> Result<Self, StoreError> {
-        let file = File::open(path).map_err(io_err)?;
-        let len = file.metadata().map_err(io_err)?.len();
-        let mut header = [0u8; HEADER_LEN];
-        if (len as usize) < HEADER_LEN {
-            let mut prefix = vec![0u8; len as usize];
-            read_exact_at(&file, &mut prefix, 0)?;
-            if len >= 8 && &prefix[..8] != MAGIC {
-                return Err(StoreError::BadMagic);
-            }
-            return Err(StoreError::Truncated {
-                offset: 0,
-                needed: HEADER_LEN - len as usize,
-                len: len as usize,
-            });
-        }
-        read_exact_at(&file, &mut header, 0)?;
-        if &header[..8] != MAGIC {
-            return Err(StoreError::BadMagic);
-        }
-        let version = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-        if version != FORMAT_VERSION {
-            return Err(StoreError::UnsupportedVersion { found: version });
-        }
-        let stored = u64::from_le_bytes(header[HEADER_LEN - 8..].try_into().expect("8 bytes"));
-        let computed = fnv1a64(&header[..HEADER_LEN - 8]);
-        if stored != computed {
-            return Err(StoreError::ChecksumMismatch { stored, computed });
-        }
-        Ok(Self {
-            file,
-            len,
-            offset: HEADER_LEN as u64,
-            a: u64::from_le_bytes(header[12..20].try_into().expect("8 bytes")),
-            b: u64::from_le_bytes(header[20..28].try_into().expect("8 bytes")),
-            config: u64::from_le_bytes(header[28..36].try_into().expect("8 bytes")),
-            records_seen: 0,
-            done: false,
-            content_fnv: fnv1a64(&header),
-        })
-    }
-
-    fn truncated(&self, needed: usize) -> StoreError {
-        StoreError::Truncated { offset: self.offset as usize, needed, len: self.len as usize }
-    }
-
-    /// Reads the next non-footer record payload into `payload`;
-    /// returns `false` once the footer has been reached and verified.
-    fn next_record(&mut self, payload: &mut Vec<u8>) -> Result<bool, StoreError> {
-        if self.done {
-            return Ok(false);
-        }
-        let remaining = (self.len - self.offset) as usize;
-        if remaining == 0 {
-            return Err(self.truncated(4));
-        }
-        if remaining < 4 {
-            return Err(self.truncated(4 - remaining));
-        }
-        let mut len4 = [0u8; 4];
-        read_exact_at(&self.file, &mut len4, self.offset)?;
-        let payload_len = u32::from_le_bytes(len4) as usize;
-        if remaining < 4 + payload_len + 8 {
-            return Err(self.truncated(4 + payload_len + 8 - remaining));
-        }
-        let mut scratch = vec![0u8; payload_len + 8];
-        read_exact_at(&self.file, &mut scratch, self.offset + 4)?;
-        let (body, fnv8) = scratch.split_at(payload_len);
-        let stored = u64::from_le_bytes(fnv8.try_into().expect("8 bytes"));
-        let computed = fnv1a64(body);
-        if stored != computed {
-            return Err(StoreError::ChecksumMismatch { stored, computed });
-        }
-        let pre_record_fnv = self.content_fnv;
-        self.content_fnv = fnv1a64_continue(self.content_fnv, &len4);
-        self.content_fnv = fnv1a64_continue(self.content_fnv, &scratch);
-        self.offset += 4 + scratch.len() as u64;
-
-        let mut d = Dec { buf: body, pos: 0 };
-        let tag = d.u32()?;
-        if tag == TAG_FOOTER {
-            let records = d.u64()?;
-            let whole = d.u64()?;
-            d.end()?;
-            if records != self.records_seen {
-                return Err(StoreError::Malformed(format!(
-                    "footer promises {records} records, file contains {}",
-                    self.records_seen
-                )));
-            }
-            if whole != pre_record_fnv {
-                return Err(StoreError::ChecksumMismatch {
-                    stored: whole,
-                    computed: pre_record_fnv,
-                });
-            }
-            if self.offset != self.len {
-                return Err(StoreError::Malformed(format!(
-                    "{} trailing bytes after footer",
-                    self.len - self.offset
-                )));
-            }
-            self.done = true;
-            return Ok(false);
-        }
-        payload.clear();
-        payload.extend_from_slice(body);
-        self.records_seen += 1;
-        Ok(true)
-    }
-}
-
-/// Positioned read: `pread` on unix, seek+read elsewhere.
-fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> Result<(), StoreError> {
-    #[cfg(unix)]
-    {
-        use std::os::unix::fs::FileExt;
-        file.read_exact_at(buf, offset).map_err(io_err)
-    }
-    #[cfg(not(unix))]
-    {
-        use std::io::{Read, Seek, SeekFrom};
-        let mut f = file;
-        f.seek(SeekFrom::Start(offset)).map_err(io_err)?;
-        f.read_exact(buf).map_err(io_err)
-    }
-}
-
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl Dec<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], StoreError> {
-        if self.buf.len() - self.pos < n {
-            return Err(StoreError::Malformed(format!(
-                "payload ends at {} of a {n}-byte field",
-                self.buf.len() - self.pos
-            )));
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-    fn u32(&mut self) -> Result<u32, StoreError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-    fn u64(&mut self) -> Result<u64, StoreError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-    fn end(&self) -> Result<(), StoreError> {
-        if self.pos != self.buf.len() {
-            return Err(StoreError::Malformed(format!(
-                "{} trailing payload bytes",
-                self.buf.len() - self.pos
-            )));
-        }
-        Ok(())
-    }
 }
 
 // ---- the codebook ------------------------------------------------------
@@ -487,17 +211,18 @@ impl Codebook {
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] on filesystem failure.
-    pub fn save(&self, path: &Path, config: u64) -> Result<(), StoreError> {
-        let mut w = FramedWriter::create(path, self.k as u64, self.n_cols as u64, config)?;
+    /// [`Error::Io`] on filesystem failure.
+    pub fn save(&self, path: &Path, config: u64) -> Result<(), Error> {
+        let fields = [self.k as u64, self.n_cols as u64, config];
+        let mut w = FramedWriter::create(path, MAGIC, FORMAT_VERSION, fields)?;
+        let mut e = Enc::default();
         for c in 0..self.k {
-            let mut p = Vec::with_capacity(4 + 4 + self.n_cols * 4);
-            p.extend_from_slice(&TAG_CENTROID.to_le_bytes());
-            p.extend_from_slice(&(c as u32).to_le_bytes());
+            e.0.clear();
+            e.u32(TAG_CENTROID).u32(c as u32);
             for &v in &self.centroids[c * self.n_cols..(c + 1) * self.n_cols] {
-                p.extend_from_slice(&v.to_le_bytes());
+                e.f32(v);
             }
-            w.write_record(&p)?;
+            w.write_record(&e.0)?;
         }
         w.finish()?;
         Ok(())
@@ -508,40 +233,39 @@ impl Codebook {
     ///
     /// # Errors
     ///
-    /// The full [`StoreError`] corruption ladder, plus
-    /// [`StoreError::Malformed`] on a config mismatch.
-    pub fn load(path: &Path, config: u64) -> Result<Self, StoreError> {
-        let mut r = FramedReader::open(path)?;
-        if r.config != config {
-            return Err(StoreError::Malformed(format!(
-                "codebook built for config {:016x}, store has {config:016x}",
-                r.config
+    /// The full [`Error`] corruption ladder, plus [`Error::Malformed`]
+    /// on a config mismatch.
+    pub fn load(path: &Path, config: u64) -> Result<Self, Error> {
+        let mut r = FramedReader::open(path, MAGIC, FORMAT_VERSION)?;
+        let [k, n_cols, found] = r.fields();
+        if found != config {
+            return Err(Error::Malformed(format!(
+                "codebook built for config {found:016x}, store has {config:016x}"
             )));
         }
-        let (k, n_cols) = (r.a as usize, r.b as usize);
+        let (k, n_cols) = (k as usize, n_cols as usize);
         let mut centroids = vec![0f32; k * n_cols];
-        let mut payload = Vec::new();
         let mut next = 0usize;
-        while r.next_record(&mut payload)? {
-            let mut d = Dec { buf: &payload, pos: 0 };
+        while let Some(payload) = r.next_record()? {
+            let mut d = Dec::payload(payload);
             let tag = d.u32()?;
             if tag != TAG_CENTROID {
-                return Err(StoreError::Malformed(format!("unknown codebook tag {tag}")));
+                return Err(Error::Malformed(format!("unknown codebook tag {tag}")));
             }
             let c = d.u32()? as usize;
             if c != next || c >= k {
-                return Err(StoreError::Malformed(format!(
+                return Err(Error::Malformed(format!(
                     "centroid {c} out of sequence (expected {next} of {k})"
                 )));
             }
             for slot in centroids[c * n_cols..(c + 1) * n_cols].iter_mut() {
-                *slot = f32::from_bits(d.u32()?);
+                *slot = d.f32()?;
             }
             d.end()?;
             next += 1;
         }
         if next != k {
-            return Err(StoreError::Malformed(format!(
+            return Err(Error::Malformed(format!(
                 "codebook holds {next} centroids, header promises {k}"
             )));
         }
@@ -571,12 +295,12 @@ pub struct PostingEntry {
 ///
 /// # Errors
 ///
-/// Any [`StoreError`] from streaming the shard.
+/// Any [`Error`] from streaming the shard.
 pub fn build_shard_postings(
     store: &FeatureStore,
     shard: usize,
     codebook: &Codebook,
-) -> Result<Vec<Vec<PostingEntry>>, StoreError> {
+) -> Result<Vec<Vec<PostingEntry>>, Error> {
     let mut lists = vec![Vec::new(); codebook.k()];
     let mut reader = store.reader(shard)?;
     let mut row = RowBuf::default();
@@ -601,26 +325,23 @@ pub fn build_shard_postings(
 ///
 /// # Errors
 ///
-/// [`StoreError::Io`] on filesystem failure.
+/// [`Error::Io`] on filesystem failure.
 pub fn write_postings(
     path: &Path,
     shard_index: usize,
     config: u64,
     lists: &[Vec<PostingEntry>],
-) -> Result<u64, StoreError> {
-    let mut w = FramedWriter::create(path, shard_index as u64, lists.len() as u64, config)?;
+) -> Result<u64, Error> {
+    let fields = [shard_index as u64, lists.len() as u64, config];
+    let mut w = FramedWriter::create(path, MAGIC, FORMAT_VERSION, fields)?;
+    let mut e = Enc::default();
     for (c, list) in lists.iter().enumerate() {
-        let mut p = Vec::with_capacity(4 + 4 + 4 + list.len() * 24);
-        p.extend_from_slice(&TAG_LIST.to_le_bytes());
-        p.extend_from_slice(&(c as u32).to_le_bytes());
-        p.extend_from_slice(&(list.len() as u32).to_le_bytes());
-        for e in list {
-            p.extend_from_slice(&e.offset.to_le_bytes());
-            p.extend_from_slice(&e.athlete.to_le_bytes());
-            p.extend_from_slice(&e.city.to_le_bytes());
-            p.extend_from_slice(&e.norm.to_le_bytes());
+        e.0.clear();
+        e.u32(TAG_LIST).u32(c as u32).u32(list.len() as u32);
+        for p in list {
+            e.u64(p.offset).u64(p.athlete).u32(p.city).f32(p.norm);
         }
-        w.write_record(&p)?;
+        w.write_record(&e.0)?;
     }
     w.finish()
 }
@@ -630,35 +351,33 @@ pub fn write_postings(
 ///
 /// # Errors
 ///
-/// The full [`StoreError`] corruption ladder, plus
-/// [`StoreError::Malformed`] when the header disagrees with the
-/// expectation.
+/// The full [`Error`] corruption ladder, plus [`Error::Malformed`] when
+/// the header disagrees with the expectation.
 pub fn read_postings(
     path: &Path,
     shard_index: usize,
     k: usize,
     config: u64,
-) -> Result<Vec<Vec<PostingEntry>>, StoreError> {
-    let mut r = FramedReader::open(path)?;
-    if r.a != shard_index as u64 || r.b != k as u64 || r.config != config {
-        return Err(StoreError::Malformed(format!(
-            "posting sidecar header (shard {}, k {}, config {:016x}) disagrees with \
-             expectation (shard {shard_index}, k {k}, config {config:016x})",
-            r.a, r.b, r.config
+) -> Result<Vec<Vec<PostingEntry>>, Error> {
+    let mut r = FramedReader::open(path, MAGIC, FORMAT_VERSION)?;
+    let [s, found_k, found_config] = r.fields();
+    if [s, found_k, found_config] != [shard_index as u64, k as u64, config] {
+        return Err(Error::Malformed(format!(
+            "posting sidecar header (shard {s}, k {found_k}, config {found_config:016x}) \
+             disagrees with expectation (shard {shard_index}, k {k}, config {config:016x})"
         )));
     }
     let mut lists = vec![Vec::new(); k];
-    let mut payload = Vec::new();
     let mut next = 0usize;
-    while r.next_record(&mut payload)? {
-        let mut d = Dec { buf: &payload, pos: 0 };
+    while let Some(payload) = r.next_record()? {
+        let mut d = Dec::payload(payload);
         let tag = d.u32()?;
         if tag != TAG_LIST {
-            return Err(StoreError::Malformed(format!("unknown posting tag {tag}")));
+            return Err(Error::Malformed(format!("unknown posting tag {tag}")));
         }
         let c = d.u32()? as usize;
         if c != next || c >= k {
-            return Err(StoreError::Malformed(format!(
+            return Err(Error::Malformed(format!(
                 "posting list {c} out of sequence (expected {next} of {k})"
             )));
         }
@@ -670,14 +389,14 @@ pub fn read_postings(
                 offset: d.u64()?,
                 athlete: d.u64()?,
                 city: d.u32()?,
-                norm: f32::from_bits(d.u32()?),
+                norm: d.f32()?,
             });
         }
         d.end()?;
         next += 1;
     }
     if next != k {
-        return Err(StoreError::Malformed(format!(
+        return Err(Error::Malformed(format!(
             "sidecar holds {next} posting lists, header promises {k}"
         )));
     }
@@ -737,51 +456,19 @@ impl AnnManifest {
     ///
     /// # Errors
     ///
-    /// [`StoreError::Malformed`] on any structural defect.
-    pub fn parse(text: &str) -> Result<Self, StoreError> {
-        let mut lines = text.lines();
-        let bad = |m: &str| StoreError::Malformed(format!("ann manifest: {m}"));
-        if lines.next() != Some("elevann v1") {
-            return Err(bad("missing or unsupported header line"));
-        }
-        let mut field = |name: &str| -> Result<String, StoreError> {
-            let line = lines.next().ok_or_else(|| bad(&format!("missing {name}")))?;
-            line.strip_prefix(&format!("{name} "))
-                .map(str::to_owned)
-                .ok_or_else(|| bad(&format!("expected `{name} ...`, got `{line}`")))
-        };
-        let config =
-            u64::from_str_radix(&field("config")?, 16).map_err(|_| bad("config is not hex"))?;
-        let generation = field("generation")?.parse().map_err(|_| bad("generation"))?;
-        let k = field("k")?.parse().map_err(|_| bad("k"))?;
-        let seed = field("seed")?.parse().map_err(|_| bad("seed"))?;
-        let n_cols = field("n_cols")?.parse().map_err(|_| bad("n_cols"))?;
-        let count: usize = field("shards")?.parse().map_err(|_| bad("shards"))?;
-        let mut shards = Vec::with_capacity(count);
-        for _ in 0..count {
-            let line = lines.next().ok_or_else(|| bad("manifest ends mid shard list"))?;
-            let mut parts = line.split_whitespace();
-            let index = parts
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| bad(&format!("bad shard line `{line}`")))?;
-            let file = parts
-                .next()
-                .ok_or_else(|| bad(&format!("bad shard line `{line}`")))?
-                .to_owned();
-            let entries = parts
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| bad(&format!("bad shard line `{line}`")))?;
-            if parts.next().is_some() {
-                return Err(bad(&format!("trailing fields in `{line}`")));
-            }
-            shards.push(AnnShardEntry { index, file, entries });
-        }
-        if shards.iter().enumerate().any(|(i, s)| s.index != i) {
-            return Err(bad("shard indices are not dense ascending"));
-        }
-        Ok(Self { config, generation, k, seed, n_cols, shards })
+    /// [`Error::Malformed`] on any structural defect.
+    pub fn parse(text: &str) -> Result<Self, Error> {
+        let mut m = ManifestLines::new(text, "elevann v1", "ann manifest")?;
+        Ok(Self {
+            config: m.hex_field("config")?,
+            generation: m.field("generation")?,
+            k: m.field("k")?,
+            seed: m.field("seed")?,
+            n_cols: m.field("n_cols")?,
+            shards: (m.entries("shards")?.into_iter().enumerate())
+                .map(|(index, (file, entries))| AnnShardEntry { index, file, entries })
+                .collect(),
+        })
     }
 }
 
@@ -801,15 +488,15 @@ impl AnnIndex {
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] when no manifest exists; any corruption
-    /// class from the manifest or codebook; [`StoreError::Malformed`]
+    /// [`Error::Io`] when no manifest exists; any corruption
+    /// class from the manifest or codebook; [`Error::Malformed`]
     /// when codebook and manifest disagree.
-    pub fn open(dir: &Path) -> Result<Self, StoreError> {
-        let text = std::fs::read_to_string(dir.join(ANN_MANIFEST)).map_err(io_err)?;
+    pub fn open(dir: &Path) -> Result<Self, Error> {
+        let text = std::fs::read_to_string(dir.join(ANN_MANIFEST))?;
         let manifest = AnnManifest::parse(&text)?;
         let codebook = Codebook::load(&dir.join(CODEBOOK_FILE), manifest.config)?;
         if codebook.n_cols() as u64 != manifest.n_cols {
-            return Err(StoreError::Malformed(format!(
+            return Err(Error::Malformed(format!(
                 "codebook spans {} columns, manifest promises {}",
                 codebook.n_cols(),
                 manifest.n_cols
@@ -832,14 +519,14 @@ impl AnnIndex {
     ///
     /// # Errors
     ///
-    /// [`StoreError::Malformed`] for an unknown shard; any corruption
+    /// [`Error::Malformed`] for an unknown shard; any corruption
     /// class from the sidecar.
-    pub fn postings(&self, shard: usize) -> Result<Vec<Vec<PostingEntry>>, StoreError> {
+    pub fn postings(&self, shard: usize) -> Result<Vec<Vec<PostingEntry>>, Error> {
         let entry = self
             .manifest
             .shards
             .get(shard)
-            .ok_or_else(|| StoreError::Malformed(format!("no sidecar for shard {shard}")))?;
+            .ok_or_else(|| Error::Malformed(format!("no sidecar for shard {shard}")))?;
         read_postings(&self.dir.join(&entry.file), shard, self.codebook.k(), self.manifest.config)
     }
 
@@ -856,13 +543,13 @@ impl AnnIndex {
     ///
     /// # Errors
     ///
-    /// Any [`StoreError`] from reading the store or writing the index.
+    /// Any [`Error`] from reading the store or writing the index.
     pub fn ensure(
         store: &FeatureStore,
         k: usize,
         seed: u64,
         exec: &Executor,
-    ) -> Result<(Self, bool), StoreError> {
+    ) -> Result<(Self, bool), Error> {
         let m = store.manifest();
         if let Ok(idx) = Self::open(store.dir()) {
             let compatible = idx.manifest.config == m.config
@@ -890,26 +577,17 @@ impl AnnIndex {
     ///
     /// # Errors
     ///
-    /// Any [`StoreError`] from reading the store or writing files.
+    /// Any [`Error`] from reading the store or writing files.
     pub fn build(
         store: &FeatureStore,
         k: usize,
         seed: u64,
         exec: &Executor,
-    ) -> Result<Self, StoreError> {
+    ) -> Result<Self, Error> {
         let m = store.manifest();
         let rows = read_shard_rows(store, 0)?;
         let codebook = Codebook::train(&rows, m.n_cols as usize, k, seed, exec);
         codebook.save(&store.dir().join(CODEBOOK_FILE), m.config)?;
-
-        let shard_ids: Vec<usize> = (0..m.shards.len()).collect();
-        let entries = exec.map(&shard_ids, |_, &s| -> Result<u64, StoreError> {
-            let lists = build_shard_postings(store, s, &codebook)?;
-            let n: u64 = lists.iter().map(|l| l.len() as u64).sum();
-            write_postings(&store.dir().join(ann_shard_file_name(s)), s, m.config, &lists)?;
-            Ok(n)
-        });
-        let entries: Vec<u64> = entries.into_iter().collect::<Result<_, _>>()?;
 
         let manifest = AnnManifest {
             config: m.config,
@@ -917,44 +595,41 @@ impl AnnIndex {
             k: k as u64,
             seed,
             n_cols: m.n_cols,
-            shards: entries
-                .iter()
-                .enumerate()
-                .map(|(i, &n)| AnnShardEntry {
-                    index: i,
-                    file: ann_shard_file_name(i),
-                    entries: n,
-                })
-                .collect(),
+            shards: write_sidecars(store, &codebook, 0, exec)?,
         };
-        atomic_write(&store.dir().join(ANN_MANIFEST), manifest.render().as_bytes())?;
+        durable::atomic_write(&store.dir().join(ANN_MANIFEST), manifest.render().as_bytes())?;
         Ok(Self { dir: store.dir().to_path_buf(), manifest, codebook })
     }
 
     /// Extends the index over shards appended to the store since it
     /// was built, quantizing them with the frozen codebook.
-    fn extend(mut self, store: &FeatureStore, exec: &Executor) -> Result<Self, StoreError> {
-        let m = store.manifest();
-        let codebook = &self.codebook;
-        let new_ids: Vec<usize> = (self.manifest.shards.len()..m.shards.len()).collect();
-        let entries = exec.map(&new_ids, |_, &s| -> Result<u64, StoreError> {
-            let lists = build_shard_postings(store, s, codebook)?;
-            let n: u64 = lists.iter().map(|l| l.len() as u64).sum();
-            write_postings(&store.dir().join(ann_shard_file_name(s)), s, m.config, &lists)?;
-            Ok(n)
-        });
-        let entries: Vec<u64> = entries.into_iter().collect::<Result<_, _>>()?;
-        for (&s, &n) in new_ids.iter().zip(&entries) {
-            self.manifest.shards.push(AnnShardEntry {
-                index: s,
-                file: ann_shard_file_name(s),
-                entries: n,
-            });
-        }
-        self.manifest.generation = m.generation;
-        atomic_write(&self.dir.join(ANN_MANIFEST), self.manifest.render().as_bytes())?;
+    fn extend(mut self, store: &FeatureStore, exec: &Executor) -> Result<Self, Error> {
+        let new = write_sidecars(store, &self.codebook, self.manifest.shards.len(), exec)?;
+        self.manifest.shards.extend(new);
+        self.manifest.generation = store.manifest().generation;
+        durable::atomic_write(&self.dir.join(ANN_MANIFEST), self.manifest.render().as_bytes())?;
         Ok(self)
     }
+}
+
+/// Quantizes store shards `from..` with `codebook` and writes their
+/// sidecars shard-parallel; returns their manifest entries in shard
+/// order.
+fn write_sidecars(
+    store: &FeatureStore,
+    codebook: &Codebook,
+    from: usize,
+    exec: &Executor,
+) -> Result<Vec<AnnShardEntry>, Error> {
+    let config = store.manifest().config;
+    let ids: Vec<usize> = (from..store.manifest().shards.len()).collect();
+    let written = exec.map(&ids, |_, &index| {
+        let lists = build_shard_postings(store, index, codebook)?;
+        let file = ann_shard_file_name(index);
+        write_postings(&store.dir().join(&file), index, config, &lists)?;
+        Ok(AnnShardEntry { index, file, entries: lists.iter().map(|l| l.len() as u64).sum() })
+    });
+    written.into_iter().collect()
 }
 
 /// Streams every row of store shard `shard` into memory (the
@@ -962,8 +637,8 @@ impl AnnIndex {
 ///
 /// # Errors
 ///
-/// Any [`StoreError`] from the shard reader.
-pub fn read_shard_rows(store: &FeatureStore, shard: usize) -> Result<Vec<RowBuf>, StoreError> {
+/// Any [`Error`] from the shard reader.
+pub fn read_shard_rows(store: &FeatureStore, shard: usize) -> Result<Vec<RowBuf>, Error> {
     let mut reader = store.reader(shard)?;
     let mut rows = Vec::new();
     let mut row = RowBuf::default();

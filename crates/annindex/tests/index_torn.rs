@@ -1,21 +1,17 @@
-//! IVF sidecar format contracts, in the `registry_torn.rs` /
-//! `roundtrip_torn.rs` discipline:
+//! IVF sidecar format contracts:
 //!
 //! - **bit-exact round-trip** — posting lists and the codebook survive
 //!   write → read → re-write byte-identically, and every posting entry
 //!   addresses a row record that positioned reads decode;
-//! - **the torn-write ladder** — a write killed at every record
-//!   boundary (and mid-record) reads as `Truncated`; flipped bytes as
-//!   `ChecksumMismatch`; foreign or future files as `BadMagic` /
-//!   `UnsupportedVersion`;
+//! - **the torn-write ladder** — `durable::ladder` run through
+//!   [`Codebook::load`] and [`read_postings`], plus the cross-checks
+//!   that refuse a sidecar built for another shard, `k` or config;
 //! - **determinism** — the codebook is bit-identical at 1 vs 4
 //!   executor threads and depends only on shard-0 content, so an
 //!   index built incrementally over appended shards equals one built
 //!   from scratch.
 
-use annindex::{
-    ann_shard_file_name, read_postings, AnnIndex, Codebook, CODEBOOK_FILE, HEADER_LEN,
-};
+use annindex::{ann_shard_file_name, read_postings, AnnIndex, Codebook, CODEBOOK_FILE};
 use exec::Executor;
 use featstore::{
     shard_file_name, FeatureStore, RowBuf, ShardEntry, ShardWriter, StoreManifest,
@@ -80,20 +76,6 @@ fn publish_store(dir: &Path, seed: u64, shards: usize, per_shard: usize) -> Feat
     FeatureStore::open(dir).expect("open")
 }
 
-/// Walks a framed sidecar file's record boundaries by trusting only
-/// the length prefixes (valid for a clean file).
-fn record_boundaries(bytes: &[u8]) -> Vec<usize> {
-    let mut cuts = vec![HEADER_LEN];
-    let mut at = HEADER_LEN;
-    while at < bytes.len() {
-        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes")) as usize;
-        at += 4 + len + 8;
-        cuts.push(at);
-    }
-    assert_eq!(at, bytes.len(), "boundary walk must land exactly at EOF");
-    cuts
-}
-
 #[test]
 fn index_roundtrips_and_postings_address_real_rows() {
     let dir = TempDir::new("rt");
@@ -136,59 +118,18 @@ fn index_roundtrips_and_postings_address_real_rows() {
 }
 
 #[test]
-fn torn_write_ladder_reads_truncated() {
+fn codebook_and_sidecar_readers_run_the_framing_ladder() {
     let dir = TempDir::new("ladder");
     let store = publish_store(&dir.0, 6, 1, 10);
     let idx = AnnIndex::build(&store, 4, 1, &Executor::new(1)).expect("build");
     let k = idx.codebook().k();
-
-    for target in [dir.0.join(ann_shard_file_name(0)), dir.0.join(CODEBOOK_FILE)] {
-        let original = std::fs::read(&target).expect("bytes");
-        let boundaries = record_boundaries(&original);
-        // The last boundary is EOF itself — the clean file, not a cut.
-        let cuttable = &boundaries[..boundaries.len() - 1];
-        let mut cuts = cuttable.to_vec();
-        cuts.extend(cuttable.iter().map(|b| b + 2));
-        cuts.extend([0, 1, HEADER_LEN / 2, original.len() - 1]);
-        for cut in cuts {
-            assert!(cut < original.len());
-            std::fs::write(&target, &original[..cut]).expect("tear");
-            let err = if target.ends_with(CODEBOOK_FILE) {
-                Codebook::load(&target, CONFIG).expect_err("torn codebook must not load")
-            } else {
-                read_postings(&target, 0, k, CONFIG).expect_err("torn sidecar must not read")
-            };
-            assert_eq!(err.name(), "truncated", "cut at {cut}: got {err:?}");
-        }
-        std::fs::write(&target, &original).expect("restore");
-    }
+    durable::ladder::run(&dir.0.join(CODEBOOK_FILE), |p| Codebook::load(p, CONFIG));
+    durable::ladder::run(&dir.0.join(ann_shard_file_name(0)), |p| read_postings(p, 0, k, CONFIG));
     assert!(AnnIndex::open(&dir.0).is_ok(), "restored index reads clean");
 }
 
 #[test]
-fn flipped_bytes_read_checksum_mismatch() {
-    let dir = TempDir::new("flip");
-    let store = publish_store(&dir.0, 7, 1, 10);
-    let idx = AnnIndex::build(&store, 4, 2, &Executor::new(1)).expect("build");
-    let k = idx.codebook().k();
-
-    let target = dir.0.join(ann_shard_file_name(0));
-    let original = std::fs::read(&target).expect("bytes");
-    let boundaries = record_boundaries(&original);
-    let mut flips: Vec<usize> = vec![HEADER_LEN - 1];
-    flips.extend(boundaries.windows(2).map(|w| (w[0] + w[1]) / 2));
-    flips.push(original.len() - 1);
-    for flip in flips {
-        let mut bytes = original.clone();
-        bytes[flip] ^= 0x10;
-        std::fs::write(&target, &bytes).expect("flip");
-        let err = read_postings(&target, 0, k, CONFIG).expect_err("corrupt sidecar");
-        assert_eq!(err.name(), "checksum_mismatch", "flip at {flip}: got {err:?}");
-    }
-}
-
-#[test]
-fn foreign_and_future_files_classify_distinctly() {
+fn sidecar_headers_crosscheck_their_expectation() {
     let dir = TempDir::new("classes");
     let store = publish_store(&dir.0, 8, 1, 6);
     let idx = AnnIndex::build(&store, 2, 3, &Executor::new(1)).expect("build");
@@ -200,23 +141,13 @@ fn foreign_and_future_files_classify_distinctly() {
     std::fs::copy(dir.0.join(shard_file_name(0)), &target).expect("copy");
     assert_eq!(read_postings(&target, 0, k, CONFIG).unwrap_err().name(), "bad_magic");
 
-    // A future container version with a consistent header checksum.
-    let mut future = original.clone();
-    future[8..12].copy_from_slice(&2u32.to_le_bytes());
-    let fnv = featstore::fnv1a64(&future[..HEADER_LEN - 8]);
-    future[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&fnv.to_le_bytes());
-    std::fs::write(&target, &future).expect("write");
-    assert_eq!(read_postings(&target, 0, k, CONFIG).unwrap_err().name(), "unsupported_version");
-
-    // Deleted outright.
-    std::fs::remove_file(&target).expect("rm");
-    assert_eq!(read_postings(&target, 0, k, CONFIG).unwrap_err().name(), "io");
-
-    // A sidecar for the wrong shard index cross-checks as malformed.
+    // A sidecar for the wrong shard index, k or config is malformed.
     std::fs::write(&target, &original).expect("restore");
     assert_eq!(read_postings(&target, 1, k, CONFIG).unwrap_err().name(), "malformed");
     assert_eq!(read_postings(&target, 0, k + 1, CONFIG).unwrap_err().name(), "malformed");
     assert_eq!(read_postings(&target, 0, k, CONFIG ^ 1).unwrap_err().name(), "malformed");
+    let codebook = dir.0.join(CODEBOOK_FILE);
+    assert_eq!(Codebook::load(&codebook, CONFIG ^ 1).unwrap_err().name(), "malformed");
 }
 
 #[test]

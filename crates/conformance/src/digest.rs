@@ -4,8 +4,8 @@
 //! golden registry pins is reduced to a stream of length-prefixed
 //! fields (floats by their IEEE-754 bit patterns, never by display
 //! formatting), so two artifacts collide only if they are
-//! bit-identical field for field. No external hashing crates — the
-//! build environment is offline.
+//! bit-identical field for field. The hash itself is `durable`'s
+//! FNV-1a-64, the same checksum every on-disk container uses.
 
 /// Incremental FNV-1a 64-bit hasher over canonical field encodings.
 #[derive(Debug, Clone)]
@@ -13,22 +13,16 @@ pub struct Digest {
     state: u64,
 }
 
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
-
 impl Digest {
     /// A fresh hasher at the FNV offset basis.
     pub fn new() -> Self {
-        Self { state: FNV_OFFSET }
+        Self { state: durable::FNV1A64_INIT }
     }
 
     /// Absorbs raw bytes (no length prefix; use the typed writers for
     /// self-delimiting fields).
     pub fn raw(&mut self, bytes: &[u8]) -> &mut Self {
-        for &b in bytes {
-            self.state ^= u64::from(b);
-            self.state = self.state.wrapping_mul(FNV_PRIME);
-        }
+        self.state = durable::fnv1a64_continue(self.state, bytes);
         self
     }
 

@@ -428,10 +428,10 @@ pub fn compute_stages(seed: u64) -> Vec<StageArtifact> {
     // Stage 12: IVF probe matching over the quick-scale corpus, all in
     // memory — codebook training, posting-list assignment, probe
     // routing, and exact rescoring, digested next to the brute-force
-    // reference hits. The on-disk sidecar framing is pinned by
-    // annindex's own torn-write suite; this digest pins the *math*:
-    // any drift in centroid seeding, assignment tie-breaks, or the
-    // rescoring order breaks this golden.
+    // reference hits. The on-disk sidecar bytes are pinned by
+    // `tests/formats.rs` and their framing by the `durable` ladder;
+    // this digest pins the *math*: any drift in centroid seeding,
+    // assignment tie-breaks, or the rescoring order breaks this golden.
     {
         let pop = conformance_population(seed);
         let terrain = pop.terrain();

@@ -33,9 +33,7 @@
 
 use annindex::AnnIndex;
 use exec::Executor;
-use featstore::{
-    FeatureStore, RowBuf, ShardEntry, ShardWriter, StoreError, StoreManifest, MANIFEST,
-};
+use featstore::{FeatureStore, RowBuf, ShardEntry, ShardWriter, StoreManifest, MANIFEST};
 use routegen::PopulationConfig;
 use sparsemat::{dot_sorted, SparseVec};
 use std::path::{Path, PathBuf};
@@ -208,7 +206,7 @@ fn featurize_shard(
     n_cols: usize,
     fingerprint: u64,
     s: usize,
-) -> Result<featstore::ShardMeta, StoreError> {
+) -> Result<featstore::ShardMeta, durable::Error> {
     let shard = cfg.population.generate_shard(terrain, s);
     let mut w = ShardWriter::create(&cfg.store_dir, s, n_cols as u64, fingerprint)?;
     for athlete in &shard.athletes {
@@ -253,8 +251,11 @@ fn store_report(m: &StoreManifest, dir: &Path, reused: bool, appended: usize) ->
 ///
 /// # Errors
 ///
-/// Any [`StoreError`] from shard writing or manifest publishing.
-pub fn build_store(cfg: &ScaleConfig, exec: &Executor) -> Result<StoreBuildReport, StoreError> {
+/// Any [`durable::Error`] from shard writing or manifest publishing.
+pub fn build_store(
+    cfg: &ScaleConfig,
+    exec: &Executor,
+) -> Result<StoreBuildReport, durable::Error> {
     let pop = &cfg.population;
     let fingerprint = cfg.store_fingerprint();
     if let Ok(mut store) = FeatureStore::open(&cfg.store_dir) {
@@ -291,7 +292,7 @@ pub fn build_store(cfg: &ScaleConfig, exec: &Executor) -> Result<StoreBuildRepor
             }
         }
     }
-    std::fs::create_dir_all(&cfg.store_dir).map_err(|e| StoreError::Io(e.to_string()))?;
+    std::fs::create_dir_all(&cfg.store_dir)?;
 
     let pipeline = fit_pipeline(pop);
     let n_cols = pipeline.pipeline().n_features();
@@ -566,7 +567,7 @@ fn scan_shard(
     sigs: &[OverlapSig],
     sizes: &[usize],
     row: &mut RowBuf,
-) -> Result<(TopHits, Vec<u64>), StoreError> {
+) -> Result<(TopHits, Vec<u64>), durable::Error> {
     let mut top: TopHits = vec![vec![Vec::with_capacity(4); sizes.len()]; probes.len()];
     let mut buckets = vec![0u64; sizes.len()];
     let mut reader = store.reader(shard)?;
@@ -618,7 +619,7 @@ fn scan_shard_ann(
     probe_lists: &[Vec<u32>],
     sizes: &[usize],
     row: &mut RowBuf,
-) -> Result<(TopHits, Vec<u64>, u64), StoreError> {
+) -> Result<(TopHits, Vec<u64>, u64), durable::Error> {
     let mut top: TopHits = vec![vec![Vec::with_capacity(4); sizes.len()]; probes.len()];
     let mut buckets = vec![0u64; sizes.len()];
     let lists = index.postings(shard)?;
@@ -682,12 +683,12 @@ fn scan_shard_ann(
 ///
 /// # Errors
 ///
-/// Any [`StoreError`] from the store build or the shard scans.
+/// Any [`durable::Error`] from the store build or the shard scans.
 ///
 /// # Panics
 ///
 /// Panics if `cfg.pop_sizes` is empty.
-pub fn scale_sweep(cfg: &ScaleConfig, exec: &Executor) -> Result<ScaleReport, StoreError> {
+pub fn scale_sweep(cfg: &ScaleConfig, exec: &Executor) -> Result<ScaleReport, durable::Error> {
     assert!(!cfg.pop_sizes.is_empty(), "sweep needs at least one population size");
     let build = build_store(cfg, exec)?;
     let store = FeatureStore::open(&cfg.store_dir)?;
@@ -813,10 +814,10 @@ pub fn scale_sweep(cfg: &ScaleConfig, exec: &Executor) -> Result<ScaleReport, St
 /// Merges per-shard scan partials in shard index order, giving the
 /// same hit lists and track counts at any thread count.
 fn merge_partials(
-    partials: Vec<Result<(TopHits, Vec<u64>), StoreError>>,
+    partials: Vec<Result<(TopHits, Vec<u64>), durable::Error>>,
     n_probes: usize,
     n_sizes: usize,
-) -> Result<(TopHits, Vec<u64>), StoreError> {
+) -> Result<(TopHits, Vec<u64>), durable::Error> {
     let mut merged: TopHits = vec![vec![Vec::with_capacity(4); n_sizes]; n_probes];
     let mut tracks = vec![0u64; n_sizes];
     for partial in partials {
@@ -850,19 +851,19 @@ pub fn shard_fingerprints(pop: &PopulationConfig, exec: &Executor) -> Vec<u64> {
 ///
 /// # Errors
 ///
-/// [`StoreError::Malformed`] when the directory exists but has no
-/// valid manifest; [`StoreError::Io`] on removal failure.
-pub fn remove_store(dir: &Path) -> Result<(), StoreError> {
+/// [`durable::Error::Malformed`] when the directory exists but has no
+/// valid manifest; [`durable::Error::Io`] on removal failure.
+pub fn remove_store(dir: &Path) -> Result<(), durable::Error> {
     if !dir.exists() {
         return Ok(());
     }
     if FeatureStore::open(dir).is_err() {
-        return Err(StoreError::Malformed(format!(
+        return Err(durable::Error::Malformed(format!(
             "{} does not contain a feature-store manifest ({MANIFEST}); refusing to remove",
             dir.display()
         )));
     }
-    std::fs::remove_dir_all(dir).map_err(|e| StoreError::Io(e.to_string()))
+    Ok(std::fs::remove_dir_all(dir)?)
 }
 
 #[cfg(test)]

@@ -1,0 +1,777 @@
+//! Durable containers: the one checksummed-file discipline under the
+//! model registry (`serve::registry`), the feature store (`featstore`)
+//! and the IVF index (`annindex`).
+//!
+//! - [`fnv1a64`] / [`fnv1a64_continue`] — the integrity checksum
+//!   (corruption detection, not tampering);
+//! - [`Enc`] / [`Dec`] — little-endian field encoding;
+//! - [`FramedWriter`] / [`FramedReader`] — the framed file format below;
+//! - [`atomic_write`] — the crash-safe publish every manifest uses;
+//! - [`ManifestLines`] — the `name value` fields and dense
+//!   `index file count` lists of the text manifests;
+//! - [`Error`] — one error type with stable [`Error::name`]s;
+//! - [`ladder`] — the torn-write ladder every framed reader's tests run.
+//!
+//! # Framed files
+//!
+//! ```text
+//! header   magic(8) | version u32 | three u64 fields
+//!          | fnv u64 over the preceding 36 bytes
+//! record*  len u32 | payload | fnv u64 over payload
+//! footer   len u32 | payload | fnv u64 over payload
+//!          payload = tag u32 (FOOTER_TAG) | records u64
+//!                  | fnv u64 over every preceding file byte
+//! ```
+//!
+//! Record payloads belong to the container; each starts with the
+//! container's own `u32` tag, which is never [`FOOTER_TAG`]. The footer
+//! makes a cut exactly at a record boundary detectable (the file would
+//! otherwise just look shorter), and its whole-file checksum catches
+//! corruption in bytes a lazy reader skipped.
+//!
+//! Every strict prefix of a framed file reads as [`Error::Truncated`],
+//! and a flipped byte in the header fields, a payload, a record
+//! checksum or the footer reads as [`Error::ChecksumMismatch`]. One
+//! limit: a flipped length prefix that points past EOF reads as
+//! [`Error::Truncated`], because only the footer's whole-file checksum
+//! covers the prefixes and the reader stops before it. The ladder's
+//! flips therefore stay off the prefixes.
+//!
+//! # Publishing
+//!
+//! A framed file and every [`atomic_write`] land under the hidden temp
+//! sibling `.<name>.tmp`, are fsynced, and are renamed into place, so a
+//! crash leaves either the old file or the new one. Loaders open files
+//! by the names their manifests list, so a leftover temp file is never
+//! read.
+
+#![forbid(unsafe_code)]
+#![warn(missing_docs)]
+
+pub mod ladder;
+
+use std::fs::File;
+use std::io::Write;
+use std::path::{Path, PathBuf};
+
+/// FNV-1a-64 of the empty input: the state every checksum starts from.
+pub const FNV1A64_INIT: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a-64 over `bytes`.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    fnv1a64_continue(FNV1A64_INIT, bytes)
+}
+
+/// Continues an FNV-1a-64 stream from state `h`.
+pub fn fnv1a64_continue(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Everything that can go wrong reading or writing a container.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Error {
+    /// Filesystem error (message carries the OS detail).
+    Io(String),
+    /// The file does not start with the container's magic.
+    BadMagic,
+    /// The container format version is not the one this build reads.
+    UnsupportedVersion {
+        /// Version found in the file.
+        found: u32,
+    },
+    /// The bytes end before a field, record or footer they promised.
+    Truncated {
+        /// Byte offset where the reader stopped.
+        offset: usize,
+        /// Bytes the next field needed.
+        needed: usize,
+        /// Actual length.
+        len: usize,
+    },
+    /// A stored checksum does not match the content.
+    ChecksumMismatch {
+        /// Checksum stored in the file.
+        stored: u64,
+        /// Checksum computed over the content.
+        computed: u64,
+    },
+    /// The bytes passed their checksums but their content is invalid
+    /// (unknown tag, index out of range, count drift, trailing
+    /// bytes...).
+    Malformed(String),
+}
+
+impl Error {
+    /// Stable lowercase class name for tests and logs.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Error::Io(_) => "io",
+            Error::BadMagic => "bad_magic",
+            Error::UnsupportedVersion { .. } => "unsupported_version",
+            Error::Truncated { .. } => "truncated",
+            Error::ChecksumMismatch { .. } => "checksum_mismatch",
+            Error::Malformed(_) => "malformed",
+        }
+    }
+}
+
+impl std::fmt::Display for Error {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Error::Io(m) => write!(f, "io error: {m}"),
+            Error::BadMagic => f.write_str("bad magic: not a file of this container format"),
+            Error::UnsupportedVersion { found } => {
+                write!(f, "unsupported container version {found}")
+            }
+            Error::Truncated { offset, needed, len } => {
+                write!(f, "truncated at offset {offset}: needed {needed} more bytes of {len}")
+            }
+            Error::ChecksumMismatch { stored, computed } => {
+                write!(f, "checksum mismatch: stored {stored:#018x}, computed {computed:#018x}")
+            }
+            Error::Malformed(m) => write!(f, "malformed: {m}"),
+        }
+    }
+}
+
+impl std::error::Error for Error {}
+
+impl From<std::io::Error> for Error {
+    fn from(e: std::io::Error) -> Self {
+        Error::Io(e.to_string())
+    }
+}
+
+// ---- field codecs -------------------------------------------------------
+
+/// Little-endian field encoder over a growable buffer.
+#[derive(Debug, Clone, Default)]
+pub struct Enc(pub Vec<u8>);
+
+impl Enc {
+    /// Appends raw bytes.
+    pub fn bytes(&mut self, b: &[u8]) -> &mut Self {
+        self.0.extend_from_slice(b);
+        self
+    }
+    /// Appends a `u32`.
+    pub fn u32(&mut self, v: u32) -> &mut Self {
+        self.bytes(&v.to_le_bytes())
+    }
+    /// Appends a `u64`.
+    pub fn u64(&mut self, v: u64) -> &mut Self {
+        self.bytes(&v.to_le_bytes())
+    }
+    /// Appends an `f32` by bit pattern.
+    pub fn f32(&mut self, v: f32) -> &mut Self {
+        self.bytes(&v.to_le_bytes())
+    }
+    /// Appends a `u32`-length-prefixed UTF-8 string.
+    pub fn str(&mut self, s: &str) -> &mut Self {
+        self.u32(s.len() as u32).bytes(s.as_bytes())
+    }
+    /// Appends a `u64`-length-prefixed byte section.
+    pub fn section(&mut self, b: &[u8]) -> &mut Self {
+        self.u64(b.len() as u64).bytes(b)
+    }
+}
+
+/// Little-endian field decoder over a byte slice.
+#[derive(Debug, Clone)]
+pub struct Dec<'a> {
+    buf: &'a [u8],
+    pos: usize,
+    framed: bool,
+}
+
+impl<'a> Dec<'a> {
+    /// A decoder over a whole file image: running out of bytes is
+    /// [`Error::Truncated`].
+    pub fn new(buf: &'a [u8]) -> Self {
+        Self { buf, pos: 0, framed: false }
+    }
+
+    /// A decoder over a framed record's payload, whose length the
+    /// framing already verified: running out of bytes is
+    /// [`Error::Malformed`].
+    pub fn payload(buf: &'a [u8]) -> Self {
+        Self { buf, pos: 0, framed: true }
+    }
+
+    /// The next `n` bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Truncated`] or, for payloads, [`Error::Malformed`] when
+    /// fewer than `n` bytes remain.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], Error> {
+        let left = self.buf.len() - self.pos;
+        if left < n {
+            return Err(if self.framed {
+                Error::Malformed(format!("payload ends at {left} of a {n}-byte field"))
+            } else {
+                Error::Truncated { offset: self.pos, needed: n - left, len: self.buf.len() }
+            });
+        }
+        let out = &self.buf[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(out)
+    }
+    /// Reads a `u32`.
+    ///
+    /// # Errors
+    ///
+    /// As [`take`](Self::take).
+    pub fn u32(&mut self) -> Result<u32, Error> {
+        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+    }
+    /// Reads a `u64`.
+    ///
+    /// # Errors
+    ///
+    /// As [`take`](Self::take).
+    pub fn u64(&mut self) -> Result<u64, Error> {
+        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+    }
+    /// Reads an `f32` by bit pattern.
+    ///
+    /// # Errors
+    ///
+    /// As [`take`](Self::take).
+    pub fn f32(&mut self) -> Result<f32, Error> {
+        Ok(f32::from_bits(self.u32()?))
+    }
+    /// Reads a `u32`-length-prefixed UTF-8 string.
+    ///
+    /// # Errors
+    ///
+    /// As [`take`](Self::take); [`Error::Malformed`] on invalid UTF-8.
+    pub fn str(&mut self) -> Result<String, Error> {
+        let n = self.u32()? as usize;
+        String::from_utf8(self.take(n)?.to_vec())
+            .map_err(|_| Error::Malformed("non-UTF-8 string field".into()))
+    }
+    /// Reads a `u64`-length-prefixed byte section.
+    ///
+    /// # Errors
+    ///
+    /// As [`take`](Self::take).
+    pub fn section(&mut self) -> Result<&'a [u8], Error> {
+        let n = self.u64()?;
+        self.take(usize::try_from(n).unwrap_or(usize::MAX))
+    }
+    /// Requires every byte to have been consumed.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Malformed`] on trailing bytes.
+    pub fn end(&self) -> Result<(), Error> {
+        match self.buf.len() - self.pos {
+            0 => Ok(()),
+            n => Err(Error::Malformed(format!("{n} trailing bytes"))),
+        }
+    }
+}
+
+// ---- publishing ---------------------------------------------------------
+
+/// The hidden temp sibling `.<name>.tmp` a publish of `path` writes.
+fn temp_path(path: &Path) -> Result<PathBuf, Error> {
+    let name = path
+        .file_name()
+        .ok_or_else(|| Error::Io(format!("{} has no file name", path.display())))?;
+    Ok(path.with_file_name(format!(".{}.tmp", name.to_string_lossy())))
+}
+
+/// Renames a synced temp file over `path`, then fsyncs the directory
+/// (best effort) so the rename itself is durable.
+fn publish(tmp: &Path, path: &Path) -> Result<(), Error> {
+    std::fs::rename(tmp, path)?;
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
+    if let Ok(d) = File::open(dir) {
+        let _ = d.sync_all();
+    }
+    Ok(())
+}
+
+/// Writes `bytes` to `path` atomically: hidden temp sibling
+/// `.<name>.tmp`, fsync, rename into place, directory fsync. A crash at
+/// any point leaves the old content or the new content at `path`,
+/// never a torn prefix.
+///
+/// # Errors
+///
+/// [`Error::Io`] on any filesystem failure.
+pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), Error> {
+    let tmp = temp_path(path)?;
+    let mut f = File::create(&tmp)?;
+    f.write_all(bytes)?;
+    f.sync_all()?;
+    publish(&tmp, path)
+}
+
+// ---- framed files -------------------------------------------------------
+
+/// Byte length of a framed file's header (magic + version + three
+/// `u64` fields + header checksum).
+pub const HEADER_LEN: usize = 8 + 4 + 3 * 8 + 8;
+
+/// Tag of the footer record; container record tags must differ.
+pub const FOOTER_TAG: u32 = 2;
+
+/// Append-only writer for one framed file. Nothing is visible at the
+/// final path until [`finish`](Self::finish) writes the footer,
+/// fsyncs, and renames the temp file into place.
+#[derive(Debug)]
+pub struct FramedWriter {
+    file: std::io::BufWriter<File>,
+    tmp: PathBuf,
+    path: PathBuf,
+    offset: u64,
+    content_fnv: u64,
+    records: u64,
+}
+
+impl FramedWriter {
+    /// Creates the framed file `path` (under its temp name until
+    /// [`finish`](Self::finish)) and writes the header.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Io`] on filesystem failure.
+    pub fn create(
+        path: &Path,
+        magic: &[u8; 8],
+        version: u32,
+        fields: [u64; 3],
+    ) -> Result<Self, Error> {
+        let tmp = temp_path(path)?;
+        let file = std::io::BufWriter::new(File::create(&tmp)?);
+        let mut header = Enc(Vec::with_capacity(HEADER_LEN));
+        header.bytes(magic).u32(version);
+        for f in fields {
+            header.u64(f);
+        }
+        let fnv = fnv1a64(&header.0);
+        header.u64(fnv);
+        let mut w = Self {
+            file,
+            tmp,
+            path: path.to_path_buf(),
+            offset: 0,
+            content_fnv: FNV1A64_INIT,
+            records: 0,
+        };
+        w.write_raw(&header.0)?;
+        Ok(w)
+    }
+
+    fn write_raw(&mut self, bytes: &[u8]) -> Result<(), Error> {
+        self.file.write_all(bytes)?;
+        self.content_fnv = fnv1a64_continue(self.content_fnv, bytes);
+        self.offset += bytes.len() as u64;
+        Ok(())
+    }
+
+    fn frame(&mut self, payload: &[u8]) -> Result<u64, Error> {
+        let len = u32::try_from(payload.len())
+            .map_err(|_| Error::Malformed(format!("{}-byte record payload", payload.len())))?;
+        self.write_raw(&len.to_le_bytes())?;
+        self.write_raw(payload)?;
+        self.write_raw(&fnv1a64(payload).to_le_bytes())?;
+        Ok(self.offset)
+    }
+
+    /// Appends one record; returns the byte offset just past it.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Io`] on write failure; [`Error::Malformed`] for a
+    /// payload over `u32::MAX` bytes.
+    pub fn write_record(&mut self, payload: &[u8]) -> Result<u64, Error> {
+        let end = self.frame(payload)?;
+        self.records += 1;
+        Ok(end)
+    }
+
+    /// Records appended so far (the footer not included).
+    pub fn records(&self) -> u64 {
+        self.records
+    }
+
+    /// Writes the footer, fsyncs, and publishes the file; returns its
+    /// total byte length.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Io`] on write, sync, or rename failure.
+    pub fn finish(mut self) -> Result<u64, Error> {
+        let mut footer = Enc(Vec::with_capacity(20));
+        footer.u32(FOOTER_TAG).u64(self.records).u64(self.content_fnv);
+        self.frame(&footer.0)?;
+        self.file.flush()?;
+        self.file.get_ref().sync_all()?;
+        publish(&self.tmp, &self.path)?;
+        Ok(self.offset)
+    }
+}
+
+/// Reader over one framed file using positioned (`pread`-style) reads
+/// into one reused scratch buffer: bounded memory, no allocation per
+/// record once the scratch has grown to the largest record, and no
+/// seek state shared between readers of the same file.
+#[derive(Debug)]
+pub struct FramedReader {
+    file: File,
+    len: u64,
+    offset: u64,
+    fields: [u64; 3],
+    records_seen: u64,
+    done: bool,
+    content_fnv: u64,
+    scratch: Vec<u8>,
+}
+
+impl FramedReader {
+    /// Opens a framed file and validates its header: magic first, then
+    /// size, version, and header checksum.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Io`] / [`Error::BadMagic`] / [`Error::Truncated`] /
+    /// [`Error::UnsupportedVersion`] / [`Error::ChecksumMismatch`].
+    pub fn open(path: &Path, magic: &[u8; 8], version: u32) -> Result<Self, Error> {
+        let file = File::open(path)?;
+        let len = file.metadata()?.len();
+        let mut header = [0u8; HEADER_LEN];
+        let have = usize::try_from(len).map_or(HEADER_LEN, |l| l.min(HEADER_LEN));
+        read_exact_at(&file, &mut header[..have], 0)?;
+        if have >= 8 && &header[..8] != magic {
+            return Err(Error::BadMagic);
+        }
+        if have < HEADER_LEN {
+            return Err(Error::Truncated { offset: 0, needed: HEADER_LEN - have, len: have });
+        }
+        let mut d = Dec::new(&header[8..]);
+        let found = d.u32()?;
+        if found != version {
+            return Err(Error::UnsupportedVersion { found });
+        }
+        let fields = [d.u64()?, d.u64()?, d.u64()?];
+        let stored = d.u64()?;
+        let computed = fnv1a64(&header[..HEADER_LEN - 8]);
+        if stored != computed {
+            return Err(Error::ChecksumMismatch { stored, computed });
+        }
+        Ok(Self {
+            file,
+            len,
+            offset: HEADER_LEN as u64,
+            fields,
+            records_seen: 0,
+            done: false,
+            content_fnv: fnv1a64(&header),
+            scratch: Vec::new(),
+        })
+    }
+
+    /// The three `u64` header fields.
+    pub fn fields(&self) -> [u64; 3] {
+        self.fields
+    }
+
+    /// Byte offset of the record the next
+    /// [`next_record`](Self::next_record) call decodes — the handle
+    /// [`read_record_at`](Self::read_record_at) takes.
+    pub fn offset(&self) -> u64 {
+        self.offset
+    }
+
+    /// Reads the record at `offset` into the scratch buffer and
+    /// verifies its checksum; returns the payload length.
+    fn read_frame(&mut self, offset: u64) -> Result<usize, Error> {
+        let len = self.len as usize;
+        let truncated = |needed: usize| Error::Truncated { offset: offset as usize, needed, len };
+        let remaining = usize::try_from(self.len.saturating_sub(offset)).unwrap_or(usize::MAX);
+        if remaining < 4 {
+            // Includes a clean EOF where the footer should be: a
+            // publish killed exactly at a record boundary.
+            return Err(truncated(4 - remaining));
+        }
+        let mut len4 = [0u8; 4];
+        read_exact_at(&self.file, &mut len4, offset)?;
+        let payload_len = u32::from_le_bytes(len4) as usize;
+        if remaining < 4 + payload_len + 8 {
+            return Err(truncated(4 + payload_len + 8 - remaining));
+        }
+        // Read payload + trailing checksum; verify before the container
+        // decodes any interior length field.
+        self.scratch.clear();
+        self.scratch.resize(payload_len + 8, 0);
+        read_exact_at(&self.file, &mut self.scratch, offset + 4)?;
+        let (payload, fnv8) = self.scratch.split_at(payload_len);
+        let stored = u64::from_le_bytes(fnv8.try_into().expect("8 bytes"));
+        let computed = fnv1a64(payload);
+        if stored != computed {
+            return Err(Error::ChecksumMismatch { stored, computed });
+        }
+        Ok(payload_len)
+    }
+
+    /// The next record's payload, or `None` once the footer has been
+    /// reached and verified.
+    ///
+    /// # Errors
+    ///
+    /// A cut anywhere — mid-record or exactly at a record boundary —
+    /// reads as [`Error::Truncated`]; flipped bytes as
+    /// [`Error::ChecksumMismatch`]; a footer whose record count or
+    /// trailing length disagrees as [`Error::Malformed`].
+    pub fn next_record(&mut self) -> Result<Option<&[u8]>, Error> {
+        if self.done {
+            return Ok(None);
+        }
+        let payload_len = self.read_frame(self.offset)?;
+        let pre_record_fnv = self.content_fnv;
+        self.content_fnv =
+            fnv1a64_continue(self.content_fnv, &(payload_len as u32).to_le_bytes());
+        self.content_fnv = fnv1a64_continue(self.content_fnv, &self.scratch);
+        self.offset += 4 + self.scratch.len() as u64;
+        let payload = &self.scratch[..payload_len];
+        if payload.get(..4) != Some(&FOOTER_TAG.to_le_bytes()[..]) {
+            self.records_seen += 1;
+            return Ok(Some(payload));
+        }
+        let mut d = Dec::payload(&payload[4..]);
+        let records = d.u64()?;
+        let whole = d.u64()?;
+        d.end()?;
+        if records != self.records_seen {
+            return Err(Error::Malformed(format!(
+                "footer promises {records} records, file contains {}",
+                self.records_seen
+            )));
+        }
+        if whole != pre_record_fnv {
+            return Err(Error::ChecksumMismatch { stored: whole, computed: pre_record_fnv });
+        }
+        if self.offset != self.len {
+            return Err(Error::Malformed(format!(
+                "{} trailing bytes after footer",
+                self.len - self.offset
+            )));
+        }
+        self.done = true;
+        Ok(None)
+    }
+
+    /// The payload of the record at `offset` — a value
+    /// [`offset`](Self::offset) reported — plus the offset just past
+    /// it, without disturbing the streaming cursor. The record checksum
+    /// is verified exactly as in streaming reads; the footer is
+    /// returned like any record, so callers check their tag.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Truncated`] / [`Error::ChecksumMismatch`] on torn or
+    /// corrupt records.
+    pub fn read_record_at(&mut self, offset: u64) -> Result<(&[u8], u64), Error> {
+        let payload_len = self.read_frame(offset)?;
+        Ok((&self.scratch[..payload_len], offset + 4 + payload_len as u64 + 8))
+    }
+}
+
+/// Positioned read: `pread` on unix, seek+read elsewhere.
+fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> Result<(), Error> {
+    #[cfg(unix)]
+    {
+        use std::os::unix::fs::FileExt;
+        Ok(file.read_exact_at(buf, offset)?)
+    }
+    #[cfg(not(unix))]
+    {
+        use std::io::{Read, Seek, SeekFrom};
+        let mut f = file;
+        f.seek(SeekFrom::Start(offset))?;
+        Ok(f.read_exact(buf)?)
+    }
+}
+
+// ---- text manifests -----------------------------------------------------
+
+/// Line cursor over a text manifest: a header line, `name value`
+/// fields in a fixed order, then a `count` line and that many dense
+/// `index file count` entry lines.
+#[derive(Debug)]
+pub struct ManifestLines<'a> {
+    lines: std::iter::Peekable<std::str::Lines<'a>>,
+    what: &'static str,
+}
+
+impl<'a> ManifestLines<'a> {
+    /// Starts on `text`, whose first line must be `header`; `what`
+    /// names the manifest in error messages.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Malformed`] on a missing or different header line.
+    pub fn new(text: &'a str, header: &str, what: &'static str) -> Result<Self, Error> {
+        let mut m = Self { lines: text.lines().peekable(), what };
+        if m.lines.next() != Some(header) {
+            return Err(m.bad("missing or unsupported header line"));
+        }
+        Ok(m)
+    }
+
+    fn bad(&self, msg: &str) -> Error {
+        Error::Malformed(format!("{}: {msg}", self.what))
+    }
+
+    fn raw_field(&mut self, name: &str) -> Result<&'a str, Error> {
+        let line = self.lines.next().ok_or_else(|| self.bad(&format!("missing {name}")))?;
+        line.strip_prefix(name)
+            .and_then(|v| v.strip_prefix(' '))
+            .ok_or_else(|| self.bad(&format!("expected `{name} ...`, got `{line}`")))
+    }
+
+    /// The value of the next line, which must be `name value`.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Malformed`] on a missing line, another name, or a value
+    /// that does not parse.
+    pub fn field<T: std::str::FromStr>(&mut self, name: &str) -> Result<T, Error> {
+        let v = self.raw_field(name)?;
+        v.parse().map_err(|_| self.bad(&format!("bad {name} `{v}`")))
+    }
+
+    /// [`field`](Self::field) for a hexadecimal `u64` value.
+    ///
+    /// # Errors
+    ///
+    /// As [`field`](Self::field).
+    pub fn hex_field(&mut self, name: &str) -> Result<u64, Error> {
+        let v = self.raw_field(name)?;
+        u64::from_str_radix(v, 16).map_err(|_| self.bad(&format!("{name} `{v}` is not hex")))
+    }
+
+    /// [`field`](Self::field) when the next line is named `name`,
+    /// `None` otherwise (a field older files lack).
+    ///
+    /// # Errors
+    ///
+    /// As [`field`](Self::field).
+    pub fn optional_field<T: std::str::FromStr>(&mut self, name: &str) -> Result<Option<T>, Error> {
+        let next = self.lines.peek().and_then(|l| l.strip_prefix(name));
+        if next.is_some_and(|rest| rest.starts_with(' ')) {
+            self.field(name).map(Some)
+        } else {
+            Ok(None)
+        }
+    }
+
+    /// A `name N` line followed by `N` lines of `index file count`
+    /// whose indices run densely from 0; returns `(file, count)` in
+    /// index order.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Malformed`] on a short list, a bad or over-long line,
+    /// or indices that are not dense ascending.
+    pub fn entries(&mut self, name: &str) -> Result<Vec<(String, u64)>, Error> {
+        let n: usize = self.field(name)?;
+        let mut out = Vec::with_capacity(n.min(1 << 16));
+        for i in 0..n {
+            let line = self.lines.next().ok_or_else(|| self.bad(&format!("ends mid {name} list")))?;
+            let parts: Vec<&str> = line.split_whitespace().collect();
+            let (index, count) = match parts[..] {
+                [index, _, count] => (index.parse::<usize>().ok(), count.parse::<u64>().ok()),
+                _ => (None, None),
+            };
+            let (Some(index), Some(count)) = (index, count) else {
+                return Err(self.bad(&format!("bad {name} line `{line}`")));
+            };
+            if index != i {
+                return Err(self.bad(&format!("{name} indices are not dense ascending")));
+            }
+            out.push((parts[1].to_owned(), count));
+        }
+        Ok(out)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn known_fnv_vectors() {
+        assert_eq!(fnv1a64(b""), FNV1A64_INIT);
+        assert_eq!(fnv1a64(b"a"), 0xaf63dc4c8601ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+        assert_eq!(fnv1a64_continue(fnv1a64(b"foo"), b"bar"), fnv1a64(b"foobar"));
+    }
+
+    #[test]
+    fn codecs_roundtrip_and_classify_short_reads() {
+        let mut e = Enc::default();
+        e.u32(7).u64(1 << 40).f32(-2.5).str("héllo").section(b"xyz");
+        let mut d = Dec::new(&e.0);
+        assert_eq!(d.u32(), Ok(7));
+        assert_eq!(d.u64(), Ok(1 << 40));
+        assert_eq!(d.f32(), Ok(-2.5));
+        assert_eq!(d.str().as_deref(), Ok("héllo"));
+        assert_eq!(d.section(), Ok(&b"xyz"[..]));
+        assert_eq!(d.end(), Ok(()));
+        assert_eq!(d.u32().unwrap_err().name(), "truncated");
+        assert_eq!(Dec::payload(&e.0[..2]).u32().unwrap_err().name(), "malformed");
+        assert_eq!(Dec::new(&e.0).end().unwrap_err().name(), "malformed");
+        assert_eq!(Dec::new(&[1, 0, 0, 0, 0xFF]).str().unwrap_err().name(), "malformed");
+    }
+
+    #[test]
+    fn atomic_write_publishes_under_a_hidden_temp_name() {
+        let dir = std::env::temp_dir().join(format!("elev-durable-aw-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("m.txt");
+        assert_eq!(temp_path(&path), Ok(dir.join(".m.txt.tmp")));
+        atomic_write(&path, b"one").expect("write");
+        atomic_write(&path, b"two").expect("overwrite");
+        assert_eq!(std::fs::read(&path).expect("read"), b"two");
+        let names: Vec<_> =
+            std::fs::read_dir(&dir).expect("ls").map(|e| e.expect("entry").file_name()).collect();
+        assert_eq!(names, ["m.txt"], "no temp file survives a publish");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn manifest_lines_parse_fields_and_dense_entries() {
+        let text = "demo v1\nconfig 00ff\nsize 3\nshards 2\n0 a.bin 5\n1 b.bin 6\n";
+        let mut m = ManifestLines::new(text, "demo v1", "demo").expect("header");
+        assert_eq!(m.hex_field("config"), Ok(0xff));
+        assert_eq!(m.optional_field::<u64>("generation"), Ok(None));
+        assert_eq!(m.field::<u64>("size"), Ok(3));
+        assert_eq!(m.entries("shards"), Ok(vec![("a.bin".into(), 5), ("b.bin".into(), 6)]));
+
+        let bad = |text: &str| {
+            let mut m = ManifestLines::new(text, "demo v1", "demo")?;
+            m.entries("shards")
+        };
+        for text in [
+            "",
+            "demo v2\n",
+            "demo v1\nshard 1\n",
+            "demo v1\nshards x\n",
+            "demo v1\nshards 2\n0 a.bin 5\n",
+            "demo v1\nshards 1\n1 a.bin 5\n",
+            "demo v1\nshards 1\n0 a.bin 5 extra\n",
+        ] {
+            assert_eq!(bad(text).unwrap_err().name(), "malformed", "{text:?}");
+        }
+    }
+}

@@ -1,0 +1,120 @@
+//! The framed file format end to end: write → stream → positioned
+//! reads, the torn-write ladder, and the footer's structural checks.
+
+use durable::{Dec, Enc, Error, FramedReader, FramedWriter, HEADER_LEN};
+use std::path::{Path, PathBuf};
+
+const MAGIC: &[u8; 8] = b"ELEVTST\x01";
+
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(tag: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("elev-durable-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        Self(dir)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Writes records `tag 1 | i u32 | i × u64` for `i` in `0..n`; returns
+/// the path and the record boundaries (each record's start offset,
+/// then the footer's).
+fn write_demo(dir: &Path, n: u32) -> (PathBuf, Vec<u64>) {
+    let path = dir.join("demo.bin");
+    let mut w = FramedWriter::create(&path, MAGIC, 1, [n.into(), 7, 0xC0FFEE]).expect("create");
+    let mut starts = vec![HEADER_LEN as u64];
+    let mut enc = Enc::default();
+    for i in 0..n {
+        enc.0.clear();
+        enc.u32(1).u32(i);
+        for j in 0..i {
+            enc.u64(u64::from(j) * 3);
+        }
+        starts.push(w.write_record(&enc.0).expect("record"));
+    }
+    assert_eq!(w.records(), u64::from(n));
+    let len = w.finish().expect("finish");
+    assert_eq!(len, std::fs::metadata(&path).expect("meta").len());
+    (path, starts)
+}
+
+/// Streams every record, checking each decodes; returns the count.
+fn read_demo(path: &Path) -> Result<u32, Error> {
+    let mut r = FramedReader::open(path, MAGIC, 1)?;
+    let mut n = 0;
+    while let Some(p) = r.next_record()? {
+        let mut d = Dec::payload(p);
+        let (tag, i) = (d.u32()?, d.u32()?);
+        if tag != 1 || i != n {
+            return Err(Error::Malformed(format!("record {i} out of sequence at {n}")));
+        }
+        for j in 0..i {
+            if d.u64()? != u64::from(j) * 3 {
+                return Err(Error::Malformed(format!("record {i} field {j}")));
+            }
+        }
+        d.end()?;
+        n += 1;
+    }
+    Ok(n)
+}
+
+#[test]
+fn records_stream_and_read_back_by_offset() {
+    let dir = TempDir::new("rt");
+    let (path, starts) = write_demo(&dir.0, 5);
+    assert_eq!(read_demo(&path), Ok(5));
+
+    let mut r = FramedReader::open(&path, MAGIC, 1).expect("open");
+    assert_eq!(r.fields(), [5, 7, 0xC0FFEE]);
+    let mut streamed = Vec::new();
+    loop {
+        let at = r.offset();
+        match r.next_record().expect("record") {
+            Some(p) => streamed.push((at, p.to_vec())),
+            None => break,
+        }
+    }
+    assert_eq!(streamed.iter().map(|s| s.0).collect::<Vec<_>>(), starts[..5]);
+    assert!(r.next_record().expect("idempotent EOF").is_none());
+    for (i, (at, want)) in streamed.iter().enumerate() {
+        let (got, next) = r.read_record_at(*at).expect("positioned read");
+        assert_eq!((got, next), (&want[..], starts[i + 1]));
+    }
+    assert_eq!(r.read_record_at(1 << 20).unwrap_err().name(), "truncated");
+}
+
+#[test]
+fn framed_reader_runs_the_ladder() {
+    let dir = TempDir::new("ladder");
+    let (path, _) = write_demo(&dir.0, 4);
+    durable::ladder::run(&path, read_demo);
+}
+
+#[test]
+fn footer_pins_the_record_count_and_the_end_of_file() {
+    let dir = TempDir::new("footer");
+    let (path, starts) = write_demo(&dir.0, 4);
+    let original = std::fs::read(&path).expect("bytes");
+
+    // Drop record 2 and keep the original footer: the record count or
+    // the whole-file checksum catches it, never a quiet short read.
+    let mut spliced = original[..starts[2] as usize].to_vec();
+    spliced.extend_from_slice(&original[starts[3] as usize..]);
+    std::fs::write(&path, &spliced).expect("splice");
+    let err = read_demo(&path).expect_err("spliced file must not read clean");
+    assert!(matches!(err.name(), "malformed" | "checksum_mismatch"), "got {err:?}");
+
+    // Bytes after a valid footer are not ignored.
+    let mut trailing = original.clone();
+    trailing.extend_from_slice(b"junk");
+    std::fs::write(&path, &trailing).expect("append");
+    assert_eq!(read_demo(&path).unwrap_err().name(), "malformed");
+}

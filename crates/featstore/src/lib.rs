@@ -2,10 +2,11 @@
 //!
 //! The scale experiments featurize millions of tracks; featurization
 //! is by far the most expensive stage, so it is computed **once** and
-//! every sweep streams the result from disk. The container follows the
-//! `.elevmdl` framing discipline (`serve::registry`): little-endian,
-//! length-prefixed, FNV-1a-64 checksummed, with every corruption mode
-//! mapped onto a distinct structured error.
+//! every sweep streams the result from disk. Shards are `durable`
+//! framed files (little-endian, length-prefixed, FNV-1a-64 checksummed
+//! records under a whole-file checksum footer, published by fsync +
+//! rename), so every corruption mode maps onto a distinct
+//! [`durable::Error`] class. This crate is the row codec on top.
 //!
 //! # Shard layout
 //!
@@ -13,20 +14,12 @@
 //! one population shard, in ascending athlete order:
 //!
 //! ```text
-//! header   MAGIC(8) | version u32 | shard_index u64 | n_cols u64
-//!          | config u64 | fnv u64 over the preceding 36 bytes
-//! record*  len u32 | payload | fnv u64 over payload
-//!          payload = tag u32 (ROW) | athlete u64 | city u32
+//! header   MAGIC | version | shard_index u64 | n_cols u64 | config u64
+//! record*  payload = tag u32 (ROW) | athlete u64 | city u32
 //!                  | activity u32 | nnz u32 | indices nnz×u32
 //!                  | values nnz×f32
-//! footer   len u32 | payload | fnv u64 over payload
-//!          payload = tag u32 (FOOTER) | rows u64
-//!                  | fnv u64 over every preceding file byte
+//! footer   the durable footer: row count + whole-file checksum
 //! ```
-//!
-//! The footer makes truncation at a *record boundary* detectable (the
-//! file would otherwise just look shorter), and its whole-file
-//! checksum catches corruption in bytes a lazy reader skipped.
 //!
 //! # Reading
 //!
@@ -34,14 +27,12 @@
 //! reads into caller-owned scratch ([`RowBuf`]) — bounded memory, zero
 //! steady-state allocations, no interior seek state shared between
 //! readers of the same file. Checksums are verified **before** any
-//! length field beyond the fixed header is trusted, mirroring the
-//! registry's decode order.
+//! length field beyond the fixed header is trusted.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::fs::File;
-use std::io::Write;
+use durable::{Dec, Enc, Error, FramedReader, FramedWriter, ManifestLines};
 use std::path::{Path, PathBuf};
 
 /// Shard files start with these bytes.
@@ -50,161 +41,29 @@ pub const MAGIC: &[u8; 8] = b"ELEVFST\x01";
 /// Container format version this build reads and writes.
 pub const FORMAT_VERSION: u32 = 1;
 
-/// Byte length of the fixed shard header (magic + version +
-/// shard index + columns + config fingerprint + header checksum).
-pub const HEADER_LEN: usize = 8 + 4 + 8 + 8 + 8 + 8;
-
 /// Store manifest file name, written last on publish.
 pub const MANIFEST: &str = "store.txt";
 
 const TAG_ROW: u32 = 1;
-const TAG_FOOTER: u32 = 2;
-
-/// FNV-1a-64 over `bytes` — the store's integrity checksum (corruption
-/// detection, not tampering).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Continues an FNV-1a-64 stream from state `h` — the running
-/// whole-file checksum the framed containers (shards and the IVF
-/// sidecars) maintain record by record.
-pub fn fnv1a64_continue(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Everything that can go wrong reading or writing a store.
-#[derive(Debug, Clone, PartialEq)]
-pub enum StoreError {
-    /// Filesystem error (message carries the OS detail).
-    Io(String),
-    /// The file does not start with [`MAGIC`].
-    BadMagic,
-    /// The container format version is not [`FORMAT_VERSION`].
-    UnsupportedVersion {
-        /// Version found in the file.
-        found: u32,
-    },
-    /// The file ends before a record (or the footer) it promised.
-    Truncated {
-        /// Byte offset where the reader stopped.
-        offset: usize,
-        /// Bytes the next field needed.
-        needed: usize,
-        /// Actual file length.
-        len: usize,
-    },
-    /// A stored checksum does not match the content.
-    ChecksumMismatch {
-        /// Checksum stored in the file.
-        stored: u64,
-        /// Checksum computed over the content.
-        computed: u64,
-    },
-    /// A record parsed but its content is invalid (unknown tag, index
-    /// out of range, row count drift, trailing bytes...).
-    Malformed(String),
-}
-
-impl StoreError {
-    /// Stable lowercase class name for tests and logs.
-    pub fn name(&self) -> &'static str {
-        match self {
-            StoreError::Io(_) => "io",
-            StoreError::BadMagic => "bad_magic",
-            StoreError::UnsupportedVersion { .. } => "unsupported_version",
-            StoreError::Truncated { .. } => "truncated",
-            StoreError::ChecksumMismatch { .. } => "checksum_mismatch",
-            StoreError::Malformed(_) => "malformed",
-        }
-    }
-}
-
-impl std::fmt::Display for StoreError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StoreError::Io(m) => write!(f, "io error: {m}"),
-            StoreError::BadMagic => f.write_str("not a feature-store shard (bad magic)"),
-            StoreError::UnsupportedVersion { found } => {
-                write!(f, "unsupported shard version {found} (expected {FORMAT_VERSION})")
-            }
-            StoreError::Truncated { offset, needed, len } => {
-                write!(f, "truncated at offset {offset}: needed {needed} more bytes of {len}")
-            }
-            StoreError::ChecksumMismatch { stored, computed } => {
-                write!(f, "checksum mismatch: stored {stored:#018x}, computed {computed:#018x}")
-            }
-            StoreError::Malformed(m) => write!(f, "malformed shard: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for StoreError {}
-
-fn io_err(e: std::io::Error) -> StoreError {
-    StoreError::Io(e.to_string())
-}
 
 /// Canonical file name of shard `index`.
 pub fn shard_file_name(index: usize) -> String {
     format!("shard-{index:05}.fst")
 }
 
-/// Writes `bytes` to `path` atomically: hidden temp sibling, fsync,
-/// rename into place, directory fsync — the crash-safe publish
-/// discipline every manifest in the workspace follows.
-///
-/// # Errors
-///
-/// [`StoreError::Io`] on any filesystem failure.
-pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
-    let dir = path
-        .parent()
-        .filter(|d| !d.as_os_str().is_empty())
-        .ok_or_else(|| StoreError::Io(format!("{} has no parent directory", path.display())))?;
-    let name = path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .ok_or_else(|| StoreError::Io(format!("{} has no file name", path.display())))?;
-    let tmp = dir.join(format!(".{name}.tmp"));
-    {
-        let mut f = File::create(&tmp).map_err(io_err)?;
-        f.write_all(bytes).map_err(io_err)?;
-        f.sync_all().map_err(io_err)?;
-    }
-    std::fs::rename(&tmp, path).map_err(io_err)?;
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
-    }
-    Ok(())
-}
-
 // ---- writing -----------------------------------------------------------
 
 /// Append-only writer for one shard file.
 ///
-/// Records are buffered, checksummed, and written in order; nothing is
-/// visible to readers until [`finish`](Self::finish) writes the
-/// footer, fsyncs, and atomically renames the temp file into place —
-/// the registry's crash-safe publish discipline.
+/// Rows are encoded into one reused buffer and framed in order; nothing
+/// is visible to readers until [`finish`](Self::finish) writes the
+/// footer, fsyncs, and atomically renames the temp file into place.
 #[derive(Debug)]
 pub struct ShardWriter {
-    file: std::io::BufWriter<File>,
-    tmp: PathBuf,
-    path: PathBuf,
+    framed: FramedWriter,
+    file: String,
     n_cols: u64,
-    rows: u64,
-    offset: u64,
-    content_fnv: u64,
+    enc: Enc,
 }
 
 impl ShardWriter {
@@ -213,45 +72,12 @@ impl ShardWriter {
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] on filesystem failure.
-    pub fn create(dir: &Path, index: usize, n_cols: u64, config: u64) -> Result<Self, StoreError> {
-        let path = dir.join(shard_file_name(index));
-        let tmp = dir.join(format!(".{}.tmp", shard_file_name(index)));
-        let file = File::create(&tmp).map_err(io_err)?;
-        let mut header = Vec::with_capacity(HEADER_LEN);
-        header.extend_from_slice(MAGIC);
-        header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        header.extend_from_slice(&(index as u64).to_le_bytes());
-        header.extend_from_slice(&n_cols.to_le_bytes());
-        header.extend_from_slice(&config.to_le_bytes());
-        let fnv = fnv1a64(&header);
-        header.extend_from_slice(&fnv.to_le_bytes());
-        let mut w = Self {
-            file: std::io::BufWriter::new(file),
-            tmp,
-            path,
-            n_cols,
-            rows: 0,
-            offset: 0,
-            content_fnv: 0xcbf2_9ce4_8422_2325,
-        };
-        w.write_raw(&header)?;
-        Ok(w)
-    }
-
-    fn write_raw(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
-        self.file.write_all(bytes).map_err(io_err)?;
-        self.content_fnv = fnv1a64_continue(self.content_fnv, bytes);
-        self.offset += bytes.len() as u64;
-        Ok(())
-    }
-
-    fn write_record(&mut self, payload: &[u8]) -> Result<(), StoreError> {
-        let mut rec = Vec::with_capacity(4 + payload.len() + 8);
-        rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        rec.extend_from_slice(payload);
-        rec.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-        self.write_raw(&rec)
+    /// [`Error::Io`] on filesystem failure.
+    pub fn create(dir: &Path, index: usize, n_cols: u64, config: u64) -> Result<Self, Error> {
+        let file = shard_file_name(index);
+        let fields = [index as u64, n_cols, config];
+        let framed = FramedWriter::create(&dir.join(&file), MAGIC, FORMAT_VERSION, fields)?;
+        Ok(Self { framed, file, n_cols, enc: Enc::default() })
     }
 
     /// Appends one sparse feature row.
@@ -261,9 +87,8 @@ impl ShardWriter {
     ///
     /// # Errors
     ///
-    /// [`StoreError::Malformed`] if `indices`/`values` disagree in
-    /// length or an index is out of column range; [`StoreError::Io`]
-    /// on write failure.
+    /// [`Error::Malformed`] if `indices`/`values` disagree in length or
+    /// an index is out of column range; [`Error::Io`] on write failure.
     pub fn append_row(
         &mut self,
         athlete: u64,
@@ -271,70 +96,46 @@ impl ShardWriter {
         activity: u32,
         indices: &[u32],
         values: &[f32],
-    ) -> Result<u64, StoreError> {
+    ) -> Result<u64, Error> {
         if indices.len() != values.len() {
-            return Err(StoreError::Malformed(format!(
+            return Err(Error::Malformed(format!(
                 "row has {} indices but {} values",
                 indices.len(),
                 values.len()
             )));
         }
         if let Some(&bad) = indices.iter().find(|&&i| u64::from(i) >= self.n_cols) {
-            return Err(StoreError::Malformed(format!(
+            return Err(Error::Malformed(format!(
                 "index {bad} out of range for {} columns",
                 self.n_cols
             )));
         }
-        let mut p = Vec::with_capacity(4 + 8 + 4 + 4 + 4 + indices.len() * 8);
-        p.extend_from_slice(&TAG_ROW.to_le_bytes());
-        p.extend_from_slice(&athlete.to_le_bytes());
-        p.extend_from_slice(&city.to_le_bytes());
-        p.extend_from_slice(&activity.to_le_bytes());
-        p.extend_from_slice(&(indices.len() as u32).to_le_bytes());
+        let e = &mut self.enc;
+        e.0.clear();
+        e.u32(TAG_ROW).u64(athlete).u32(city).u32(activity).u32(indices.len() as u32);
         for &i in indices {
-            p.extend_from_slice(&i.to_le_bytes());
+            e.u32(i);
         }
         for &v in values {
-            p.extend_from_slice(&v.to_le_bytes());
+            e.f32(v);
         }
-        self.write_record(&p)?;
-        self.rows += 1;
-        Ok(self.offset)
+        self.framed.write_record(&self.enc.0)
     }
 
     /// Rows appended so far.
     pub fn rows(&self) -> u64 {
-        self.rows
+        self.framed.records()
     }
 
     /// Writes the footer, fsyncs, and atomically publishes the file.
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] on write, sync, or rename failure.
-    pub fn finish(mut self) -> Result<ShardMeta, StoreError> {
-        let mut p = Vec::with_capacity(4 + 8 + 8);
-        p.extend_from_slice(&TAG_FOOTER.to_le_bytes());
-        p.extend_from_slice(&self.rows.to_le_bytes());
-        p.extend_from_slice(&self.content_fnv.to_le_bytes());
-        self.write_record(&p)?;
-        self.file.flush().map_err(io_err)?;
-        self.file.get_ref().sync_all().map_err(io_err)?;
-        std::fs::rename(&self.tmp, &self.path).map_err(io_err)?;
-        if let Some(dir) = self.path.parent() {
-            if let Ok(d) = File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
-        Ok(ShardMeta {
-            file: self
-                .path
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default(),
-            rows: self.rows,
-            bytes: self.offset,
-        })
+    /// [`Error::Io`] on write, sync, or rename failure.
+    pub fn finish(self) -> Result<ShardMeta, Error> {
+        let rows = self.framed.records();
+        let bytes = self.framed.finish()?;
+        Ok(ShardMeta { file: self.file, rows, bytes })
     }
 }
 
@@ -370,17 +171,11 @@ pub struct RowBuf {
 /// Streaming reader over one shard file using positioned reads.
 #[derive(Debug)]
 pub struct ShardReader {
-    file: File,
-    len: u64,
-    offset: u64,
+    framed: FramedReader,
     /// Header fields.
     shard_index: u64,
     n_cols: u64,
     config: u64,
-    rows_seen: u64,
-    done: bool,
-    content_fnv: u64,
-    scratch: Vec<u8>,
 }
 
 impl ShardReader {
@@ -388,51 +183,12 @@ impl ShardReader {
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] / [`StoreError::BadMagic`] /
-    /// [`StoreError::UnsupportedVersion`] /
-    /// [`StoreError::Truncated`] / [`StoreError::ChecksumMismatch`].
-    pub fn open(path: &Path) -> Result<Self, StoreError> {
-        let file = File::open(path).map_err(io_err)?;
-        let len = file.metadata().map_err(io_err)?.len();
-        let mut header = [0u8; HEADER_LEN];
-        if (len as usize) < HEADER_LEN {
-            // Even a torn header must classify: magic first, then size.
-            let mut prefix = vec![0u8; len as usize];
-            read_exact_at(&file, &mut prefix, 0)?;
-            if len >= 8 && &prefix[..8] != MAGIC {
-                return Err(StoreError::BadMagic);
-            }
-            return Err(StoreError::Truncated {
-                offset: 0,
-                needed: HEADER_LEN - len as usize,
-                len: len as usize,
-            });
-        }
-        read_exact_at(&file, &mut header, 0)?;
-        if &header[..8] != MAGIC {
-            return Err(StoreError::BadMagic);
-        }
-        let version = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-        if version != FORMAT_VERSION {
-            return Err(StoreError::UnsupportedVersion { found: version });
-        }
-        let stored = u64::from_le_bytes(header[HEADER_LEN - 8..].try_into().expect("8 bytes"));
-        let computed = fnv1a64(&header[..HEADER_LEN - 8]);
-        if stored != computed {
-            return Err(StoreError::ChecksumMismatch { stored, computed });
-        }
-        Ok(Self {
-            file,
-            len,
-            offset: HEADER_LEN as u64,
-            shard_index: u64::from_le_bytes(header[12..20].try_into().expect("8 bytes")),
-            n_cols: u64::from_le_bytes(header[20..28].try_into().expect("8 bytes")),
-            config: u64::from_le_bytes(header[28..36].try_into().expect("8 bytes")),
-            rows_seen: 0,
-            done: false,
-            content_fnv: fnv1a64(&header),
-            scratch: Vec::new(),
-        })
+    /// [`Error::Io`] / [`Error::BadMagic`] / [`Error::UnsupportedVersion`]
+    /// / [`Error::Truncated`] / [`Error::ChecksumMismatch`].
+    pub fn open(path: &Path) -> Result<Self, Error> {
+        let framed = FramedReader::open(path, MAGIC, FORMAT_VERSION)?;
+        let [shard_index, n_cols, config] = framed.fields();
+        Ok(Self { framed, shard_index, n_cols, config })
     }
 
     /// Shard index recorded in the header.
@@ -450,92 +206,26 @@ impl ShardReader {
         self.config
     }
 
-    fn truncated(&self, needed: usize) -> StoreError {
-        StoreError::Truncated {
-            offset: self.offset as usize,
-            needed,
-            len: self.len as usize,
-        }
-    }
-
     /// Decodes the next row into `row`, returning `false` once the
     /// footer has been reached and verified.
     ///
     /// # Errors
     ///
-    /// Every corruption mode maps onto a distinct [`StoreError`]: a
-    /// cut anywhere — mid-record or exactly at a record boundary
-    /// (missing footer) — reads as [`StoreError::Truncated`]; flipped
-    /// bytes as [`StoreError::ChecksumMismatch`]; structural nonsense
-    /// as [`StoreError::Malformed`].
-    pub fn next_row(&mut self, row: &mut RowBuf) -> Result<bool, StoreError> {
-        if self.done {
-            return Ok(false);
-        }
-        let remaining = (self.len - self.offset) as usize;
-        if remaining == 0 {
-            // Clean EOF without a footer: a publish killed exactly at
-            // a record boundary. Still truncation.
-            return Err(self.truncated(4));
-        }
-        if remaining < 4 {
-            return Err(self.truncated(4 - remaining));
-        }
-        let mut len4 = [0u8; 4];
-        read_exact_at(&self.file, &mut len4, self.offset)?;
-        let payload_len = u32::from_le_bytes(len4) as usize;
-        if remaining < 4 + payload_len + 8 {
-            return Err(self.truncated(4 + payload_len + 8 - remaining));
-        }
-        // Read payload + trailing checksum, verify before decoding any
-        // interior length field.
-        self.scratch.clear();
-        self.scratch.resize(payload_len + 8, 0);
-        read_exact_at(&self.file, &mut self.scratch, self.offset + 4)?;
-        let (payload, fnv8) = self.scratch.split_at(payload_len);
-        let stored = u64::from_le_bytes(fnv8.try_into().expect("8 bytes"));
-        let computed = fnv1a64(payload);
-        if stored != computed {
-            return Err(StoreError::ChecksumMismatch { stored, computed });
-        }
-        let pre_record_fnv = self.content_fnv;
-        self.content_fnv = fnv1a64_continue(self.content_fnv, &len4);
-        self.content_fnv = fnv1a64_continue(self.content_fnv, &self.scratch);
-        self.offset += 4 + self.scratch.len() as u64;
-
-        let mut d = PayloadDec { buf: payload, pos: 0 };
-        match d.u32()? {
-            TAG_ROW => {
-                decode_row_fields(&mut d, self.n_cols, row)?;
-                self.rows_seen += 1;
-                Ok(true)
+    /// Every corruption mode maps onto a distinct [`Error`]: a cut
+    /// anywhere — mid-record or exactly at a record boundary (missing
+    /// footer) — reads as [`Error::Truncated`]; flipped bytes as
+    /// [`Error::ChecksumMismatch`]; structural nonsense as
+    /// [`Error::Malformed`].
+    pub fn next_row(&mut self, row: &mut RowBuf) -> Result<bool, Error> {
+        match self.framed.next_record()? {
+            Some(payload) => {
+                let mut d = Dec::payload(payload);
+                match d.u32()? {
+                    TAG_ROW => decode_row_fields(&mut d, self.n_cols, row).map(|()| true),
+                    tag => Err(Error::Malformed(format!("unknown record tag {tag}"))),
+                }
             }
-            TAG_FOOTER => {
-                let rows = d.u64()?;
-                let whole = d.u64()?;
-                d.end()?;
-                if rows != self.rows_seen {
-                    return Err(StoreError::Malformed(format!(
-                        "footer promises {rows} rows, shard contains {}",
-                        self.rows_seen
-                    )));
-                }
-                if whole != pre_record_fnv {
-                    return Err(StoreError::ChecksumMismatch {
-                        stored: whole,
-                        computed: pre_record_fnv,
-                    });
-                }
-                if self.offset != self.len {
-                    return Err(StoreError::Malformed(format!(
-                        "{} trailing bytes after footer",
-                        self.len - self.offset
-                    )));
-                }
-                self.done = true;
-                Ok(false)
-            }
-            tag => Err(StoreError::Malformed(format!("unknown record tag {tag}"))),
+            None => Ok(false),
         }
     }
 
@@ -544,7 +234,7 @@ impl ShardReader {
     /// it addresses that row for later [`read_row_at`](Self::read_row_at)
     /// access (the handle the IVF posting lists store).
     pub fn stream_offset(&self) -> u64 {
-        self.offset
+        self.framed.offset()
     }
 
     /// Decodes the single row record starting at `offset` — a value a
@@ -555,46 +245,20 @@ impl ShardReader {
     ///
     /// # Errors
     ///
-    /// [`StoreError::Truncated`] / [`StoreError::ChecksumMismatch`] on
-    /// torn or corrupt records; [`StoreError::Malformed`] when the
-    /// record at `offset` is not a row.
-    pub fn read_row_at(&mut self, offset: u64, row: &mut RowBuf) -> Result<u64, StoreError> {
-        let remaining = self.len.saturating_sub(offset) as usize;
-        if remaining < 4 {
-            return Err(StoreError::Truncated {
-                offset: offset as usize,
-                needed: 4 - remaining,
-                len: self.len as usize,
-            });
-        }
-        let mut len4 = [0u8; 4];
-        read_exact_at(&self.file, &mut len4, offset)?;
-        let payload_len = u32::from_le_bytes(len4) as usize;
-        if remaining < 4 + payload_len + 8 {
-            return Err(StoreError::Truncated {
-                offset: offset as usize,
-                needed: 4 + payload_len + 8 - remaining,
-                len: self.len as usize,
-            });
-        }
-        self.scratch.clear();
-        self.scratch.resize(payload_len + 8, 0);
-        read_exact_at(&self.file, &mut self.scratch, offset + 4)?;
-        let (payload, fnv8) = self.scratch.split_at(payload_len);
-        let stored = u64::from_le_bytes(fnv8.try_into().expect("8 bytes"));
-        let computed = fnv1a64(payload);
-        if stored != computed {
-            return Err(StoreError::ChecksumMismatch { stored, computed });
-        }
-        let mut d = PayloadDec { buf: payload, pos: 0 };
+    /// [`Error::Truncated`] / [`Error::ChecksumMismatch`] on torn or
+    /// corrupt records; [`Error::Malformed`] when the record at
+    /// `offset` is not a row.
+    pub fn read_row_at(&mut self, offset: u64, row: &mut RowBuf) -> Result<u64, Error> {
+        let (payload, next) = self.framed.read_record_at(offset)?;
+        let mut d = Dec::payload(payload);
         let tag = d.u32()?;
         if tag != TAG_ROW {
-            return Err(StoreError::Malformed(format!(
+            return Err(Error::Malformed(format!(
                 "record at offset {offset} has tag {tag}, not a row"
             )));
         }
         decode_row_fields(&mut d, self.n_cols, row)?;
-        Ok(offset + 4 + payload_len as u64 + 8)
+        Ok(next)
     }
 
     /// Reads (and integrity-checks) the whole shard, returning the row
@@ -602,20 +266,19 @@ impl ShardReader {
     ///
     /// # Errors
     ///
-    /// Propagates any [`StoreError`] from [`next_row`](Self::next_row).
-    pub fn validate(mut self) -> Result<u64, StoreError> {
+    /// Propagates any [`Error`] from [`next_row`](Self::next_row).
+    pub fn validate(mut self) -> Result<u64, Error> {
         let mut row = RowBuf::default();
-        while self.next_row(&mut row)? {}
-        Ok(self.rows_seen)
+        let mut rows = 0;
+        while self.next_row(&mut row)? {
+            rows += 1;
+        }
+        Ok(rows)
     }
 }
 
 /// Decodes the row fields following a `TAG_ROW` tag into `row`.
-fn decode_row_fields(
-    d: &mut PayloadDec<'_>,
-    n_cols: u64,
-    row: &mut RowBuf,
-) -> Result<(), StoreError> {
+fn decode_row_fields(d: &mut Dec<'_>, n_cols: u64, row: &mut RowBuf) -> Result<(), Error> {
     row.athlete = d.u64()?;
     row.city = d.u32()?;
     row.activity = d.u32()?;
@@ -625,66 +288,14 @@ fn decode_row_fields(
     for _ in 0..nnz {
         let i = d.u32()?;
         if u64::from(i) >= n_cols {
-            return Err(StoreError::Malformed(format!(
-                "index {i} out of range for {n_cols} columns"
-            )));
+            return Err(Error::Malformed(format!("index {i} out of range for {n_cols} columns")));
         }
         row.indices.push(i);
     }
     for _ in 0..nnz {
-        row.values.push(f32::from_bits(d.u32()?));
+        row.values.push(d.f32()?);
     }
     d.end()
-}
-
-/// Positioned read: `pread` on unix, seek+read elsewhere.
-fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> Result<(), StoreError> {
-    #[cfg(unix)]
-    {
-        use std::os::unix::fs::FileExt;
-        file.read_exact_at(buf, offset).map_err(io_err)
-    }
-    #[cfg(not(unix))]
-    {
-        use std::io::{Read, Seek, SeekFrom};
-        let mut f = file;
-        f.seek(SeekFrom::Start(offset)).map_err(io_err)?;
-        f.read_exact(buf).map_err(io_err)
-    }
-}
-
-struct PayloadDec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl PayloadDec<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], StoreError> {
-        if self.buf.len() - self.pos < n {
-            return Err(StoreError::Malformed(format!(
-                "payload ends at {} of a {n}-byte field",
-                self.buf.len() - self.pos
-            )));
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-    fn u32(&mut self) -> Result<u32, StoreError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-    fn u64(&mut self) -> Result<u64, StoreError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-    fn end(&self) -> Result<(), StoreError> {
-        if self.pos != self.buf.len() {
-            return Err(StoreError::Malformed(format!(
-                "{} trailing payload bytes",
-                self.buf.len() - self.pos
-            )));
-        }
-        Ok(())
-    }
 }
 
 // ---- the store directory ----------------------------------------------
@@ -742,60 +353,19 @@ impl StoreManifest {
     ///
     /// # Errors
     ///
-    /// [`StoreError::Malformed`] on any structural defect.
-    pub fn parse(text: &str) -> Result<Self, StoreError> {
-        let mut lines = text.lines().peekable();
-        let bad = |m: &str| StoreError::Malformed(format!("manifest: {m}"));
-        if lines.next() != Some("elevfst v1") {
-            return Err(bad("missing or unsupported header line"));
-        }
-        fn field<'a>(
-            lines: &mut impl Iterator<Item = &'a str>,
-            name: &str,
-        ) -> Result<String, StoreError> {
-            let bad = |m: &str| StoreError::Malformed(format!("manifest: {m}"));
-            let line = lines.next().ok_or_else(|| bad(&format!("missing {name}")))?;
-            line.strip_prefix(&format!("{name} "))
-                .map(str::to_owned)
-                .ok_or_else(|| bad(&format!("expected `{name} ...`, got `{line}`")))
-        }
-        let config = u64::from_str_radix(&field(&mut lines, "config")?, 16)
-            .map_err(|_| bad("config is not hex"))?;
-        let n_cols = field(&mut lines, "n_cols")?.parse().map_err(|_| bad("n_cols"))?;
-        let shard_size =
-            field(&mut lines, "shard_size")?.parse().map_err(|_| bad("shard_size"))?;
-        let athletes = field(&mut lines, "athletes")?.parse().map_err(|_| bad("athletes"))?;
-        let generation = if lines.peek().is_some_and(|l| l.starts_with("generation ")) {
-            field(&mut lines, "generation")?.parse().map_err(|_| bad("generation"))?
-        } else {
-            1
-        };
-        let count: usize = field(&mut lines, "shards")?.parse().map_err(|_| bad("shards"))?;
-        let mut shards = Vec::with_capacity(count);
-        for _ in 0..count {
-            let line = lines.next().ok_or_else(|| bad("manifest ends mid shard list"))?;
-            let mut parts = line.split_whitespace();
-            let index = parts
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| bad(&format!("bad shard line `{line}`")))?;
-            let file = parts
-                .next()
-                .ok_or_else(|| bad(&format!("bad shard line `{line}`")))?
-                .to_owned();
-            let rows = parts
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| bad(&format!("bad shard line `{line}`")))?;
-            if parts.next().is_some() {
-                return Err(bad(&format!("trailing fields in `{line}`")));
-            }
-            shards.push(ShardEntry { index, file, rows });
-        }
-        if shards.iter().enumerate().any(|(i, s)| s.index != i) {
-            return Err(bad("shard indices are not dense ascending"));
-        }
-        Ok(Self { config, n_cols, shard_size, athletes, generation, shards })
+    /// [`Error::Malformed`] on any structural defect.
+    pub fn parse(text: &str) -> Result<Self, Error> {
+        let mut m = ManifestLines::new(text, "elevfst v1", "manifest")?;
+        Ok(Self {
+            config: m.hex_field("config")?,
+            n_cols: m.field("n_cols")?,
+            shard_size: m.field("shard_size")?,
+            athletes: m.field("athletes")?,
+            generation: m.optional_field("generation")?.unwrap_or(1),
+            shards: (m.entries("shards")?.into_iter().enumerate())
+                .map(|(index, (file, rows))| ShardEntry { index, file, rows })
+                .collect(),
+        })
     }
 }
 
@@ -812,10 +382,10 @@ impl FeatureStore {
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] if the manifest is unreadable,
-    /// [`StoreError::Malformed`] if it does not parse.
-    pub fn open(dir: &Path) -> Result<Self, StoreError> {
-        let text = std::fs::read_to_string(dir.join(MANIFEST)).map_err(io_err)?;
+    /// [`Error::Io`] if the manifest is unreadable,
+    /// [`Error::Malformed`] if it does not parse.
+    pub fn open(dir: &Path) -> Result<Self, Error> {
+        let text = std::fs::read_to_string(dir.join(MANIFEST))?;
         Ok(Self { dir: dir.to_path_buf(), manifest: StoreManifest::parse(&text)? })
     }
 
@@ -839,21 +409,27 @@ impl FeatureStore {
     ///
     /// # Errors
     ///
-    /// Any [`StoreError`] from [`ShardReader::open`], plus
-    /// [`StoreError::Malformed`] when the header disagrees with the
+    /// Any [`Error`] from [`ShardReader::open`], plus
+    /// [`Error::Malformed`] when the header disagrees with the
     /// manifest.
-    pub fn reader(&self, index: usize) -> Result<ShardReader, StoreError> {
+    pub fn reader(&self, index: usize) -> Result<ShardReader, Error> {
         let entry = self
             .manifest
             .shards
             .get(index)
-            .ok_or_else(|| StoreError::Malformed(format!("no shard {index} in manifest")))?;
-        let r = ShardReader::open(&self.dir.join(&entry.file))?;
+            .ok_or_else(|| Error::Malformed(format!("no shard {index} in manifest")))?;
+        self.open_checked(index, &entry.file)
+    }
+
+    /// Opens shard file `file` as shard `index`, requiring its header
+    /// to agree with the manifest.
+    fn open_checked(&self, index: usize, file: &str) -> Result<ShardReader, Error> {
+        let r = ShardReader::open(&self.dir.join(file))?;
         if r.shard_index() != index as u64
             || r.n_cols() != self.manifest.n_cols
             || r.config() != self.manifest.config
         {
-            return Err(StoreError::Malformed(format!(
+            return Err(Error::Malformed(format!(
                 "shard {index} header disagrees with manifest (index {}, n_cols {}, config {:016x})",
                 r.shard_index(),
                 r.n_cols(),
@@ -867,9 +443,9 @@ impl FeatureStore {
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] on filesystem failure.
-    pub fn publish_manifest(dir: &Path, manifest: &StoreManifest) -> Result<(), StoreError> {
-        atomic_write(&dir.join(MANIFEST), manifest.render().as_bytes())
+    /// [`Error::Io`] on filesystem failure.
+    pub fn publish_manifest(dir: &Path, manifest: &StoreManifest) -> Result<(), Error> {
+        durable::atomic_write(&dir.join(MANIFEST), manifest.render().as_bytes())
     }
 
     /// Extends a published store with freshly written shards — the
@@ -882,24 +458,24 @@ impl FeatureStore {
     ///
     /// # Errors
     ///
-    /// [`StoreError::Malformed`] on a config mismatch, a shrinking
+    /// [`Error::Malformed`] on a config mismatch, a shrinking
     /// athlete count, or a shard whose name/header breaks the
-    /// sequence; any [`StoreError`] from reading a new shard's header
+    /// sequence; any [`Error`] from reading a new shard's header
     /// or publishing the manifest.
     pub fn append_shards(
         &mut self,
         config: u64,
         athletes: u64,
         metas: &[ShardMeta],
-    ) -> Result<(), StoreError> {
+    ) -> Result<(), Error> {
         if config != self.manifest.config {
-            return Err(StoreError::Malformed(format!(
+            return Err(Error::Malformed(format!(
                 "append config {config:016x} does not match store config {:016x}",
                 self.manifest.config
             )));
         }
         if athletes < self.manifest.athletes {
-            return Err(StoreError::Malformed(format!(
+            return Err(Error::Malformed(format!(
                 "append would shrink the store: {} -> {athletes} athletes",
                 self.manifest.athletes
             )));
@@ -908,24 +484,12 @@ impl FeatureStore {
         for m in metas {
             let index = shards.len();
             if m.file != shard_file_name(index) {
-                return Err(StoreError::Malformed(format!(
+                return Err(Error::Malformed(format!(
                     "appended shard `{}` does not continue the sequence at index {index}",
                     m.file
                 )));
             }
-            let r = ShardReader::open(&self.dir.join(&m.file))?;
-            if r.shard_index() != index as u64
-                || r.n_cols() != self.manifest.n_cols
-                || r.config() != self.manifest.config
-            {
-                return Err(StoreError::Malformed(format!(
-                    "appended shard {index} header disagrees with manifest \
-                     (index {}, n_cols {}, config {:016x})",
-                    r.shard_index(),
-                    r.n_cols(),
-                    r.config()
-                )));
-            }
+            self.open_checked(index, &m.file)?;
             shards.push(ShardEntry { index, file: m.file.clone(), rows: m.rows });
         }
         let manifest = StoreManifest {

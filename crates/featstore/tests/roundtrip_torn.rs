@@ -1,16 +1,16 @@
-//! The feature-store record-format contracts, in the
-//! `registry_torn.rs` discipline:
+//! The feature-store row codec contracts:
 //!
 //! - **bit-exact round-trip** — random CSR shards survive
 //!   write → read → re-write with byte-identical files;
-//! - **the torn-write ladder** — a write killed at *every* record
-//!   boundary (and mid-record) reads as `Truncated`; flipped bytes as
-//!   `ChecksumMismatch`; foreign or future files as `BadMagic` /
-//!   `UnsupportedVersion`. No corruption mode ever decodes quietly.
+//! - **the torn-write ladder** — `durable::ladder` run through
+//!   [`ShardReader`]: every cut, flip, foreign or future header and a
+//!   deleted file classify distinctly; no corruption mode ever decodes
+//!   quietly;
+//! - **manifest cross-checks** — a shard whose header disagrees with
+//!   `store.txt` is refused.
 
 use featstore::{
-    fnv1a64, shard_file_name, FeatureStore, RowBuf, ShardEntry, ShardReader, ShardWriter,
-    StoreManifest, HEADER_LEN,
+    shard_file_name, FeatureStore, RowBuf, ShardEntry, ShardReader, ShardWriter, StoreManifest,
 };
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -32,16 +32,10 @@ impl Drop for TempDir {
     }
 }
 
-/// A deterministic pseudo-random shard: `n_rows` rows over `n_cols`
-/// columns, plus the record-boundary offsets `append_row` reported.
-fn write_shard(
-    dir: &Path,
-    seed: u64,
-    n_rows: usize,
-    n_cols: u64,
-) -> (PathBuf, Vec<u64>, Vec<RowBuf>) {
+/// A deterministic pseudo-random shard of `n_rows` rows over `n_cols`
+/// columns; returns its path and the rows written.
+fn write_shard(dir: &Path, seed: u64, n_rows: usize, n_cols: u64) -> (PathBuf, Vec<RowBuf>) {
     let mut w = ShardWriter::create(dir, 0, n_cols, seed).expect("create");
-    let mut boundaries = vec![HEADER_LEN as u64];
     let mut rows = Vec::new();
     for r in 0..n_rows {
         let mix = |i: u64| exec_mix(seed, r as u64 * 1_000 + i);
@@ -58,12 +52,12 @@ fn write_shard(
             indices,
             values,
         };
-        boundaries
-            .push(w.append_row(row.athlete, row.city, row.activity, &row.indices, &row.values).expect("append"));
+        w.append_row(row.athlete, row.city, row.activity, &row.indices, &row.values)
+            .expect("append");
         rows.push(row);
     }
     let meta = w.finish().expect("finish");
-    (dir.join(meta.file), boundaries, rows)
+    (dir.join(meta.file), rows)
 }
 
 /// Local copy of `exec::mix_seed` so the test stays dependency-light.
@@ -74,7 +68,7 @@ fn exec_mix(master: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-fn read_all(path: &Path) -> Result<Vec<RowBuf>, featstore::StoreError> {
+fn read_all(path: &Path) -> Result<Vec<RowBuf>, durable::Error> {
     let mut r = ShardReader::open(path)?;
     let mut rows = Vec::new();
     let mut buf = RowBuf::default();
@@ -93,7 +87,7 @@ proptest! {
     #[test]
     fn shards_roundtrip_bit_exact(seed in 0u64..10_000, n_rows in 0usize..24) {
         let dir = TempDir::new(&format!("rt-{seed}-{n_rows}"));
-        let (path, _, written) = write_shard(&dir.0, seed, n_rows, 64);
+        let (path, written) = write_shard(&dir.0, seed, n_rows, 64);
         let decoded = read_all(&path).expect("clean shard reads");
         prop_assert_eq!(&decoded, &written);
 
@@ -111,116 +105,19 @@ proptest! {
         let b = std::fs::read(dir2.0.join(meta.file)).expect("re-encoded bytes");
         prop_assert_eq!(a, b);
     }
-
-    /// The torn-write ladder: truncate at every record boundary —
-    /// where the file still looks superficially complete — and at
-    /// every mid-record cut; each rung must read as `Truncated`.
-    #[test]
-    fn torn_write_ladder_reads_truncated(seed in 0u64..10_000) {
-        let dir = TempDir::new(&format!("ladder-{seed}"));
-        let (path, boundaries, _) = write_shard(&dir.0, seed, 6, 64);
-        let original = std::fs::read(&path).expect("bytes");
-
-        let mut cuts: Vec<usize> = boundaries.iter().map(|&b| b as usize).collect();
-        // Mid-record and mid-header cuts ride along.
-        cuts.extend(boundaries.iter().map(|&b| b as usize + 2));
-        cuts.extend([0, 1, HEADER_LEN / 2, original.len() - 1]);
-        for cut in cuts {
-            prop_assert!(cut < original.len());
-            std::fs::write(&path, &original[..cut]).expect("tear");
-            let err = read_all(&path).expect_err("torn shard must not read clean");
-            prop_assert_eq!(
-                err.name(), "truncated",
-                "cut at {}: got {:?}", cut, err
-            );
-        }
-        std::fs::write(&path, &original).expect("restore");
-        prop_assert!(read_all(&path).is_ok());
-    }
-
-    /// Same length, flipped byte: a distinct error class. Every byte
-    /// region — header, record payload, record checksum, footer — is
-    /// covered by some checksum.
-    #[test]
-    fn flipped_bytes_read_checksum_mismatch(seed in 0u64..10_000) {
-        let dir = TempDir::new(&format!("flip-{seed}"));
-        let (path, boundaries, _) = write_shard(&dir.0, seed, 5, 64);
-        let original = std::fs::read(&path).expect("bytes");
-
-        // One flip inside each region: header tail, each record, the
-        // footer, and the final byte of the file.
-        let mut flips: Vec<usize> = vec![HEADER_LEN - 1];
-        flips.extend(boundaries.windows(2).map(|w| (w[0] as usize + w[1] as usize) / 2));
-        flips.push(*boundaries.last().unwrap() as usize + 5);
-        flips.push(original.len() - 1);
-        for flip in flips {
-            let mut bytes = original.clone();
-            bytes[flip] ^= 0x10;
-            std::fs::write(&path, &bytes).expect("flip");
-            let err = read_all(&path).expect_err("corrupt shard must not read clean");
-            prop_assert_eq!(
-                err.name(), "checksum_mismatch",
-                "flip at {}: got {:?}", flip, err
-            );
-        }
-    }
 }
 
 #[test]
-fn foreign_and_future_files_classify_distinctly() {
-    let dir = TempDir::new("classes");
-    let (path, _, _) = write_shard(&dir.0, 1, 3, 64);
-    let original = std::fs::read(&path).expect("bytes");
-
-    // Not a shard at all.
-    std::fs::write(&path, b"<?xml version=\"1.0\"?><gpx></gpx>").expect("write");
-    assert_eq!(ShardReader::open(&path).unwrap_err().name(), "bad_magic");
-
-    // A future container version with an internally consistent header:
-    // the version gate must fire, not the checksum.
-    let mut future = original.clone();
-    future[8..12].copy_from_slice(&2u32.to_le_bytes());
-    let fnv = fnv1a64(&future[..HEADER_LEN - 8]);
-    future[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&fnv.to_le_bytes());
-    std::fs::write(&path, &future).expect("write");
-    assert!(matches!(
-        ShardReader::open(&path).unwrap_err(),
-        featstore::StoreError::UnsupportedVersion { found: 2 }
-    ));
-
-    // Deleted outright.
-    std::fs::remove_file(&path).expect("rm");
-    assert_eq!(ShardReader::open(&path).unwrap_err().name(), "io");
-}
-
-#[test]
-fn footer_pins_the_row_count() {
-    // A shard whose footer promises more rows than it holds — e.g. a
-    // concatenation accident — must classify as malformed, not read
-    // short.
-    let dir = TempDir::new("rowcount");
-    let (path, boundaries, _) = write_shard(&dir.0, 2, 4, 64);
-    let original = std::fs::read(&path).expect("bytes");
-
-    // Drop record 2 (cut [b1, b2)) and splice header+rest together,
-    // keeping the original footer.
-    let (b1, b2) = (boundaries[1] as usize, boundaries[2] as usize);
-    let mut spliced = original[..b1].to_vec();
-    spliced.extend_from_slice(&original[b2..]);
-    std::fs::write(&path, &spliced).expect("splice");
-    let err = read_all(&path).expect_err("spliced shard must not read clean");
-    // Either the row count or the whole-file checksum catches it —
-    // both are content errors, never a quiet short read.
-    assert!(
-        matches!(err.name(), "malformed" | "checksum_mismatch"),
-        "got {err:?}"
-    );
+fn shard_reader_runs_the_framing_ladder() {
+    let dir = TempDir::new("ladder");
+    let (path, _) = write_shard(&dir.0, 1, 6, 64);
+    durable::ladder::run(&path, |p| ShardReader::open(p)?.validate());
 }
 
 #[test]
 fn store_manifest_crosschecks_shard_headers() {
     let dir = TempDir::new("store");
-    let (_, _, rows) = write_shard(&dir.0, 3, 4, 64);
+    let (_, rows) = write_shard(&dir.0, 3, 4, 64);
     let manifest = StoreManifest {
         config: 3,
         n_cols: 64,

@@ -9,12 +9,14 @@
 //! without parsing it (mmap-friendly: the weight image of MLP/CNN
 //! records is a raw little-endian `f32` slab at a known offset).
 //!
+//! The checksum, field codecs, atomic publish and error type are the
+//! `durable` crate's, shared with the feature store and the IVF index;
+//! every corruption mode maps onto a distinct [`durable::Error`] class.
+//!
 //! Weight fidelity is exact: SVM and forest payloads go through the
 //! workspace's bit-exact JSON float round-trip, MLP/CNN payloads are
 //! the raw `f32` bit patterns. Save→load equality `to_bits`-level is
-//! pinned by `crates/serve/tests/registry_roundtrip.rs`, and the three
-//! corruption modes (truncated, bad checksum, wrong version) map to
-//! three distinct [`RegistryError`] variants.
+//! pinned by `crates/serve/tests/registry_roundtrip.rs`.
 //!
 //! A directory of records carries a `manifest.txt` (a `generation N`
 //! header plus one line per record, written last), which doubles as
@@ -22,18 +24,17 @@
 //! bundle when it changes.
 //!
 //! Publishes are crash-safe: every file lands via
-//! [`atomic_write`] (write a sibling temp file, `fsync`, rename), the
-//! previous manifest is preserved as [`MANIFEST_PREV`] before the new
-//! one replaces it, and [`load_generation`] verifies every record's
-//! length and FNV against its manifest line before decoding — on any
-//! mismatch it falls back to the last-good generation and reports the
-//! torn files as distinct structured [`RegistryError`]s.
+//! [`durable::atomic_write`], the previous manifest (when it parses) is
+//! preserved as [`MANIFEST_PREV`] before the new one replaces it, and
+//! [`load_generation`] verifies every record's length and FNV against
+//! its manifest line before decoding — on any mismatch it falls back
+//! to the last-good generation and reports the torn files' errors.
 
 use classicml::{RandomForest, SvmClassifier};
+use durable::{atomic_write, fnv1a64, Dec, Enc, Error};
 use neuralnet::{ArchSpec, FlatMlp};
 use std::fs;
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use textrep::TextPipeline;
 
 /// File magic: `ELEVMDL` + format generation byte.
@@ -134,121 +135,14 @@ pub struct ModelRecord {
     pub payload: ModelPayload,
 }
 
-/// Everything that can go wrong reading a registry file.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RegistryError {
-    /// Filesystem error (message carries the OS detail).
-    Io(String),
-    /// The file does not start with [`MAGIC`].
-    BadMagic,
-    /// The container format version is not [`FORMAT_VERSION`].
-    UnsupportedVersion {
-        /// Version found in the file.
-        found: u32,
-    },
-    /// The file ends before a section it promised.
-    Truncated {
-        /// Byte offset where the reader stopped.
-        offset: usize,
-        /// Bytes the next field needed.
-        needed: usize,
-        /// Actual file length.
-        len: usize,
-    },
-    /// The trailing checksum does not match the content.
-    ChecksumMismatch {
-        /// Checksum stored in the file.
-        stored: u64,
-        /// Checksum computed over the content.
-        computed: u64,
-    },
-    /// Unknown model-kind tag.
-    BadKind(u32),
-    /// A section parsed but its content is invalid (bad UTF-8, bad
-    /// JSON, wrong parameter count...).
-    Malformed(String),
-}
-
-impl RegistryError {
-    /// Stable lowercase class name for tests and logs.
-    pub fn name(&self) -> &'static str {
-        match self {
-            RegistryError::Io(_) => "io",
-            RegistryError::BadMagic => "bad_magic",
-            RegistryError::UnsupportedVersion { .. } => "unsupported_version",
-            RegistryError::Truncated { .. } => "truncated",
-            RegistryError::ChecksumMismatch { .. } => "checksum_mismatch",
-            RegistryError::BadKind(_) => "bad_kind",
-            RegistryError::Malformed(_) => "malformed",
-        }
-    }
-}
-
-impl std::fmt::Display for RegistryError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RegistryError::Io(m) => write!(f, "io error: {m}"),
-            RegistryError::BadMagic => f.write_str("not an .elevmdl file (bad magic)"),
-            RegistryError::UnsupportedVersion { found } => {
-                write!(f, "unsupported container version {found} (expected {FORMAT_VERSION})")
-            }
-            RegistryError::Truncated { offset, needed, len } => {
-                write!(f, "truncated at offset {offset}: needed {needed} more bytes of {len}")
-            }
-            RegistryError::ChecksumMismatch { stored, computed } => {
-                write!(f, "checksum mismatch: stored {stored:#018x}, computed {computed:#018x}")
-            }
-            RegistryError::BadKind(tag) => write!(f, "unknown model kind tag {tag}"),
-            RegistryError::Malformed(m) => write!(f, "malformed record: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for RegistryError {}
-
-/// FNV-1a-64 over `bytes` — the registry's integrity checksum (and
-/// nothing more: it detects corruption, not tampering).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 // ---- encoding ----------------------------------------------------------
-
-struct Enc(Vec<u8>);
-
-impl Enc {
-    fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.0.extend_from_slice(s.as_bytes());
-    }
-    fn section(&mut self, bytes: &[u8]) {
-        self.u64(bytes.len() as u64);
-        self.0.extend_from_slice(bytes);
-    }
-}
 
 /// Serializes a record to its `.elevmdl` byte image (checksum
 /// included).
 pub fn encode_record(record: &ModelRecord) -> Vec<u8> {
-    let mut e = Enc(Vec::new());
-    e.0.extend_from_slice(MAGIC);
-    e.u32(FORMAT_VERSION);
-    e.u32(record.payload.kind().tag());
-    e.u32(record.version);
-    e.str(&record.name);
-    e.str(&record.task);
-    e.u32(record.labels.len() as u32);
+    let mut e = Enc::default();
+    e.bytes(MAGIC).u32(FORMAT_VERSION).u32(record.payload.kind().tag()).u32(record.version);
+    e.str(&record.name).str(&record.task).u32(record.labels.len() as u32);
     for label in &record.labels {
         e.str(label);
     }
@@ -265,22 +159,19 @@ pub fn encode_record(record: &ModelRecord) -> Vec<u8> {
             serde_json::to_string(m).expect("forest serializes").into_bytes()
         }
         ModelPayload::Mlp(m) => {
-            let mut p = Enc(Vec::new());
-            p.u64(m.input_dim() as u64);
-            p.u64(m.hidden() as u64);
-            p.u64(m.n_classes() as u64);
+            let mut p = Enc::default();
+            p.u64(m.input_dim() as u64).u64(m.hidden() as u64).u64(m.n_classes() as u64);
             p.u64(m.params().len() as u64);
             for &w in m.params() {
-                p.0.extend_from_slice(&w.to_le_bytes());
+                p.f32(w);
             }
             p.0
         }
         ModelPayload::Cnn { n_classes, params } => {
-            let mut p = Enc(Vec::new());
-            p.u64(*n_classes as u64);
-            p.u64(params.len() as u64);
+            let mut p = Enc::default();
+            p.u64(*n_classes as u64).u64(params.len() as u64);
             for &w in params {
-                p.0.extend_from_slice(&w.to_le_bytes());
+                p.f32(w);
             }
             p.0
         }
@@ -293,82 +184,48 @@ pub fn encode_record(record: &ModelRecord) -> Vec<u8> {
 
 // ---- decoding ----------------------------------------------------------
 
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], RegistryError> {
-        if self.buf.len() - self.pos < n {
-            return Err(RegistryError::Truncated {
-                offset: self.pos,
-                needed: n - (self.buf.len() - self.pos),
-                len: self.buf.len(),
-            });
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-    fn u32(&mut self) -> Result<u32, RegistryError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-    fn u64(&mut self) -> Result<u64, RegistryError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-    fn str(&mut self) -> Result<String, RegistryError> {
-        let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| RegistryError::Malformed("non-UTF-8 string field".into()))
-    }
-    fn section(&mut self) -> Result<&'a [u8], RegistryError> {
-        let n = self.u64()? as usize;
-        self.take(n)
-    }
-}
-
 /// Decodes one `.elevmdl` byte image.
 ///
 /// # Errors
 ///
-/// Every corruption mode maps onto a distinct [`RegistryError`]:
-/// truncation → [`RegistryError::Truncated`], flipped content bytes →
-/// [`RegistryError::ChecksumMismatch`], a future container version →
-/// [`RegistryError::UnsupportedVersion`].
-pub fn decode_record(buf: &[u8]) -> Result<ModelRecord, RegistryError> {
-    let mut d = Dec { buf, pos: 0 };
+/// Every corruption mode maps onto a distinct [`Error`]: truncation →
+/// [`Error::Truncated`], flipped content bytes →
+/// [`Error::ChecksumMismatch`], a future container version →
+/// [`Error::UnsupportedVersion`].
+pub fn decode_record(buf: &[u8]) -> Result<ModelRecord, Error> {
+    let mut d = Dec::new(buf);
     if d.take(MAGIC.len())? != MAGIC {
-        return Err(RegistryError::BadMagic);
+        return Err(Error::BadMagic);
     }
     let version = d.u32()?;
     if version != FORMAT_VERSION {
-        return Err(RegistryError::UnsupportedVersion { found: version });
+        return Err(Error::UnsupportedVersion { found: version });
     }
 
     // Verify the trailing checksum before trusting any length field
     // beyond the fixed header (a flipped length byte would otherwise
     // read as truncation instead of corruption).
     if buf.len() < 8 {
-        return Err(RegistryError::Truncated { offset: 0, needed: 8 - buf.len(), len: buf.len() });
+        return Err(Error::Truncated { offset: 0, needed: 8 - buf.len(), len: buf.len() });
     }
     let content = &buf[..buf.len() - 8];
     let stored = u64::from_le_bytes(buf[buf.len() - 8..].try_into().expect("8 bytes"));
     let computed = fnv1a64(content);
     if stored != computed {
-        return Err(RegistryError::ChecksumMismatch { stored, computed });
+        return Err(Error::ChecksumMismatch { stored, computed });
     }
-    let mut d = Dec { buf: content, pos: d.pos };
+    let mut d = Dec::new(content);
+    d.take(MAGIC.len() + 4)?;
 
     let kind_tag = d.u32()?;
-    let kind = ModelKind::from_tag(kind_tag).ok_or(RegistryError::BadKind(kind_tag))?;
+    let kind = ModelKind::from_tag(kind_tag)
+        .ok_or_else(|| Error::Malformed(format!("unknown model kind tag {kind_tag}")))?;
     let model_version = d.u32()?;
     let name = d.str()?;
     let task = d.str()?;
     let n_labels = d.u32()? as usize;
     if n_labels > 1 << 20 {
-        return Err(RegistryError::Malformed(format!("absurd label count {n_labels}")));
+        return Err(Error::Malformed(format!("absurd label count {n_labels}")));
     }
     let mut labels = Vec::with_capacity(n_labels);
     for _ in 0..n_labels {
@@ -376,39 +233,34 @@ pub fn decode_record(buf: &[u8]) -> Result<ModelRecord, RegistryError> {
     }
     let meta = d.section()?;
     let payload_bytes = d.section()?;
-    if d.pos != content.len() {
-        return Err(RegistryError::Malformed(format!(
-            "{} trailing bytes after payload",
-            content.len() - d.pos
-        )));
-    }
+    d.end()?;
 
     let pipeline = if meta.is_empty() {
         None
     } else {
         let json = std::str::from_utf8(meta)
-            .map_err(|_| RegistryError::Malformed("non-UTF-8 pipeline metadata".into()))?;
+            .map_err(|_| Error::Malformed("non-UTF-8 pipeline metadata".into()))?;
         Some(
             serde_json::from_str::<TextPipeline>(json)
-                .map_err(|e| RegistryError::Malformed(format!("pipeline metadata: {e}")))?,
+                .map_err(|e| Error::Malformed(format!("pipeline metadata: {e}")))?,
         )
     };
 
-    let payload_json = |what: &str| -> Result<&str, RegistryError> {
+    let payload_json = |what: &str| -> Result<&str, Error> {
         std::str::from_utf8(payload_bytes)
-            .map_err(|_| RegistryError::Malformed(format!("non-UTF-8 {what} payload")))
+            .map_err(|_| Error::Malformed(format!("non-UTF-8 {what} payload")))
     };
     let payload = match kind {
         ModelKind::Svm => ModelPayload::Svm(
             serde_json::from_str(payload_json("svm")?)
-                .map_err(|e| RegistryError::Malformed(format!("svm payload: {e}")))?,
+                .map_err(|e| Error::Malformed(format!("svm payload: {e}")))?,
         ),
         ModelKind::Forest => ModelPayload::Forest(
             serde_json::from_str(payload_json("forest")?)
-                .map_err(|e| RegistryError::Malformed(format!("forest payload: {e}")))?,
+                .map_err(|e| Error::Malformed(format!("forest payload: {e}")))?,
         ),
         ModelKind::Mlp => {
-            let mut p = Dec { buf: payload_bytes, pos: 0 };
+            let mut p = Dec::new(payload_bytes);
             let input_dim = p.u64()? as usize;
             let hidden = p.u64()? as usize;
             let n_classes = p.u64()? as usize;
@@ -416,11 +268,11 @@ pub fn decode_record(buf: &[u8]) -> Result<ModelRecord, RegistryError> {
             let params = read_f32s(&mut p, n_params)?;
             ModelPayload::Mlp(
                 FlatMlp::from_params(input_dim, hidden, n_classes, params)
-                    .map_err(RegistryError::Malformed)?,
+                    .map_err(Error::Malformed)?,
             )
         }
         ModelKind::Cnn => {
-            let mut p = Dec { buf: payload_bytes, pos: 0 };
+            let mut p = Dec::new(payload_bytes);
             let n_classes = p.u64()? as usize;
             let n_params = p.u64()? as usize;
             let params = read_f32s(&mut p, n_params)?;
@@ -431,10 +283,10 @@ pub fn decode_record(buf: &[u8]) -> Result<ModelRecord, RegistryError> {
     Ok(ModelRecord { name, version: model_version, task, labels, pipeline, payload })
 }
 
-fn read_f32s(p: &mut Dec<'_>, n: usize) -> Result<Vec<f32>, RegistryError> {
-    let bytes = p.take(n.checked_mul(4).ok_or_else(|| {
-        RegistryError::Malformed(format!("absurd parameter count {n}"))
-    })?)?;
+fn read_f32s(p: &mut Dec<'_>, n: usize) -> Result<Vec<f32>, Error> {
+    let bytes = p.take(
+        n.checked_mul(4).ok_or_else(|| Error::Malformed(format!("absurd parameter count {n}")))?,
+    )?;
     Ok(bytes
         .chunks_exact(4)
         .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
@@ -448,55 +300,6 @@ pub fn file_name(record: &ModelRecord) -> String {
     format!("{}@{}.elevmdl", record.name, record.version)
 }
 
-/// Crash-safe file write: the bytes land in a sibling `.tmp` file,
-/// are fsynced, then renamed over `path`. A crash at any point leaves
-/// either the old content or the new content at `path`, never a torn
-/// prefix; leftover `.tmp` files are ignored by every loader.
-///
-/// # Errors
-///
-/// Propagates filesystem errors as [`RegistryError::Io`].
-pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), RegistryError> {
-    let io = |e: std::io::Error| RegistryError::Io(e.to_string());
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    let mut f = fs::File::create(&tmp).map_err(io)?;
-    f.write_all(bytes).map_err(io)?;
-    f.sync_all().map_err(io)?;
-    drop(f);
-    fs::rename(&tmp, path).map_err(io)?;
-    // Best-effort directory fsync so the rename itself is durable.
-    if let Some(dir) = path.parent() {
-        if let Ok(d) = fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
-}
-
-/// Writes one record into `dir` (atomically, see [`atomic_write`]).
-///
-/// # Errors
-///
-/// Propagates filesystem errors as [`RegistryError::Io`].
-pub fn save_record(dir: &Path, record: &ModelRecord) -> Result<PathBuf, RegistryError> {
-    let path = dir.join(file_name(record));
-    atomic_write(&path, &encode_record(record))?;
-    Ok(path)
-}
-
-/// Reads and decodes one `.elevmdl` file.
-///
-/// # Errors
-///
-/// [`RegistryError::Io`] for filesystem failures, otherwise whatever
-/// [`decode_record`] reports.
-pub fn load_record(path: &Path) -> Result<ModelRecord, RegistryError> {
-    let bytes = fs::read(path).map_err(|e| RegistryError::Io(e.to_string()))?;
-    decode_record(&bytes)
-}
-
 /// The manifest file name a registry directory carries.
 pub const MANIFEST: &str = "manifest.txt";
 
@@ -506,27 +309,32 @@ pub const MANIFEST_PREV: &str = "manifest.prev.txt";
 
 /// Writes `records` into `dir` (created if missing) plus a
 /// `manifest.txt`, written last so its mtime bump is the hot-reload
-/// signal. Every file lands via [`atomic_write`]; the outgoing
-/// manifest (if any) is preserved as [`MANIFEST_PREV`] first, and the
-/// new manifest's `generation` header is the old one plus one.
+/// signal. Every file lands via [`durable::atomic_write`]. The outgoing
+/// manifest is preserved as [`MANIFEST_PREV`] first — only when it
+/// parses, so a torn manifest never destroys the last-good fallback —
+/// and the new `generation` is one past the highest generation among
+/// the current and previous manifests that parse.
 ///
 /// # Errors
 ///
-/// Propagates filesystem errors as [`RegistryError::Io`].
-pub fn save_dir(dir: &Path, records: &[ModelRecord]) -> Result<(), RegistryError> {
-    fs::create_dir_all(dir).map_err(|e| RegistryError::Io(e.to_string()))?;
-    let manifest = dir.join(MANIFEST);
-    let generation = match fs::read_to_string(&manifest) {
-        Ok(text) => {
-            atomic_write(&dir.join(MANIFEST_PREV), text.as_bytes())?;
-            parse_manifest(&text).map_or(0, |m| m.generation) + 1
-        }
-        Err(_) => 1,
+/// Propagates filesystem errors as [`Error::Io`].
+pub fn save_dir(dir: &Path, records: &[ModelRecord]) -> Result<(), Error> {
+    fs::create_dir_all(dir)?;
+    let parsed = |name: &str| {
+        let text = fs::read_to_string(dir.join(name)).ok()?;
+        let generation = parse_manifest(&text).ok()?.generation;
+        Some((text, generation))
     };
+    let current = parsed(MANIFEST);
+    let previous = parsed(MANIFEST_PREV);
+    let generation = current.iter().chain(&previous).map(|(_, g)| g + 1).max().unwrap_or(1);
+    if let Some((text, _)) = &current {
+        atomic_write(&dir.join(MANIFEST_PREV), text.as_bytes())?;
+    }
     let mut lines = Vec::with_capacity(records.len());
     for record in records {
-        let path = save_record(dir, record)?;
-        let bytes = fs::read(&path).map_err(|e| RegistryError::Io(e.to_string()))?;
+        let bytes = encode_record(record);
+        atomic_write(&dir.join(file_name(record)), &bytes)?;
         lines.push(format!(
             "{}@{} kind={} task={} labels={} bytes={} fnv1a64={:#018x}",
             record.name,
@@ -544,7 +352,7 @@ pub fn save_dir(dir: &Path, records: &[ModelRecord]) -> Result<(), RegistryError
         text.push_str(line);
         text.push('\n');
     }
-    atomic_write(&manifest, text.as_bytes())
+    atomic_write(&dir.join(MANIFEST), text.as_bytes())
 }
 
 /// One manifest entry: the file it names and the integrity facts the
@@ -572,12 +380,12 @@ pub struct Manifest {
 ///
 /// # Errors
 ///
-/// [`RegistryError::Malformed`] naming the first unparseable line — a
+/// [`Error::Malformed`] naming the first unparseable line — a
 /// torn manifest write must read as an error, never as a shorter
 /// valid manifest.
-pub fn parse_manifest(text: &str) -> Result<Manifest, RegistryError> {
+pub fn parse_manifest(text: &str) -> Result<Manifest, Error> {
     let bad = |line: &str, what: &str| {
-        RegistryError::Malformed(format!("manifest line {line:?}: {what}"))
+        Error::Malformed(format!("manifest line {line:?}: {what}"))
     };
     let mut generation = 0u64;
     let mut entries = Vec::new();
@@ -628,21 +436,21 @@ pub struct GenerationLoad {
     pub fell_back: bool,
     /// Per-file errors from the torn generation (empty on a clean
     /// load) — each torn file keeps its distinct error class.
-    pub errors: Vec<(String, RegistryError)>,
+    pub errors: Vec<(String, Error)>,
 }
 
 fn load_manifest_records(
     dir: &Path,
     manifest: &Manifest,
-) -> Result<Vec<ModelRecord>, Vec<(String, RegistryError)>> {
+) -> Result<Vec<ModelRecord>, Vec<(String, Error)>> {
     let mut records = Vec::with_capacity(manifest.entries.len());
     let mut errors = Vec::new();
     for entry in &manifest.entries {
         let path = dir.join(&entry.file);
-        let loaded = fs::read(&path).map_err(|e| RegistryError::Io(e.to_string())).and_then(
+        let loaded = fs::read(&path).map_err(Error::from).and_then(
             |bytes| {
                 if bytes.len() < entry.bytes {
-                    return Err(RegistryError::Truncated {
+                    return Err(Error::Truncated {
                         offset: bytes.len(),
                         needed: entry.bytes - bytes.len(),
                         len: bytes.len(),
@@ -650,7 +458,7 @@ fn load_manifest_records(
                 }
                 let computed = fnv1a64(&bytes);
                 if bytes.len() != entry.bytes || computed != entry.fnv {
-                    return Err(RegistryError::ChecksumMismatch {
+                    return Err(Error::ChecksumMismatch {
                         stored: entry.fnv,
                         computed,
                     });
@@ -682,9 +490,8 @@ fn load_manifest_records(
 ///
 /// The current generation's first error when no previous generation
 /// exists or the fallback is itself unloadable.
-pub fn load_generation(dir: &Path) -> Result<GenerationLoad, RegistryError> {
-    let manifest_text =
-        fs::read_to_string(dir.join(MANIFEST)).map_err(|e| RegistryError::Io(e.to_string()));
+pub fn load_generation(dir: &Path) -> Result<GenerationLoad, Error> {
+    let manifest_text = fs::read_to_string(dir.join(MANIFEST)).map_err(Error::from);
     let current = manifest_text.and_then(|text| {
         let manifest = parse_manifest(&text)?;
         Ok((manifest.generation, load_manifest_records(dir, &manifest)))
@@ -697,7 +504,7 @@ pub fn load_generation(dir: &Path) -> Result<GenerationLoad, RegistryError> {
         Err(e) => vec![(MANIFEST.to_owned(), e)],
     };
     let fallback = fs::read_to_string(dir.join(MANIFEST_PREV))
-        .map_err(|e| RegistryError::Io(e.to_string()))
+        .map_err(Error::from)
         .and_then(|text| {
             let manifest = parse_manifest(&text)?;
             load_manifest_records(dir, &manifest)
@@ -712,23 +519,6 @@ pub fn load_generation(dir: &Path) -> Result<GenerationLoad, RegistryError> {
         // error (the fallback miss is secondary).
         Err(_) => Err(errors.into_iter().next().expect("at least one error").1),
     }
-}
-
-/// Loads every `.elevmdl` record in `dir`, sorted by file name (so
-/// load order — and any error — is deterministic).
-///
-/// # Errors
-///
-/// [`RegistryError::Io`] when the directory is unreadable; the first
-/// undecodable record's error otherwise.
-pub fn load_dir(dir: &Path) -> Result<Vec<ModelRecord>, RegistryError> {
-    let mut paths: Vec<PathBuf> = fs::read_dir(dir)
-        .map_err(|e| RegistryError::Io(e.to_string()))?
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|ext| ext == "elevmdl"))
-        .collect();
-    paths.sort();
-    paths.iter().map(|p| load_record(p)).collect()
 }
 
 /// The manifest's mtime, the hot-reload poll signal. `None` when the

@@ -440,16 +440,11 @@ impl Drop for Server {
 
 /// Hashes a peer IP into its accounting slot.
 fn ip_slot(stream: &TcpStream) -> usize {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |b: u8| {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let h = match stream.peer_addr().map(|a| a.ip()) {
+        Ok(std::net::IpAddr::V4(ip)) => durable::fnv1a64(&ip.octets()),
+        Ok(std::net::IpAddr::V6(ip)) => durable::fnv1a64(&ip.octets()),
+        Err(_) => durable::FNV1A64_INIT,
     };
-    match stream.peer_addr().map(|a| a.ip()) {
-        Ok(std::net::IpAddr::V4(ip)) => ip.octets().into_iter().for_each(&mut eat),
-        Ok(std::net::IpAddr::V6(ip)) => ip.octets().into_iter().for_each(&mut eat),
-        Err(_) => {}
-    }
     (h % IP_SLOTS as u64) as usize
 }
 

@@ -6,9 +6,8 @@ mod common;
 
 use serve::bundle::ModelBundle;
 use serve::client::HttpClient;
-use serve::registry::{
-    self, decode_record, encode_record, ModelPayload, ModelRecord, RegistryError,
-};
+use durable::Error;
+use serve::registry::{self, decode_record, encode_record, ModelPayload, ModelRecord};
 use serve::{InferenceArena, ServeConfig, Server};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -118,7 +117,7 @@ fn corruption_modes_map_to_distinct_errors() {
 
     // Head truncation: the reader runs out of bytes mid-header.
     match decode_record(&bytes[..10]) {
-        Err(RegistryError::Truncated { len: 10, .. }) => {}
+        Err(Error::Truncated { len: 10, .. }) => {}
         other => panic!("head truncation: expected Truncated, got {other:?}"),
     }
 
@@ -128,7 +127,7 @@ fn corruption_modes_map_to_distinct_errors() {
     let mid = flipped.len() / 2;
     flipped[mid] ^= 0x40;
     match decode_record(&flipped) {
-        Err(RegistryError::ChecksumMismatch { stored, computed }) => {
+        Err(Error::ChecksumMismatch { stored, computed }) => {
             assert_ne!(stored, computed);
         }
         other => panic!("flipped byte: expected ChecksumMismatch, got {other:?}"),
@@ -138,7 +137,7 @@ fn corruption_modes_map_to_distinct_errors() {
     let mut future = bytes.clone();
     future[8..12].copy_from_slice(&99u32.to_le_bytes());
     match decode_record(&future) {
-        Err(RegistryError::UnsupportedVersion { found: 99 }) => {}
+        Err(Error::UnsupportedVersion { found: 99 }) => {}
         other => panic!("future version: expected UnsupportedVersion, got {other:?}"),
     }
 
@@ -146,7 +145,7 @@ fn corruption_modes_map_to_distinct_errors() {
     let mut alien = bytes;
     alien[0] = b'X';
     match decode_record(&alien) {
-        Err(RegistryError::BadMagic) => {}
+        Err(Error::BadMagic) => {}
         other => panic!("wrong magic: expected BadMagic, got {other:?}"),
     }
 }
@@ -169,8 +168,8 @@ fn directory_roundtrip_preserves_reports() {
         assert!(line.contains(" fnv1a64=0x"), "manifest line lacks checksum: {line}");
     }
 
-    let loaded = ModelBundle::from_records(registry::load_dir(&dir.0).expect("load_dir"))
-        .expect("rebuilds");
+    let loaded = registry::load_generation(&dir.0).expect("load").records;
+    let loaded = ModelBundle::from_records(loaded).expect("rebuilds");
     let mut arena = InferenceArena::new();
     for raw in [common::clean_gpx(), common::faulted_gpx(), common::corrupt_gpx()] {
         let direct = bundle.report_json(&raw, &mut arena);
@@ -185,8 +184,8 @@ fn manifest_mtime_change_hot_reloads() {
     let bundle = common::tiny_bundle();
     registry::save_dir(&dir.0, &bundle.to_records()).expect("save_dir");
 
-    let served = ModelBundle::from_records(registry::load_dir(&dir.0).expect("load_dir"))
-        .expect("rebuilds");
+    let served = registry::load_generation(&dir.0).expect("load").records;
+    let served = ModelBundle::from_records(served).expect("rebuilds");
     let cfg = ServeConfig {
         port: 0,
         workers: 1,

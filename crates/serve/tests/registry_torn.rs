@@ -7,9 +7,10 @@
 
 mod common;
 
+use durable::{atomic_write, Error};
 use serve::bundle::ModelBundle;
 use serve::client::HttpClient;
-use serve::registry::{self, ModelRecord, RegistryError};
+use serve::registry::{self, ModelRecord};
 use serve::{InferenceArena, ServeConfig, Server};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -76,7 +77,7 @@ fn byte_level_cut_ladder_falls_back_with_distinct_errors() {
         assert_eq!(load.errors.len(), 1, "cut at {cut}: one torn file");
         assert_eq!(load.errors[0].0, files[0]);
         assert!(
-            matches!(load.errors[0].1, RegistryError::Truncated { len, .. } if len == cut),
+            matches!(load.errors[0].1, Error::Truncated { len, .. } if len == cut),
             "cut at {cut}: expected Truncated, got {:?}",
             load.errors[0].1
         );
@@ -196,22 +197,47 @@ fn first_publish_has_no_fallback_and_surfaces_the_error() {
     std::fs::write(&victim, &original[..original.len() / 2]).expect("tear");
 
     match registry::load_generation(&dir.0) {
-        Err(RegistryError::Truncated { .. }) => {}
+        Err(Error::Truncated { .. }) => {}
         other => panic!("expected the torn file's own error, got {other:?}"),
     }
 }
 
 #[test]
-fn leftover_tmp_files_are_ignored_by_every_loader() {
+fn leftover_tmp_files_are_ignored_by_the_loader() {
     let dir = TempDir::new("tmp-leftovers");
     registry::save_dir(&dir.0, &records_v(1)).expect("publish gen1");
-    // A crash between `File::create` and `rename` leaves a `.tmp`
-    // sibling; neither loader may trip on it.
-    std::fs::write(dir.0.join("tm1-svm@9.elevmdl.tmp"), b"half a write").expect("tmp");
+    // A crash between `File::create` and `rename` leaves a hidden
+    // `.tmp` sibling; the loader must not trip on it.
+    std::fs::write(dir.0.join(".tm1-svm@9.elevmdl.tmp"), b"half a write").expect("tmp");
+    std::fs::write(dir.0.join(".manifest.txt.tmp"), b"generation 9\nhalf").expect("tmp");
     let load = registry::load_generation(&dir.0).expect("clean");
     assert!(!load.fell_back, "{:?}", load.errors);
-    let n = load.records.len();
-    assert_eq!(registry::load_dir(&dir.0).expect("load_dir").len(), n, "load_dir counts tmp");
+    assert_eq!((load.generation, load.records.len()), (1, records_v(1).len()));
+}
+
+#[test]
+fn publishing_over_a_torn_manifest_keeps_the_last_good_fallback() {
+    let dir = TempDir::new("publish-over-torn");
+    two_generations(&dir.0);
+    let manifest_path = dir.0.join(registry::MANIFEST);
+    atomic_write(&manifest_path, b"torn garbage").expect("tear");
+
+    // The garbage must not become the fallback, and the new generation
+    // must not restart from 1.
+    registry::save_dir(&dir.0, &records_v(3)).expect("publish gen3");
+    let text = |name: &str| std::fs::read_to_string(dir.0.join(name)).expect("manifest");
+    let prev = registry::parse_manifest(&text(registry::MANIFEST_PREV)).expect("prev parses");
+    assert_eq!(prev.generation, 1, "the last manifest that parsed stays the fallback");
+    let current = registry::parse_manifest(&text(registry::MANIFEST)).expect("parses");
+    assert_eq!(current.generation, 2, "one past the highest generation that parsed");
+
+    // A clean publish after that numbers on from the new manifest.
+    registry::save_dir(&dir.0, &records_v(4)).expect("publish gen4");
+    let prev = registry::parse_manifest(&text(registry::MANIFEST_PREV)).expect("prev parses");
+    assert_eq!(prev, current);
+    let load = registry::load_generation(&dir.0).expect("clean");
+    assert!(!load.fell_back, "{:?}", load.errors);
+    assert_eq!(load.generation, 3);
 }
 
 #[test]
@@ -251,10 +277,10 @@ fn live_server_keeps_serving_through_a_torn_publish() {
         std::fs::write(dir.0.join(&entry.file), &image).expect("land");
     }
     let gen1_manifest = std::fs::read_to_string(dir.0.join(registry::MANIFEST)).expect("old");
-    registry::atomic_write(&dir.0.join(registry::MANIFEST_PREV), gen1_manifest.as_bytes())
+    atomic_write(&dir.0.join(registry::MANIFEST_PREV), gen1_manifest.as_bytes())
         .expect("prev");
     let gen2_manifest = staged.replacen("generation 1", "generation 2", 1);
-    registry::atomic_write(&dir.0.join(registry::MANIFEST), gen2_manifest.as_bytes())
+    atomic_write(&dir.0.join(registry::MANIFEST), gen2_manifest.as_bytes())
         .expect("manifest");
 
     // The reloader must notice, refuse the torn generation, and keep
@@ -278,7 +304,7 @@ fn live_server_keeps_serving_through_a_torn_publish() {
     // must pick up generation 2 cleanly.
     let repaired = std::fs::read(staging.0.join(&entries[0].file)).expect("image");
     std::fs::write(dir.0.join(&entries[0].file), &repaired).expect("repair");
-    registry::atomic_write(&dir.0.join(registry::MANIFEST), gen2_manifest.as_bytes())
+    atomic_write(&dir.0.join(registry::MANIFEST), gen2_manifest.as_bytes())
         .expect("re-touch");
     let deadline = Instant::now() + Duration::from_secs(10);
     while server.health().generation < 2 {
@@ -313,10 +339,10 @@ fn repeated_bad_reloads_open_the_circuit_breaker() {
 
     // Three consecutive torn publishes (unparseable manifest, prev
     // intact) must open the breaker.
-    registry::atomic_write(&dir.0.join(registry::MANIFEST_PREV), gen1_manifest.as_bytes())
+    atomic_write(&dir.0.join(registry::MANIFEST_PREV), gen1_manifest.as_bytes())
         .expect("prev");
     for round in 1..=3u64 {
-        registry::atomic_write(
+        atomic_write(
             &dir.0.join(registry::MANIFEST),
             format!("torn garbage, round {round}").as_bytes(),
         )
@@ -337,7 +363,7 @@ fn repeated_bad_reloads_open_the_circuit_breaker() {
 
     // A good publish closes it again (the open breaker only slows the
     // poll, it never stops probing).
-    registry::atomic_write(&dir.0.join(registry::MANIFEST), gen1_manifest.as_bytes())
+    atomic_write(&dir.0.join(registry::MANIFEST), gen1_manifest.as_bytes())
         .expect("repair");
     let deadline = Instant::now() + Duration::from_secs(20);
     while server.health().breaker_open {
