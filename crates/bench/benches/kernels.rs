@@ -1,91 +1,37 @@
 //! Kernel-level benchmarks for the hot paths underneath the attack
-//! pipeline: BoW featurization, the SVM epoch, the blocked matmul at
-//! the paper-CNN's im2col shapes, and conv forward/backward.
+//! pipeline: GPX ingestion, BoW featurization, the SVM epoch, the
+//! blocked matmul at the paper-CNN's im2col shapes, conv
+//! forward/backward, corpus generation, feature-store reads and probe
+//! matching, plus the learner and substrate costs below them.
 //!
-//! Unlike the `perf_*` suites (which time whole learners), this suite
-//! pins *before/after pairs* for the sparse + blocked kernel layer:
-//! every entry that has a baseline runs the old dense/naive code
-//! (`Tensor::matmul_reference`, dense Pegasos, dense BoW rows) against
-//! the new kernel on identical inputs, and reports the speedup. The
-//! results are written to `BENCH_kernels.json` at the repository root
-//! so the perf trajectory is tracked in-tree.
+//! Most entries are *before/after pairs*: the baseline runs the old
+//! dense/naive code (`Tensor::matmul_reference`, dense Pegasos, dense
+//! BoW rows, the reconstructed DOM reader, the exact scan) against the
+//! shipped code on identical inputs, and the entry reports the speedup.
+//! Unpaired entries pin the absolute cost of code with no older version
+//! to time. The results are written to `BENCH_kernels.json` at the
+//! repository root so the perf trajectory is tracked in-tree.
 //!
 //! Run with `cargo bench -p bench --bench kernels`; set `BENCH_QUICK=1`
-//! for a fast smoke (fewer samples, same shapes) as `scripts/verify.sh`
-//! does.
+//! for a fast smoke (fewer samples, same shapes, written under the
+//! target directory) as `scripts/verify.sh` does.
 
-use classicml::{SvmClassifier, SvmConfig};
+use bench::harness::{deterministic_tensor, pair, single, BenchEntry, BenchReport};
+use classicml::{ForestConfig, RandomForest, SvmClassifier, SvmConfig};
 use elev_core::ingest::{ingest_one, IngestConfig, StreamingIngest, TrackSource};
+use geoprim::{polyline, BoundingBox, LatLon};
+use imgrep::{render, ImageConfig};
 use neuralnet::{models, train, train_in_arena, Adam, Layer, TrainArena, TrainConfig};
-use std::fmt::Write as _;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use routegen::{generate_route, AthleteSimulator, RouteKind, RouteParams};
 use sparsemat::{CsrMatrix, SparseVec};
+use std::fmt::Write as _;
 use std::hint::black_box;
-use std::time::Instant;
+use std::path::Path;
 use tensorlite::Tensor;
+use terrain::{CityId, ElevationService, SyntheticTerrain};
 use textrep::{Discretizer, FeatureSelection, TextPipeline};
-
-/// One before/after measurement (times in seconds, medians).
-#[derive(Debug, serde::Serialize, serde::Deserialize)]
-struct KernelBench {
-    name: String,
-    /// Median seconds for the old dense/naive kernel (absent when the
-    /// old code no longer exists to time).
-    baseline_s: Option<f64>,
-    /// Median seconds for the shipped kernel.
-    optimized_s: f64,
-    /// `baseline_s / optimized_s`.
-    speedup: Option<f64>,
-    note: String,
-}
-
-#[derive(Debug, serde::Serialize, serde::Deserialize)]
-struct BenchReport {
-    suite: String,
-    quick: bool,
-    samples: usize,
-    benches: Vec<KernelBench>,
-}
-
-/// Median wall-clock seconds of `f` over `samples` runs (one warm-up).
-fn median_s<O>(samples: usize, mut f: impl FnMut() -> O) -> f64 {
-    black_box(f());
-    let mut times: Vec<f64> = (0..samples)
-        .map(|_| {
-            let t = Instant::now();
-            black_box(f());
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_unstable_by(f64::total_cmp);
-    times[times.len() / 2]
-}
-
-fn entry(
-    name: &str,
-    samples: usize,
-    note: &str,
-    mut baseline: Option<impl FnMut()>,
-    mut optimized: impl FnMut(),
-) -> KernelBench {
-    let baseline_s = baseline.as_mut().map(|f| median_s(samples, f));
-    let optimized_s = median_s(samples, &mut optimized);
-    let speedup = baseline_s.map(|b| b / optimized_s);
-    match speedup {
-        Some(s) => println!(
-            "  {name}: baseline {:.3} ms, optimized {:.3} ms ({s:.2}x)",
-            baseline_s.unwrap() * 1e3,
-            optimized_s * 1e3
-        ),
-        None => println!("  {name}: {:.3} ms", optimized_s * 1e3),
-    }
-    KernelBench {
-        name: name.to_owned(),
-        baseline_s,
-        optimized_s,
-        speedup,
-        note: note.to_owned(),
-    }
-}
 
 /// Synthetic elevation profiles with enough texture for an 8-gram vocab.
 fn corpus(n: usize, len: usize) -> Vec<Vec<f64>> {
@@ -148,6 +94,30 @@ fn sparse_rows(n: usize, dim: usize, nnz: usize) -> (Vec<SparseVec>, Vec<u32>) {
     (rows, labels)
 }
 
+/// Dense rows with values in (-1, 1) and 4 balanced labels.
+fn dense_rows(n: usize, d: usize) -> (Vec<Vec<f32>>, Vec<u32>) {
+    let x: Vec<Vec<f32>> = (0..n)
+        .map(|i| {
+            (0..d)
+                .map(|j| {
+                    (((i * 31 + j * 17) % 97) as f32 / 97.0) * if i % 2 == 0 { 1.0 } else { -1.0 }
+                })
+                .collect()
+        })
+        .collect();
+    let y: Vec<u32> = (0..n).map(|i| (i % 4) as u32).collect();
+    (x, y)
+}
+
+/// A seeded wander route of about `n` points (20 m steps) through
+/// Washington, DC.
+fn sample_path(n: usize) -> Vec<LatLon> {
+    let mut rng = StdRng::seed_from_u64(1);
+    let bounds = BoundingBox::new(LatLon::new(38.8, -77.12), LatLon::new(39.0, -76.9));
+    let params = RouteParams::segment((n as f64) * 20.0, RouteKind::Wander);
+    generate_route(&mut rng, LatLon::new(38.9, -77.0), &bounds, &params)
+}
+
 /// The exact scan's vocabulary-overlap prefilter (feature-index range
 /// and 512-bit bloom), mirrored from the matcher so the baseline
 /// times the shipped exact path, not a strawman.
@@ -203,38 +173,15 @@ fn push_top3(top: &mut Vec<(f32, u64)>, score: f32, athlete: u64) {
     top.truncate(3);
 }
 
-fn deterministic_tensor(shape: &[usize], salt: u64) -> Tensor {
-    let len: usize = shape.iter().product();
-    let data: Vec<f32> = (0..len)
-        .map(|i| {
-            let h = (i as u64 ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            ((h >> 40) as f32 / (1u64 << 24) as f32) - 0.5
-        })
-        .collect();
-    Tensor::from_vec(data, shape)
-}
-
-fn matmul_pair(name: &str, m: usize, k: usize, n: usize, samples: usize, note: &str) -> KernelBench {
+fn matmul_pair(name: &str, m: usize, k: usize, n: usize, samples: usize, note: &str) -> BenchEntry {
     let a = deterministic_tensor(&[m, k], 11);
     let b = deterministic_tensor(&[k, n], 29);
-    entry(
-        name,
-        samples,
-        note,
-        Some(|| {
-            black_box(a.matmul_reference(&b));
-        }),
-        || {
-            black_box(a.matmul(&b));
-        },
-    )
+    pair(name, samples, note, || a.matmul_reference(&b), || a.matmul(&b))
 }
 
 fn main() {
-    let quick = std::env::var("BENCH_QUICK").is_ok_and(|v| v != "0");
-    let samples = if quick { 3 } else { 9 };
-    let mut benches = Vec::new();
-    println!("kernels suite (quick={quick}, {samples} samples per bench)");
+    let mut report = BenchReport::from_env("kernels", 9, 3);
+    let (quick, samples) = (report.quick, report.samples);
 
     // --- GPX ingestion: the pre-streaming DOM front-end (byte-at-a-time
     // tokenizer, one owned `String` per name/attribute/text run, full
@@ -253,16 +200,16 @@ fn main() {
         let bytes: usize = docs.iter().map(Vec::len).sum();
         let cfg = IngestConfig::default();
         let mut ing = StreamingIngest::default();
-        let mut b = entry(
+        let mut b = pair(
             name,
             samples,
             "",
-            Some(|| {
+            || {
                 for doc in &docs {
                     let gpx = dom_baseline::parse_bytes(doc).expect("corpus is well-formed");
                     black_box(ingest_one(&TrackSource::Parsed(gpx), &cfg));
                 }
-            }),
+            },
             || {
                 for doc in &docs {
                     black_box(ing.ingest_bytes(doc));
@@ -284,23 +231,19 @@ fn main() {
             mib / b.optimized_s,
             tracks / b.optimized_s,
         );
-        benches.push(b);
+        report.benches.push(b);
     }
 
     // --- BoW featurization: dense materialization vs staying sparse.
     let signals = corpus(64, 600);
     let pipeline = TextPipeline::fit(Discretizer::Floor, 8, FeatureSelection::keep_all(), &signals);
-    benches.push(entry(
+    report.benches.push(pair(
         "bow_featurize_64x600_8gram",
         samples,
         "transform_all materializes dense rows over the full vocabulary; \
          transform_all_csr emits the same rows as CSR without densifying",
-        Some(|| {
-            black_box(pipeline.transform_all(&signals));
-        }),
-        || {
-            black_box(pipeline.transform_all_csr(&signals));
-        },
+        || pipeline.transform_all(&signals),
+        || pipeline.transform_all_csr(&signals),
     ));
 
     // --- SVM epochs: dense Pegasos dots vs sparse dots, same RNG stream.
@@ -308,21 +251,17 @@ fn main() {
     let csr = CsrMatrix::from_rows(&rows);
     let dense: Vec<Vec<f32>> = rows.iter().map(SparseVec::to_dense).collect();
     let cfg = SvmConfig { epochs: 5, ..Default::default() };
-    benches.push(entry(
+    report.benches.push(pair(
         "svm_epoch_300x4096_nnz10",
         samples,
         "5 Pegasos epochs, 4 classes; the sparse fit touches only the \
          ~10 nonzeros per row and produces the bit-identical hyperplane",
-        Some(|| {
-            black_box(SvmClassifier::fit(&dense, &labels, &cfg, 1));
-        }),
-        || {
-            black_box(SvmClassifier::fit_sparse(&csr, &labels, &cfg, 1));
-        },
+        || SvmClassifier::fit(&dense, &labels, &cfg, 1),
+        || SvmClassifier::fit_sparse(&csr, &labels, &cfg, 1),
     ));
 
     // --- Blocked matmul at the paper-CNN im2col shapes and the MLP head.
-    benches.push(matmul_pair(
+    report.benches.push(matmul_pair(
         "matmul_conv1_8x75x1024",
         8,
         75,
@@ -333,7 +272,7 @@ fn main() {
          packing amortizes poorly and the shape stays bandwidth-bound \
          (~1.3-1.5x measured)",
     ));
-    benches.push(matmul_pair(
+    report.benches.push(matmul_pair(
         "matmul_conv2_16x200x256",
         16,
         200,
@@ -341,7 +280,7 @@ fn main() {
         samples,
         "conv2 im2col: [16,200]x[200,256] per 16x16 map",
     ));
-    benches.push(matmul_pair(
+    report.benches.push(matmul_pair(
         "matmul_mlp_64x2048x100",
         64,
         2048,
@@ -362,19 +301,17 @@ fn main() {
     let y: Vec<u32> = (0..batch).map(|i| (i % 4) as u32).collect();
     let mut fwd_base = models::paper_cnn(4, 1);
     let mut fwd_net = models::paper_cnn(4, 1);
-    benches.push(entry(
+    report.benches.push(pair(
         "conv_forward_16imgs",
         samples,
         "paper CNN forward on 16 images (blocked im2col matmuls); \
          baseline reallocates im2col/weight-view scratch per call, \
          optimized reuses the layer arenas",
-        Some(|| {
-            fwd_base.reset_scratch();
-            black_box(fwd_base.forward(&x, false));
-        }),
         || {
-            black_box(fwd_net.forward(&x, false));
+            fwd_base.reset_scratch();
+            fwd_base.forward(&x, false)
         },
+        || fwd_net.forward(&x, false),
     ));
     let train_cfg = TrainConfig {
         epochs: 1,
@@ -386,27 +323,18 @@ fn main() {
     let mut bwd_net = models::paper_cnn(4, 1);
     let mut bwd_adam = Adam::new(train_cfg.lr);
     let mut bwd_arena = TrainArena::new();
-    benches.push(entry(
+    report.benches.push(pair(
         "conv_fwd_bwd_16imgs",
         samples,
         "one training step on 16 images; backward uses the fused \
          matmul_at/matmul_bt kernels instead of allocating transposes; \
          baseline drops layer scratch and the training arena every \
          step, optimized keeps both warm",
-        Some(|| {
-            bwd_base.reset_scratch();
-            black_box(train(&mut bwd_base, &x, &y, &train_cfg));
-        }),
         || {
-            black_box(train_in_arena(
-                &mut bwd_net,
-                &x,
-                &y,
-                &train_cfg,
-                &mut bwd_adam,
-                &mut bwd_arena,
-            ));
+            bwd_base.reset_scratch();
+            train(&mut bwd_base, &x, &y, &train_cfg)
         },
+        || train_in_arena(&mut bwd_net, &x, &y, &train_cfg, &mut bwd_adam, &mut bwd_arena),
     ));
 
     // --- Population corpus generation: one 64-athlete shard of the
@@ -423,15 +351,7 @@ fn main() {
     let (gen_tracks, gen_points) = (shard.tracks(), shard.points());
     // lat + lon + elevation as f64 per point.
     let gen_mb = (gen_points * 24) as f64 / 1e6;
-    let mut b = entry(
-        "corpus_gen_shard64",
-        samples,
-        "",
-        None::<fn()>,
-        || {
-            black_box(pop.generate_shard(&terrain, 0));
-        },
-    );
+    let mut b = single("corpus_gen_shard64", samples, "", || pop.generate_shard(&terrain, 0));
     b.note = format!(
         "one {}-athlete population shard ({} tracks, {} points, ~{:.2} MB of \
          track data): {:.0} tracks/s, {:.1} MB/s; regeneration is bit-identical \
@@ -443,7 +363,7 @@ fn main() {
         gen_tracks as f64 / b.optimized_s,
         gen_mb / b.optimized_s,
     );
-    benches.push(b);
+    report.benches.push(b);
 
     // --- Feature-store streaming: re-featurizing the shard's profiles
     // every sweep (the pre-featstore path) vs streaming the same CSR
@@ -479,15 +399,15 @@ fn main() {
         let meta = w.finish().expect("finish shard");
         let path = dir.join(&meta.file);
         let file_mb = meta.bytes as f64 / 1e6;
-        let mut b = entry(
+        let mut b = pair(
             "featstore_read_shard64",
             samples,
             "",
-            Some(|| {
+            || {
                 for p in &profiles {
                     black_box(store_pipeline.transform_sparse(p));
                 }
-            }),
+            },
             || {
                 let mut r = featstore::ShardReader::open(&path).expect("open shard");
                 let mut row = featstore::RowBuf::default();
@@ -505,7 +425,7 @@ fn main() {
             file_mb / b.optimized_s,
             profiles.len(),
         );
-        benches.push(b);
+        report.benches.push(b);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -629,16 +549,16 @@ fn main() {
         assert!(recall >= 0.95, "IVF recall@3 {recall:.4} below the 0.95 floor");
         let rows_total = build.rows * n_probes;
 
-        let mut b = entry(
+        let mut b = pair(
             &format!("ann_match_{tag}"),
             samples,
             "",
-            Some(|| {
+            || {
                 let mut row = featstore::RowBuf::default();
                 for pi in 0..probes.len() {
                     black_box(exact_query(pi, &mut row));
                 }
-            }),
+            },
             || {
                 let mut row = featstore::RowBuf::default();
                 for pi in 0..probes.len() {
@@ -660,23 +580,108 @@ fn main() {
             mib * n_probes as f64 / exact_s,
             rescored as f64 * 100.0 / rows_total as f64,
         );
-        benches.push(b);
+        report.benches.push(b);
         let _ = std::fs::remove_dir_all(&cfg.store_dir);
     }
 
-    let report = BenchReport {
-        suite: "kernels".to_owned(),
-        quick,
-        samples,
-        benches,
-    };
-    let json = serde_json::to_string(&report).expect("report serializes");
-    // Round-trip before writing so a malformed report can never land.
-    let parsed: BenchReport = serde_json::from_str(&json).expect("report parses back");
-    assert_eq!(parsed.benches.len(), report.benches.len());
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
-    std::fs::write(path, &json).expect("write BENCH_kernels.json");
-    println!("wrote {path}");
+    // --- Learner and substrate costs with no older version to pair
+    // against, so these entries pin absolute cost. What else the
+    // learners and substrates cost is already a side of a pair above
+    // (dense SVM fit, CNN forward, BoW transform), `corpus_gen_shard64`
+    // (route generation, terrain sampling) or the `train` suite (CNN
+    // epochs).
+    {
+        let (x, y) = dense_rows(200, 512);
+        let forest = ForestConfig { n_trees: 20, ..Default::default() };
+        report.benches.push(single(
+            "forest20_fit_200x512",
+            samples,
+            "20-tree random forest fit on 200 dense 512-feature rows, 4 classes",
+            || RandomForest::fit(&x, &y, &forest, 1),
+        ));
+        let svm = SvmClassifier::fit(&x, &y, &SvmConfig::default(), 1);
+        report.benches.push(single(
+            "svm_predict_200",
+            samples,
+            "linear SVM predicting the 200 dense 512-feature rows it was fit on",
+            || svm.predict(&x),
+        ));
+
+        let (rows, y) = dense_rows(256, 1024);
+        let x = Tensor::from_rows(&rows);
+        let mut mlp = models::mlp(1024, 100, 4, 1);
+        let mlp_cfg = TrainConfig { epochs: 1, ..Default::default() };
+        report.benches.push(single(
+            "mlp_epoch_256x1024",
+            samples,
+            "one epoch of the 100-unit MLP on 256 dense 1024-feature rows, 4 classes",
+            || train(&mut mlp, &x, &y, &mlp_cfg),
+        ));
+
+        let path = sample_path(100);
+        let encoded = polyline::encode(&path);
+        report.benches.push(single(
+            "polyline_encode_100pts",
+            samples,
+            "Google-polyline encoding of a 100-point route",
+            || polyline::encode(black_box(&path)),
+        ));
+        report.benches.push(single(
+            "polyline_decode_100pts",
+            samples,
+            "Google-polyline decoding of the same 100-point route",
+            || polyline::decode(black_box(&encoded)).expect("encoded route decodes"),
+        ));
+        let service = ElevationService::new(SyntheticTerrain::new(7));
+        report.benches.push(single(
+            "service_sample_path_200",
+            samples,
+            "ElevationService: 200 equally spaced elevations along the 100-point \
+             route; corpus generation calls the terrain model directly, so only \
+             this entry times the service",
+            || service.sample_path(black_box(&path), 200),
+        ));
+
+        let mut sim = AthleteSimulator::new(SyntheticTerrain::new(3), 5);
+        let xml = sim.generate_one(CityId::WashingtonDc).gpx.to_xml();
+        let mut b = single("gpx_parse_activity", samples, "", || {
+            gpxfile::Gpx::parse(black_box(&xml)).expect("simulated activity parses")
+        });
+        b.note = format!(
+            "the shipped DOM reader (Gpx::parse) on one simulated activity \
+             ({} bytes): {:.1} MiB/s; ingest_throughput_* times the \
+             reconstructed pre-streaming reader and the streaming path instead",
+            xml.len(),
+            xml.len() as f64 / (1024.0 * 1024.0) / b.optimized_s,
+        );
+        report.benches.push(b);
+
+        let signals: Vec<Vec<f64>> = (0..100)
+            .map(|i| (0..80).map(|t| 50.0 + ((t as f64) * 0.2 + i as f64).sin() * 20.0).collect())
+            .collect();
+        report.benches.push(single(
+            "text_pipeline_fit_100x80",
+            samples,
+            "text pipeline fit (mined discretizer, 8-grams, standard feature \
+             selection) on 100 profiles of 80 points",
+            || {
+                TextPipeline::fit(
+                    Discretizer::mined(),
+                    8,
+                    FeatureSelection::standard(),
+                    black_box(&signals),
+                )
+            },
+        ));
+        report.benches.push(single(
+            "image_render_one",
+            samples,
+            "one 80-point profile rasterized to the 32x32 line graph",
+            || render(black_box(&signals[0]), &ImageConfig::default()),
+        ));
+    }
+
+    report.write(Path::new(env!("CARGO_TARGET_TMPDIR")));
 }
 
 /// The GPX front-end as it existed before the zero-copy streaming

@@ -1,7 +1,7 @@
 //! Serving-path benchmarks for the deterministic inference server.
 //!
-//! Written to `BENCH_serve.json` at the repository root (same schema
-//! as `BENCH_train.json` / `BENCH_kernels.json`):
+//! Written to `BENCH_serve.json` through `bench::harness` (the schema
+//! every suite shares):
 //!
 //! 1. the steady-state classify path (cached BoW → SVM + forest + MLP
 //!    for both tasks), with the zero-allocation claim asserted under a
@@ -18,62 +18,22 @@
 //! records the request volume and core count so they stay
 //! interpretable across machines.
 
+mod common;
+
+use bench::harness::{single, BenchEntry, BenchReport, Samples};
 use elev_core::ingest::{ingest_one, IngestConfig, TrackSource};
 use routegen::AthleteSimulator;
 use serve::client::HttpClient;
 use serve::{BundleConfig, InferenceArena, ModelBundle, ServeConfig, Server};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
 use std::time::{Duration, Instant};
 use terrain::{CityId, SyntheticTerrain};
 
-/// `System`, plus a process-wide allocation counter backing the
-/// zero-alloc assertion on the classify path.
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
 /// Every fixture and request stream in this suite derives from this.
 const SEED: u64 = 0x5E1F_BE4C;
-
-#[derive(Debug, serde::Serialize, serde::Deserialize)]
-struct ServeBench {
-    name: String,
-    baseline_s: Option<f64>,
-    optimized_s: f64,
-    speedup: Option<f64>,
-    note: String,
-}
-
-#[derive(Debug, serde::Serialize, serde::Deserialize)]
-struct BenchReport {
-    suite: String,
-    quick: bool,
-    samples: usize,
-    benches: Vec<ServeBench>,
-}
 
 /// What one fresh-connection burst request came back as.
 enum BurstOutcome {
@@ -128,34 +88,11 @@ fn burst_request(addr: SocketAddr, body: &[u8]) -> BurstOutcome {
     BurstOutcome::Served(status, response_body)
 }
 
-/// `p` in [0, 1] over an unsorted sample set (nearest-rank).
-fn percentile(latencies: &mut [f64], p: f64) -> f64 {
-    latencies.sort_unstable_by(f64::total_cmp);
-    let rank = ((latencies.len() as f64 * p).ceil() as usize).clamp(1, latencies.len());
-    latencies[rank - 1]
-}
-
-/// Median wall-clock seconds of `f` over `samples` runs (one warm-up).
-fn median_s<O>(samples: usize, mut f: impl FnMut() -> O) -> f64 {
-    black_box(f());
-    let mut times: Vec<f64> = (0..samples)
-        .map(|_| {
-            let t = Instant::now();
-            black_box(f());
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_unstable_by(f64::total_cmp);
-    times[times.len() / 2]
-}
-
 fn main() {
-    let quick = std::env::var("BENCH_QUICK").is_ok_and(|v| v != "0");
-    let samples = if quick { 20 } else { 200 };
+    let mut report = BenchReport::from_env("serve", 200, 20);
+    let (quick, samples) = (report.quick, report.samples);
     let per_client = if quick { 40 } else { 250 };
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut benches = Vec::new();
-    println!("serve suite (quick={quick}, {per_client} requests per client, {cores} cores)");
+    let cores = bench::harness::cores();
 
     // Deterministic clean uploads (same generation path as the serve
     // test harness) and the bundle that classifies them.
@@ -180,49 +117,41 @@ fn main() {
         let bow = task.bow(&profile);
         black_box(task.classify_bow(&bow, &mut arena));
     }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for _ in 0..100 {
-        for task in bundle.tasks() {
-            let bow = task.bow(&profile);
-            black_box(task.classify_bow(&bow, &mut arena));
+    let (classify_allocs, _) = common::count_allocs(|| {
+        for _ in 0..100 {
+            for task in bundle.tasks() {
+                let bow = task.bow(&profile);
+                black_box(task.classify_bow(&bow, &mut arena));
+            }
         }
-    }
-    let classify_allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    });
     assert_eq!(
         classify_allocs, 0,
         "steady-state classify path allocated {classify_allocs} times over 200 classifications"
     );
-    let classify_s = median_s(samples, || {
-        for task in bundle.tasks() {
-            let bow = task.bow(&profile);
-            black_box(task.classify_bow(&bow, &mut arena));
-        }
-    });
-    println!("  classify (both tasks): {:.1} us, 0 allocs", classify_s * 1e6);
-    benches.push(ServeBench {
-        name: "classify_both_tasks_warm".to_owned(),
-        baseline_s: None,
-        optimized_s: classify_s,
-        speedup: None,
-        note: "cached BoW + SVM + forest + MLP for TM-1 and TM-3; \
-               0 heap allocations asserted over 200 classifications"
-            .to_owned(),
-    });
+    report.benches.push(single(
+        "classify_both_tasks_warm",
+        samples,
+        "cached BoW + SVM + forest + MLP for TM-1 and TM-3; \
+         0 heap allocations asserted over 200 classifications",
+        || {
+            for task in bundle.tasks() {
+                let bow = task.bow(&profile);
+                black_box(task.classify_bow(&bow, &mut arena));
+            }
+        },
+    ));
 
     // --- 2. The offline report path: what one request costs without
     //        any transport (ingest dominates; the baseline for HTTP).
-    let offline_s = median_s(samples, || {
-        black_box(bundle.report_json(&docs[0], &mut arena));
-    });
-    println!("  offline report_json: {:.2} ms", offline_s * 1e3);
-    benches.push(ServeBench {
-        name: "offline_report_json".to_owned(),
-        baseline_s: None,
-        optimized_s: offline_s,
-        speedup: None,
-        note: "full ingest -> featurize -> classify -> render for one clean upload, in-process"
-            .to_owned(),
-    });
+    let offline = single(
+        "offline_report_json",
+        samples,
+        "full ingest -> featurize -> classify -> render for one clean upload, in-process",
+        || bundle.report_json(&docs[0], &mut arena),
+    );
+    let offline_s = offline.optimized_s;
+    report.benches.push(offline);
 
     // Expected bodies, so the load generator can assert correctness of
     // every served response while it measures.
@@ -274,29 +203,27 @@ fn main() {
         let wall = started.elapsed().as_secs_f64();
         server.shutdown();
 
-        let mut all: Vec<f64> = lat_sets.into_iter().flatten().collect();
-        let total = all.len();
-        let p50 = percentile(&mut all, 0.50);
-        let p99 = percentile(&mut all, 0.99);
+        let latencies = Samples::new(lat_sets.into_iter().flatten().collect());
+        let total = clients * per_client;
+        let p50 = latencies.percentile(0.50);
+        let p99 = latencies.percentile(0.99);
         let qps = total as f64 / wall;
         println!(
             "  {clients:>2} client(s): p50 {:.2} ms, p99 {:.2} ms, {qps:.0} req/s",
             p50 * 1e3,
             p99 * 1e3
         );
-        benches.push(ServeBench {
-            name: format!("served_report_p50_{clients}clients"),
-            baseline_s: Some(offline_s),
-            optimized_s: p50,
-            speedup: Some(offline_s / p50),
-            note: format!(
-                "{total} requests over {clients} keep-alive connection(s), \
-                 {clients} worker(s), {cores} cores: p99 {:.3} ms, {qps:.0} req/s; \
-                 every body asserted equal to the offline report; \
-                 baseline is the in-process report path",
-                p99 * 1e3
-            ),
-        });
+        let note = format!(
+            "{total} requests over {clients} keep-alive connection(s), \
+             {clients} worker(s), {cores} cores: p99 {:.3} ms, {qps:.0} req/s; \
+             every body asserted equal to the offline report; \
+             baseline is the in-process report path",
+            p99 * 1e3
+        );
+        report.benches.push(
+            BenchEntry::new(format!("served_report_p50_{clients}clients"), note, &latencies)
+                .against(offline_s),
+        );
     }
 
     // --- 4. Overload: a 4x burst (fresh connection per request) into
@@ -357,7 +284,7 @@ fn main() {
         let health = server.health();
         server.shutdown();
 
-        let mut accepted_lat: Vec<f64> =
+        let accepted_lat: Vec<f64> =
             outcomes.iter().flat_map(|(l, _, _)| l.iter().copied()).collect();
         let shed_503: u64 = outcomes.iter().map(|(_, s, _)| s).sum();
         let resets: u64 = outcomes.iter().map(|(_, _, r)| r).sum();
@@ -376,7 +303,8 @@ fn main() {
         assert!(served_ok > 0, "the burst starved every request");
         assert!(health.shed() > 0, "a 4x burst into queue depth 2 must shed");
 
-        let p99 = percentile(&mut accepted_lat, 0.99);
+        let accepted_lat = Samples::new(accepted_lat);
+        let p99 = accepted_lat.percentile(0.99);
         let shed_rate = health.shed() as f64 / total as f64;
         println!(
             "  overload 4x burst: {served_ok}/{total} served, {} shed \
@@ -386,19 +314,18 @@ fn main() {
             shed_503,
             p99 * 1e3
         );
-        benches.push(ServeBench {
-            name: "served_overload_4x_p99".to_owned(),
+        let note = format!(
+            "p99 latency of the {served_ok} accepted requests while {burst_clients} \
+             fresh-connection clients burst {total} uploads into 1 worker with queue \
+             depth 2 over {wall:.2} s; accepted bodies byte-equal offline; baseline \
+             is the in-process report path"
+        );
+        report.benches.push(BenchEntry {
             baseline_s: Some(offline_s),
             optimized_s: p99,
-            speedup: None,
-            note: format!(
-                "p99 latency of the {served_ok} accepted requests while {burst_clients} \
-                 fresh-connection clients burst {total} uploads into 1 worker with queue \
-                 depth 2 over {wall:.2} s; accepted bodies byte-equal offline; baseline \
-                 is the in-process report path"
-            ),
+            ..BenchEntry::new("served_overload_4x_p99", note, &accepted_lat)
         });
-        benches.push(ServeBench {
+        report.benches.push(BenchEntry {
             name: "served_overload_4x_shed_rate".to_owned(),
             baseline_s: None,
             optimized_s: shed_rate,
@@ -408,20 +335,12 @@ fn main() {
                  observed as 503 + Retry-After, {resets} as connection resets); \
                  /v1/health shed counter matched the client ledger exactly"
             ),
+            samples: total as usize,
+            cores,
+            p10_s: None,
+            p90_s: None,
         });
     }
 
-    let report = BenchReport {
-        suite: "serve".to_owned(),
-        quick,
-        samples,
-        benches,
-    };
-    let json = serde_json::to_string(&report).expect("report serializes");
-    // Round-trip before writing so a malformed report can never land.
-    let parsed: BenchReport = serde_json::from_str(&json).expect("report parses back");
-    assert_eq!(parsed.benches.len(), report.benches.len());
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    std::fs::write(path, &json).expect("write BENCH_serve.json");
-    println!("wrote {path}");
+    report.write(Path::new(env!("CARGO_TARGET_TMPDIR")));
 }

@@ -1,8 +1,8 @@
 //! Training-path benchmarks for the deterministic data-parallel CNN
 //! step and the zero-alloc training arenas.
 //!
-//! Three before/after pairs, written to `BENCH_train.json` at the
-//! repository root (same schema as `BENCH_kernels.json`):
+//! Three before/after pairs, written to `BENCH_train.json` through
+//! `bench::harness` (the schema every suite shares):
 //!
 //! 1. the single mini-batch step, serial vs 4-lane staged — trained
 //!    weights are bit-identical either way (asserted here), so the
@@ -13,128 +13,20 @@
 //! 3. end-to-end Table VII (TM-1, weighted loss) at quick scale,
 //!    serial vs budget-sized lanes, with identical confusions asserted.
 //!
-//! Lane speedup tracks the host's available parallelism: on the
-//! single-core reference container the lanes serialize onto one worker
-//! and the pair reads ~1.0x; each note records the observed core count
-//! so the numbers stay interpretable across machines. Run with
+//! Lane speedup tracks the host's available parallelism: on one core
+//! the lanes serialize onto one worker and the pair reads ~1.0x; each
+//! entry records the core count it ran on so the numbers stay
+//! interpretable across machines. Run with
 //! `cargo bench -p bench --bench train`; `BENCH_QUICK=1` for the smoke.
 
+mod common;
+
+use bench::harness::{deterministic_tensor, pair, BenchReport};
 use elev_core::experiments::{Corpora, ExperimentScale};
 use elev_core::image::{evaluate_image, ImageAttackConfig, ImageMethod};
 use neuralnet::{models, train, train_in_arena, Adam, Layer, TrainArena, TrainConfig};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
-use tensorlite::Tensor;
-
-/// `System`, plus a process-wide allocation counter so the bench can
-/// report allocations-per-step for the cold and warm training paths.
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-/// (allocation count, bytes requested) of one run of `f` (includes
-/// worker threads).
-fn count_allocs(mut f: impl FnMut()) -> (u64, u64) {
-    let count0 = ALLOCATIONS.load(Ordering::Relaxed);
-    let bytes0 = ALLOCATED_BYTES.load(Ordering::Relaxed);
-    f();
-    (
-        ALLOCATIONS.load(Ordering::Relaxed) - count0,
-        ALLOCATED_BYTES.load(Ordering::Relaxed) - bytes0,
-    )
-}
-
-/// One before/after measurement (times in seconds, medians). Same
-/// shape as the `kernels` suite so downstream tooling parses both.
-#[derive(Debug, serde::Serialize, serde::Deserialize)]
-struct TrainBench {
-    name: String,
-    baseline_s: Option<f64>,
-    optimized_s: f64,
-    speedup: Option<f64>,
-    note: String,
-}
-
-#[derive(Debug, serde::Serialize, serde::Deserialize)]
-struct BenchReport {
-    suite: String,
-    quick: bool,
-    samples: usize,
-    benches: Vec<TrainBench>,
-}
-
-/// Median wall-clock seconds of `f` over `samples` runs (one warm-up).
-fn median_s<O>(samples: usize, mut f: impl FnMut() -> O) -> f64 {
-    black_box(f());
-    let mut times: Vec<f64> = (0..samples)
-        .map(|_| {
-            let t = Instant::now();
-            black_box(f());
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_unstable_by(f64::total_cmp);
-    times[times.len() / 2]
-}
-
-fn entry(
-    name: &str,
-    samples: usize,
-    note: String,
-    mut baseline: impl FnMut(),
-    mut optimized: impl FnMut(),
-) -> TrainBench {
-    let baseline_s = median_s(samples, &mut baseline);
-    let optimized_s = median_s(samples, &mut optimized);
-    let speedup = baseline_s / optimized_s;
-    println!(
-        "  {name}: baseline {:.3} ms, optimized {:.3} ms ({speedup:.2}x)",
-        baseline_s * 1e3,
-        optimized_s * 1e3
-    );
-    TrainBench {
-        name: name.to_owned(),
-        baseline_s: Some(baseline_s),
-        optimized_s,
-        speedup: Some(speedup),
-        note,
-    }
-}
-
-fn deterministic_tensor(shape: &[usize], salt: u64) -> Tensor {
-    let len: usize = shape.iter().product();
-    let data: Vec<f32> = (0..len)
-        .map(|i| {
-            let h = (i as u64 ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            ((h >> 40) as f32 / (1u64 << 24) as f32) - 0.5
-        })
-        .collect();
-    Tensor::from_vec(data, shape)
-}
+use std::path::Path;
 
 /// `to_bits` of every trained parameter, for bit-identity assertions.
 fn weight_bits(net: &mut neuralnet::Sequential) -> Vec<u32> {
@@ -144,11 +36,9 @@ fn weight_bits(net: &mut neuralnet::Sequential) -> Vec<u32> {
 }
 
 fn main() {
-    let quick = std::env::var("BENCH_QUICK").is_ok_and(|v| v != "0");
-    let samples = if quick { 3 } else { 9 };
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut benches = Vec::new();
-    println!("train suite (quick={quick}, {samples} samples per bench, {cores} cores)");
+    let mut report = BenchReport::from_env("train", 9, 3);
+    let (quick, samples) = (report.quick, report.samples);
+    let cores = bench::harness::cores();
 
     // The staged path reads the two-level budget from the environment;
     // pin it so the measurement does not depend on the caller's shell.
@@ -184,7 +74,7 @@ fn main() {
     let mut lane_net = models::paper_cnn(4, 1);
     let mut lane_adam = Adam::new(lane_cfg.lr);
     let mut lane_arena = TrainArena::new();
-    benches.push(entry(
+    report.benches.push(pair(
         "cnn_epoch_64imgs_serial_vs_4lane",
         samples,
         format!(
@@ -223,11 +113,11 @@ fn main() {
     cold_net.reset_scratch();
     train(&mut cold_net, &x, &y, &serial_cfg);
     train_in_arena(&mut warm_net, &x, &y, &serial_cfg, &mut warm_adam, &mut warm_arena);
-    let (cold_allocs, cold_bytes) = count_allocs(|| {
+    let (cold_allocs, cold_bytes) = common::count_allocs(|| {
         cold_net.reset_scratch();
         black_box(train(&mut cold_net, &x, &y, &serial_cfg));
     });
-    let (warm_allocs, warm_bytes) = count_allocs(|| {
+    let (warm_allocs, warm_bytes) = common::count_allocs(|| {
         black_box(train_in_arena(
             &mut warm_net,
             &x,
@@ -237,7 +127,7 @@ fn main() {
             &mut warm_arena,
         ));
     });
-    benches.push(entry(
+    report.benches.push(pair(
         "cnn_epoch_64imgs_cold_vs_warm_arena",
         samples,
         format!(
@@ -282,7 +172,7 @@ fn main() {
         "table7 outcome must not depend on the lane count"
     );
     let e2e_samples = if quick { 1 } else { 3 };
-    benches.push(entry(
+    report.benches.push(pair(
         "table7_tm1_wl_quick_serial_vs_lanes",
         e2e_samples,
         format!(
@@ -301,17 +191,5 @@ fn main() {
 
     std::env::remove_var("ELEV_INNER_THREADS");
 
-    let report = BenchReport {
-        suite: "train".to_owned(),
-        quick,
-        samples,
-        benches,
-    };
-    let json = serde_json::to_string(&report).expect("report serializes");
-    // Round-trip before writing so a malformed report can never land.
-    let parsed: BenchReport = serde_json::from_str(&json).expect("report parses back");
-    assert_eq!(parsed.benches.len(), report.benches.len());
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_train.json");
-    std::fs::write(path, &json).expect("write BENCH_train.json");
-    println!("wrote {path}");
+    report.write(Path::new(env!("CARGO_TARGET_TMPDIR")));
 }

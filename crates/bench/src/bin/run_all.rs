@@ -1,6 +1,7 @@
 //! Runs every experiment in sequence, printing a compact summary —
 //! including the paper's headline accuracy range (§I: 59.59%–95.83%).
 
+use bench::harness::{committed_path, BenchReport};
 use bench::{pct, start, TextTable};
 use elev_core::experiments::*;
 use elev_core::text::TextModel;
@@ -199,21 +200,15 @@ fn fmt_bytes(b: u64) -> String {
     }
 }
 
-/// Per-kernel speedups from the committed bench trajectory, if a
-/// parseable `BENCH_kernels.json` sits at the repository root (run
+/// Per-kernel speedups from the committed bench trajectory, if
+/// `BENCH_kernels.json` sits at the repository root (run
 /// `cargo bench -p bench --bench kernels` to refresh it).
 fn kernel_speedups() -> Option<String> {
-    #[derive(serde::Deserialize)]
-    struct Entry {
-        name: String,
-        speedup: Option<f64>,
-    }
-    #[derive(serde::Deserialize)]
-    struct Report {
-        benches: Vec<Entry>,
-    }
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
-    let report: Report = serde_json::from_str(&std::fs::read_to_string(path).ok()?).ok()?;
+    let text = std::fs::read_to_string(committed_path("kernels")).ok()?;
+    let report: BenchReport = match serde_json::from_str(&text) {
+        Ok(report) => report,
+        Err(e) => return Some(format!("unreadable ({e})")),
+    };
     let lines: Vec<String> = report
         .benches
         .iter()

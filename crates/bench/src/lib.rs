@@ -7,9 +7,14 @@
 //! `quick` scale finishes in seconds. Set `ELEV_SEED=<u64>` to change
 //! the master seed (default 42), and `ELEV_THREADS=<n>` to size the
 //! worker pool (results are bit-identical at every thread count).
+//!
+//! [`harness`] is the timing harness the `kernels`, `train` and `serve`
+//! bench suites share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod harness;
 
 use elev_core::experiments::ExperimentScale;
 use evalkit::FoldOutcome;
