@@ -538,7 +538,10 @@ impl AnnIndex {
     /// generation all match. When only new shards were appended (the
     /// config still matches and the sidecar list is a prefix of the
     /// store's shard list), sidecars for the new shards are built from
-    /// the frozen codebook — the incremental path. Anything else
+    /// the frozen codebook — the incremental path. Both require every
+    /// existing sidecar to hold as many entries as its shard holds
+    /// rows: a store rebuilt in place (grown from a partial last shard)
+    /// republishes generation 1 with rewritten shards. Anything else
     /// rebuilds from scratch.
     ///
     /// # Errors
@@ -556,7 +559,8 @@ impl AnnIndex {
                 && idx.manifest.k == k as u64
                 && idx.manifest.seed == seed
                 && idx.manifest.n_cols == m.n_cols
-                && idx.manifest.shards.len() <= m.shards.len();
+                && idx.manifest.shards.len() <= m.shards.len()
+                && idx.manifest.shards.iter().zip(&m.shards).all(|(a, s)| a.entries == s.rows);
             if compatible {
                 if idx.manifest.generation == m.generation
                     && idx.manifest.shards.len() == m.shards.len()

@@ -19,6 +19,7 @@
 use bench::harness::{deterministic_tensor, pair, single, BenchEntry, BenchReport};
 use classicml::{ForestConfig, RandomForest, SvmClassifier, SvmConfig};
 use elev_core::ingest::{ingest_one, IngestConfig, StreamingIngest, TrackSource};
+use elev_core::scale::{fit_vocabulary, push_topk, recall_at3, OverlapSig, Probe};
 use geoprim::{polyline, BoundingBox, LatLon};
 use imgrep::{render, ImageConfig};
 use neuralnet::{models, train, train_in_arena, Adam, Layer, TrainArena, TrainConfig};
@@ -116,61 +117,6 @@ fn sample_path(n: usize) -> Vec<LatLon> {
     let bounds = BoundingBox::new(LatLon::new(38.8, -77.12), LatLon::new(39.0, -76.9));
     let params = RouteParams::segment((n as f64) * 20.0, RouteKind::Wander);
     generate_route(&mut rng, LatLon::new(38.9, -77.0), &bounds, &params)
-}
-
-/// The exact scan's vocabulary-overlap prefilter (feature-index range
-/// and 512-bit bloom), mirrored from the matcher so the baseline
-/// times the shipped exact path, not a strawman.
-struct OverlapSig {
-    first: u32,
-    last: u32,
-    bloom: [u64; 8],
-}
-
-impl OverlapSig {
-    fn new(indices: &[u32]) -> Self {
-        let mut bloom = [0u64; 8];
-        for &i in indices {
-            bloom[(i as usize >> 6) % 8] |= 1u64 << (i & 63);
-        }
-        Self {
-            first: indices.first().copied().unwrap_or(u32::MAX),
-            last: indices.last().copied().unwrap_or(0),
-            bloom,
-        }
-    }
-
-    fn may_overlap(&self, other: &Self) -> bool {
-        if self.first > other.last || other.first > self.last {
-            return false;
-        }
-        self.bloom.iter().zip(&other.bloom).any(|(a, b)| a & b != 0)
-    }
-}
-
-/// Top-3 distinct-athlete hits ordered score desc then athlete asc —
-/// the matcher's hit discipline.
-fn push_top3(top: &mut Vec<(f32, u64)>, score: f32, athlete: u64) {
-    let before = |a: &(f32, u64), b: &(f32, u64)| match a.0.total_cmp(&b.0) {
-        std::cmp::Ordering::Greater => true,
-        std::cmp::Ordering::Less => false,
-        std::cmp::Ordering::Equal => a.1 < b.1,
-    };
-    if let Some(existing) = top.iter_mut().find(|e| e.1 == athlete) {
-        if before(&(score, athlete), existing) {
-            *existing = (score, athlete);
-        }
-    } else {
-        top.push((score, athlete));
-    }
-    top.sort_by(|a, b| {
-        if before(a, b) {
-            std::cmp::Ordering::Less
-        } else {
-            std::cmp::Ordering::Greater
-        }
-    });
-    top.truncate(3);
 }
 
 fn matmul_pair(name: &str, m: usize, k: usize, n: usize, samples: usize, note: &str) -> BenchEntry {
@@ -375,8 +321,8 @@ fn main() {
             .flat_map(|a| &a.activities)
             .map(|act| act.elevation_profile())
             .collect();
-        let store_pipeline =
-            TextPipeline::fit(Discretizer::Floor, 4, FeatureSelection::standard(), &profiles);
+        let vocabulary = fit_vocabulary(&pop);
+        let store_pipeline = vocabulary.pipeline();
         let dir = std::env::temp_dir().join(format!("elev-bench-fst-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("mkdir");
@@ -433,8 +379,10 @@ fn main() {
     // (streaming every row, overlap-prefiltered dots) vs the
     // deterministic IVF index (centroid routing + posting-list
     // rescoring with the same exact dot). Both paths run over one
-    // published feature store built from the real population corpus;
-    // the pair is the sublinearity evidence for `ELEV_ANN`.
+    // published feature store built from the real population corpus
+    // and match through the shipped matcher (`elev_core::scale`
+    // probes, overlap signature, scoring and top-3 ranking); the pair
+    // is the sublinearity evidence for `ELEV_ANN`.
     {
         let n_athletes = if quick { 2_000 } else { 10_000 };
         let tag = if quick { "2k" } else { "10k" };
@@ -450,30 +398,15 @@ fn main() {
         // Probe features live in the store's feature space: the same
         // shard-0-fitted vocabulary `build_store` used.
         let terrain = cfg.population.terrain();
-        let shard0 = cfg.population.generate_shard(&terrain, 0);
-        let fit_profiles: Vec<Vec<f64>> = shard0
-            .athletes
-            .iter()
-            .flat_map(|a| &a.activities)
-            .map(|act| act.elevation_profile())
-            .collect();
-        let pipeline =
-            TextPipeline::fit(Discretizer::Floor, 4, FeatureSelection::standard(), &fit_profiles);
-        assert_eq!(pipeline.n_features(), build.n_cols, "probe space != store space");
+        let vocabulary = fit_vocabulary(&cfg.population);
+        assert_eq!(vocabulary.pipeline().n_features(), build.n_cols, "probe space != store space");
 
         let n_probes = 32u64;
-        let probes: Vec<(Vec<u32>, Vec<f32>, f32)> = (0..n_probes)
-            .map(|id| {
-                let habits = cfg.population.habits(id);
-                let mut acts =
-                    cfg.population.athlete_activities(&terrain, id, habits.weekly_cadence + 1);
-                let held_out = acts.pop().expect("cadence + 1 activities");
-                let sv = pipeline.transform_sparse(&held_out.elevation_profile());
-                (sv.indices().to_vec(), sv.values().to_vec(), annindex::l2(sv.values()))
-            })
+        let probes: Vec<Probe> = (0..n_probes)
+            .map(|id| Probe::held_out(&cfg.population, &terrain, id, vocabulary.pipeline()))
             .collect();
         let probe_sigs: Vec<OverlapSig> =
-            probes.iter().map(|(idx, _, _)| OverlapSig::new(idx)).collect();
+            probes.iter().map(|p| OverlapSig::new(p.features.indices())).collect();
 
         // Each pass answers every query independently — the serving
         // shape (one uploaded profile, one top-3 answer), which is
@@ -481,8 +414,7 @@ fn main() {
         // whole store per query, the IVF path only its probed lists.
         let n_shards = store.manifest().shards.len();
         let exact_query = |pi: usize, row: &mut featstore::RowBuf| {
-            let (pidx, pval, pnorm) = &probes[pi];
-            let mut top: Vec<(f32, u64)> = Vec::new();
+            let mut top = Vec::new();
             for s in 0..n_shards {
                 let mut r = store.reader(s).expect("reader");
                 while r.next_row(row).expect("next row") {
@@ -490,9 +422,8 @@ fn main() {
                     if rn == 0.0 || !probe_sigs[pi].may_overlap(&OverlapSig::new(&row.indices)) {
                         continue;
                     }
-                    let dot = sparsemat::dot_sorted(pidx, pval, &row.indices, &row.values);
-                    if dot > 0.0 {
-                        push_top3(&mut top, dot / (pnorm * rn), row.athlete);
+                    if let Some(hit) = probes[pi].score(row, rn) {
+                        push_topk(&mut top, hit, 3);
                     }
                 }
             }
@@ -503,11 +434,10 @@ fn main() {
             annindex::AnnIndex::ensure(&store, 64, cfg.population.seed, &exec).expect("index");
         let probe_lists: Vec<Vec<u32>> = probes
             .iter()
-            .map(|(idx, val, _)| index.codebook().top_centroids(idx, val, 8))
+            .map(|p| index.codebook().top_centroids(p.features.indices(), p.features.values(), 8))
             .collect();
         let ann_query = |pi: usize, row: &mut featstore::RowBuf| {
-            let (pidx, pval, pnorm) = &probes[pi];
-            let mut top: Vec<(f32, u64)> = Vec::new();
+            let mut top = Vec::new();
             let mut rescored = 0u64;
             for s in 0..n_shards {
                 let lists = index.postings(s).expect("postings");
@@ -519,9 +449,8 @@ fn main() {
                         }
                         r.read_row_at(e.offset, row).expect("positioned row");
                         rescored += 1;
-                        let dot = sparsemat::dot_sorted(pidx, pval, &row.indices, &row.values);
-                        if dot > 0.0 {
-                            push_top3(&mut top, dot / (pnorm * e.norm), e.athlete);
+                        if let Some(hit) = probes[pi].score(row, e.norm) {
+                            push_topk(&mut top, hit, 3);
                         }
                     }
                 }
@@ -537,12 +466,7 @@ fn main() {
                 let exact = exact_query(pi, &mut row);
                 let (ann, pairs) = ann_query(pi, &mut row);
                 rescored += pairs;
-                if exact.is_empty() {
-                    return 1.0;
-                }
-                let kept =
-                    exact.iter().filter(|(_, a)| ann.iter().any(|(_, b)| a == b)).count();
-                kept as f64 / exact.len() as f64
+                recall_at3(&exact, &ann)
             })
             .sum::<f64>()
             / probes.len() as f64;

@@ -7,8 +7,10 @@
 //! - `ELEV_POP_SIZE` — total athletes (default 10 000);
 //! - `ELEV_SHARD_SIZE` — athletes per shard (default 1024);
 //! - `ELEV_STORE_DIR` — feature-store directory (default
-//!   `target/featstore`; reused when the config fingerprint matches,
-//!   grown in place when only the athlete count increased);
+//!   `target/featstore`; reused when the config fingerprint matches;
+//!   when only the athlete count increased, grown in place if the old
+//!   population fills whole shards, otherwise rebuilt, IVF index
+//!   included);
 //! - `ELEV_ANN` — set to `1` to match probes through the deterministic
 //!   IVF index (sublinear candidate scan + exact rescoring) instead of
 //!   the exact brute-force scan, with recall@3 accounting;

@@ -15,6 +15,7 @@ use crate::digest::Digest;
 use elev_core::experiments::{table4_tm1, Corpora, ExperimentScale};
 use elev_core::ingest::{ingest_batch, IngestConfig, TrackSource};
 use elev_core::robustness::robustness_sweep;
+use elev_core::scale::{fit_vocabulary, push_topk, recall_at3, Probe};
 use faultsim::{corrupt_track, FaultPlan, Payload};
 use imgrep::{render, ImageConfig};
 use routegen::{Activity, AthleteSimulator};
@@ -432,24 +433,14 @@ pub fn compute_stages(seed: u64) -> Vec<StageArtifact> {
     // `tests/formats.rs` and their framing by the `durable` ladder;
     // this digest pins the *math*: any drift in centroid seeding,
     // assignment tie-breaks, or the rescoring order breaks this golden.
+    // Vocabulary, probes, scoring, top-3 ranking and recall are the
+    // shipped matcher's own (`elev_core::scale`), so this digest pins
+    // the code the scale sweep runs.
     {
         let pop = conformance_population(seed);
         let terrain = pop.terrain();
-
-        // Vocabulary fitted on shard 0 only — the same discipline the
-        // feature store uses, so grown corpora share the feature space.
-        let shard0 = pop.generate_shard(&terrain, 0);
-        let fit_profiles: Vec<Vec<f64>> = shard0
-            .athletes
-            .iter()
-            .flat_map(|a| a.activities.iter().map(Activity::elevation_profile))
-            .collect();
-        let pipeline = TextPipeline::fit(
-            Discretizer::Floor,
-            4,
-            FeatureSelection::standard(),
-            &fit_profiles,
-        );
+        let vocabulary = fit_vocabulary(&pop);
+        let pipeline = vocabulary.pipeline();
 
         let mut rows: Vec<featstore::RowBuf> = Vec::new();
         let mut shard0_rows = 0usize;
@@ -495,46 +486,25 @@ pub fn compute_stages(seed: u64) -> Vec<StageArtifact> {
         let n_probes = 8u64;
         let (mut recall_sum, mut rescored) = (0.0f64, 0usize);
         for id in 0..n_probes {
-            let habits = pop.habits(id);
-            let mut acts = pop.athlete_activities(&terrain, id, habits.weekly_cadence + 1);
-            let probe = acts.pop().expect("cadence + 1 activities");
-            let f = pipeline.transform_sparse(&probe.elevation_profile());
-            let p_norm = annindex::l2(f.values());
-
-            let score =
-                |r: &featstore::RowBuf, rn: f32| {
-                    let dot = sparsemat::dot_sorted(f.indices(), f.values(), &r.indices, &r.values);
-                    if dot > 0.0 && rn > 0.0 {
-                        Some(dot / (p_norm * rn))
-                    } else {
-                        None
-                    }
-                };
+            let probe = Probe::held_out(&pop, &terrain, id, pipeline);
+            let f = &probe.features;
             let selected = codebook.top_centroids(f.indices(), f.values(), nprobe);
-            let mut ann_top: Vec<(f32, u64)> = Vec::new();
+            let mut ann_top = Vec::new();
             for &c in &selected {
                 for &ri in &lists[c as usize] {
                     rescored += 1;
-                    if let Some(s) = score(&rows[ri], norms[ri]) {
-                        push_top3(&mut ann_top, s, rows[ri].athlete);
+                    if let Some(hit) = probe.score(&rows[ri], norms[ri]) {
+                        push_topk(&mut ann_top, hit, 3);
                     }
                 }
             }
-            let mut exact_top: Vec<(f32, u64)> = Vec::new();
-            for (ri, r) in rows.iter().enumerate() {
-                if let Some(s) = score(r, norms[ri]) {
-                    push_top3(&mut exact_top, s, r.athlete);
+            let mut exact_top = Vec::new();
+            for (r, &rn) in rows.iter().zip(&norms) {
+                if let Some(hit) = probe.score(r, rn) {
+                    push_topk(&mut exact_top, hit, 3);
                 }
             }
-            recall_sum += if exact_top.is_empty() {
-                1.0
-            } else {
-                let kept = exact_top
-                    .iter()
-                    .filter(|(_, a)| ann_top.iter().any(|(_, b)| a == b))
-                    .count();
-                kept as f64 / exact_top.len() as f64
-            };
+            recall_sum += recall_at3(&exact_top, &ann_top);
 
             d.u64(id);
             for &c in &selected {
@@ -542,8 +512,8 @@ pub fn compute_stages(seed: u64) -> Vec<StageArtifact> {
             }
             for top in [&ann_top, &exact_top] {
                 d.usize(top.len());
-                for (s, a) in top.iter() {
-                    d.f32s(&[*s]).u64(*a);
+                for h in top {
+                    d.f32s(&[h.score]).u64(h.athlete);
                 }
             }
         }
@@ -562,31 +532,6 @@ pub fn compute_stages(seed: u64) -> Vec<StageArtifact> {
 
     debug_assert_eq!(out.len(), STAGE_NAMES.len());
     out
-}
-
-/// Inserts into a top-3 list of distinct athletes ordered by score
-/// desc then athlete asc — the matcher's hit discipline.
-fn push_top3(top: &mut Vec<(f32, u64)>, score: f32, athlete: u64) {
-    let before = |a: &(f32, u64), b: &(f32, u64)| match a.0.total_cmp(&b.0) {
-        std::cmp::Ordering::Greater => true,
-        std::cmp::Ordering::Less => false,
-        std::cmp::Ordering::Equal => a.1 < b.1,
-    };
-    if let Some(existing) = top.iter_mut().find(|e| e.1 == athlete) {
-        if before(&(score, athlete), existing) {
-            *existing = (score, athlete);
-        }
-    } else {
-        top.push((score, athlete));
-    }
-    top.sort_by(|a, b| {
-        if before(a, b) {
-            std::cmp::Ordering::Less
-        } else {
-            std::cmp::Ordering::Greater
-        }
-    });
-    top.truncate(3);
 }
 
 /// The quick-scale population the `corpus.shard` stage and the

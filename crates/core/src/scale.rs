@@ -30,14 +30,25 @@
 //! bit-identical at any thread count and shard order: per-row scores
 //! are pure, per-shard partials are merged in shard order, and ties
 //! break on `(score, athlete)` with total ordering.
+//!
+//! How a probe is matched is decided here and nowhere else. The
+//! public matcher items are the one probe path: [`fit_vocabulary`]
+//! (the shard-0 feature space), [`Probe::held_out`] (the probe
+//! recipe), [`Probe::score`] (the cosine and its drops), [`Hit`] with
+//! [`push_topk`] (the distinct-athlete ranking), [`OverlapSig`] (the
+//! exact scan's prefilter) and [`recall_at3`] (IVF against exact).
+//! Both shard scans, the `ann.sweep` conformance stage and the
+//! `ann_match` kernel bench call them; a served `POST /v1/identify`
+//! calls them too rather than carrying a copy.
 
-use annindex::AnnIndex;
+use annindex::{l2, AnnIndex};
 use exec::Executor;
 use featstore::{FeatureStore, RowBuf, ShardEntry, ShardWriter, StoreManifest, MANIFEST};
 use routegen::PopulationConfig;
 use sparsemat::{dot_sorted, SparseVec};
 use std::path::{Path, PathBuf};
-use textrep::{Discretizer, FeatureSelection};
+use terrain::SyntheticTerrain;
+use textrep::{Discretizer, FeatureSelection, TextPipeline};
 
 /// The fixed featurization every scale corpus uses: the paper's
 /// user-dataset setting (plain floor discretization, 4-grams,
@@ -162,7 +173,11 @@ pub fn population_ladder(max: usize) -> Vec<usize> {
     sizes
 }
 
-fn fit_pipeline(pop: &PopulationConfig) -> crate::featcache::SharedPipeline {
+/// Fits the scale vocabulary: the [`SCALE_NGRAM`] featurization on the
+/// elevation profiles of shard 0 alone, so the feature space is the
+/// same at every population size. Memoized through
+/// [`featcache`](crate::featcache).
+pub fn fit_vocabulary(pop: &PopulationConfig) -> crate::featcache::SharedPipeline {
     let terrain = pop.terrain();
     let shard0 = pop.generate_shard(&terrain, 0);
     let profiles: Vec<Vec<f64>> = shard0
@@ -247,7 +262,8 @@ fn store_report(m: &StoreManifest, dir: &Path, reused: bool, appended: usize) ->
 /// extension of it — only the new shards are generated and
 /// featurized (the vocabulary is fitted on shard 0, which appends
 /// never touch), and the manifest generation bumps via the
-/// crash-safe append path.
+/// crash-safe append path. A store whose last shard is partial is
+/// rebuilt instead, at generation 1.
 ///
 /// # Errors
 ///
@@ -272,7 +288,7 @@ pub fn build_store(
             && m.athletes % m.shard_size == 0
             && m.shards.len() * pop.shard_size == m.athletes as usize
         {
-            let pipeline = fit_pipeline(pop);
+            let pipeline = fit_vocabulary(pop);
             let n_cols = pipeline.pipeline().n_features();
             if n_cols as u64 == m.n_cols {
                 let terrain = pop.terrain();
@@ -294,7 +310,7 @@ pub fn build_store(
     }
     std::fs::create_dir_all(&cfg.store_dir)?;
 
-    let pipeline = fit_pipeline(pop);
+    let pipeline = fit_vocabulary(pop);
     let n_cols = pipeline.pipeline().n_features();
     let terrain = pop.terrain();
     let shard_ids: Vec<usize> = (0..pop.n_shards()).collect();
@@ -328,19 +344,62 @@ pub fn build_store(
 
 /// One probe: a fresh (held-out) activity of a candidate athlete.
 #[derive(Debug, Clone)]
-struct Probe {
-    athlete: u64,
-    city: u32,
-    features: SparseVec,
-    norm: f32,
+pub struct Probe {
+    /// Global id of the probe's athlete.
+    pub athlete: u64,
+    /// The athlete's home-city label.
+    pub city: u32,
+    /// The held-out activity's features in the scale vocabulary.
+    pub features: SparseVec,
+    /// L2 norm of `features`.
+    pub norm: f32,
+}
+
+impl Probe {
+    /// Athlete `id`'s *next* activity beyond the stored history (the
+    /// seed tree's activity `weekly_cadence`), featurized through
+    /// `vocabulary`.
+    pub fn held_out(
+        pop: &PopulationConfig,
+        terrain: &SyntheticTerrain,
+        id: u64,
+        vocabulary: &TextPipeline,
+    ) -> Self {
+        let habits = pop.habits(id);
+        let mut acts = pop.athlete_activities(terrain, id, habits.weekly_cadence + 1);
+        let act = acts.pop().expect("cadence + 1 activities");
+        let features = vocabulary.transform_sparse(&act.elevation_profile());
+        let norm = l2(features.values());
+        Self { athlete: id, city: habits.city_index as u32, features, norm }
+    }
+
+    /// Scores one stored row of norm `row_norm`: the cosine
+    /// `dot / (|p|·|r|)` as a hit for the row's athlete, or `None` when
+    /// the row has zero norm or `dot <= 0` (no shared vocabulary).
+    #[inline]
+    pub fn score(&self, row: &RowBuf, row_norm: f32) -> Option<Hit> {
+        if row_norm == 0.0 {
+            return None;
+        }
+        let dot =
+            dot_sorted(self.features.indices(), self.features.values(), &row.indices, &row.values);
+        (dot > 0.0).then(|| Hit {
+            score: dot / (self.norm * row_norm),
+            athlete: row.athlete,
+            city: row.city,
+        })
+    }
 }
 
 /// One candidate hit during matching.
 #[derive(Debug, Clone, Copy)]
-struct Hit {
-    score: f32,
-    athlete: u64,
-    city: u32,
+pub struct Hit {
+    /// Cosine score against the probe.
+    pub score: f32,
+    /// Global id of the row's athlete.
+    pub athlete: u64,
+    /// The row's home-city label.
+    pub city: u32,
 }
 
 /// Total, deterministic hit ordering: score desc, then athlete asc.
@@ -353,8 +412,9 @@ fn hit_before(a: &Hit, b: &Hit) -> bool {
 }
 
 /// Inserts `hit` into a top-k list of *distinct athletes* (an
-/// athlete's best-scoring track represents them).
-fn push_topk(top: &mut Vec<Hit>, hit: Hit, k: usize) {
+/// athlete's best-scoring track represents them), ordered score desc
+/// then athlete asc.
+pub fn push_topk(top: &mut Vec<Hit>, hit: Hit, k: usize) {
     if let Some(existing) = top.iter_mut().find(|h| h.athlete == hit.athlete) {
         if hit_before(&hit, existing) {
             *existing = hit;
@@ -366,8 +426,15 @@ fn push_topk(top: &mut Vec<Hit>, hit: Hit, k: usize) {
     top.truncate(k);
 }
 
-fn l2(values: &[f32]) -> f32 {
-    values.iter().map(|v| v * v).sum::<f32>().sqrt()
+/// Recall@3 of one probe's IVF hit list against its exact one: the
+/// share of the exact list's athletes the IVF list kept (1.0 when the
+/// exact list is empty).
+pub fn recall_at3(exact: &[Hit], ann: &[Hit]) -> f64 {
+    if exact.is_empty() {
+        return 1.0;
+    }
+    let kept = exact.iter().filter(|h| ann.iter().any(|a| a.athlete == h.athlete)).count();
+    kept as f64 / exact.len() as f64
 }
 
 /// Width of the vocabulary-overlap bloom signature, in 64-bit words.
@@ -378,14 +445,15 @@ const BLOOM_WORDS: usize = 8;
 /// no bloom bit with a probe provably has zero vocabulary overlap, so
 /// its dot product is exactly zero — which the scan discards anyway.
 /// The prefilter therefore only skips work, never changes output.
-struct OverlapSig {
+pub struct OverlapSig {
     first: u32,
     last: u32,
     bloom: [u64; BLOOM_WORDS],
 }
 
 impl OverlapSig {
-    fn new(indices: &[u32]) -> Self {
+    /// The signature of a sorted feature-index list.
+    pub fn new(indices: &[u32]) -> Self {
         let mut bloom = [0u64; BLOOM_WORDS];
         for &i in indices {
             bloom[(i as usize >> 6) % BLOOM_WORDS] |= 1u64 << (i & 63);
@@ -397,7 +465,8 @@ impl OverlapSig {
         }
     }
 
-    fn may_overlap(&self, other: &Self) -> bool {
+    /// `false` only when the two index lists provably share no index.
+    pub fn may_overlap(&self, other: &Self) -> bool {
         if self.first > other.last || other.first > self.last {
             return false;
         }
@@ -528,27 +597,27 @@ fn build_probes(cfg: &ScaleConfig, pipeline: &crate::featcache::SharedPipeline) 
     let mut per_city = vec![0usize; pop.cities.len()];
     let mut picks = Vec::new();
     for id in 0..min_size.min(pop.athletes as u64) {
-        let habits = pop.habits(id);
-        if per_city[habits.city_index] < cfg.probes_per_city {
-            per_city[habits.city_index] += 1;
-            picks.push(habits);
+        let city = pop.habits(id).city_index;
+        if per_city[city] < cfg.probes_per_city {
+            per_city[city] += 1;
+            picks.push(id);
         }
     }
-    picks
-        .into_iter()
-        .map(|habits| {
-            let mut acts =
-                pop.athlete_activities(&terrain, habits.id, habits.weekly_cadence + 1);
-            let probe_act = acts.pop().expect("cadence + 1 activities");
-            let features = pipeline.pipeline().transform_sparse(&probe_act.elevation_profile());
-            let norm = l2(features.values());
-            Probe { athlete: habits.id, city: habits.city_index as u32, features, norm }
-        })
-        .collect()
+    picks.into_iter().map(|id| Probe::held_out(pop, &terrain, id, pipeline.pipeline())).collect()
 }
 
 /// Per-probe, per-population-size top-3 hit lists.
 type TopHits = Vec<Vec<Vec<Hit>>>;
+
+/// What a shard scan returns, and what [`merge_partials`] folds them
+/// into: per-probe, per-size top-3 hits, per-size cumulative track
+/// counts, and the `(probe, row)` pairs the IVF scan rescored (0 on the
+/// exact scan).
+struct Partial {
+    top: TopHits,
+    tracks: Vec<u64>,
+    rescored: u64,
+}
 
 /// Scans one shard exactly: for every probe and every population
 /// size, the top-3 distinct-athlete hits among the shard's rows with
@@ -567,7 +636,7 @@ fn scan_shard(
     sigs: &[OverlapSig],
     sizes: &[usize],
     row: &mut RowBuf,
-) -> Result<(TopHits, Vec<u64>), durable::Error> {
+) -> Result<Partial, durable::Error> {
     let mut top: TopHits = vec![vec![Vec::with_capacity(4); sizes.len()]; probes.len()];
     let mut buckets = vec![0u64; sizes.len()];
     let mut reader = store.reader(shard)?;
@@ -586,31 +655,22 @@ fn scan_shard(
             if !sigs[pi].may_overlap(&row_sig) {
                 continue;
             }
-            let dot = dot_sorted(
-                probe.features.indices(),
-                probe.features.values(),
-                &row.indices,
-                &row.values,
-            );
-            if dot <= 0.0 {
-                continue;
-            }
-            let hit =
-                Hit { score: dot / (probe.norm * row_norm), athlete: row.athlete, city: row.city };
-            for per_size in top[pi].iter_mut().skip(first_size) {
-                push_topk(per_size, hit, 3);
+            if let Some(hit) = probe.score(row, row_norm) {
+                for per_size in top[pi].iter_mut().skip(first_size) {
+                    push_topk(per_size, hit, 3);
+                }
             }
         }
     }
-    Ok((top, cumulative_tracks(&buckets)))
+    Ok(Partial { top, tracks: cumulative_tracks(&buckets), rescored: 0 })
 }
 
 /// Scans one shard through the IVF index: for every probe, only the
 /// rows in the probe's `nprobe` closest posting lists are rescored
 /// with the exact dot product. Track counts still come from *all*
 /// posting entries (every row lands in exactly one list), so they are
-/// identical to the exact scan's. Returns the candidate `(probe,
-/// row)` pairs rescored, the sublinearity evidence.
+/// identical to the exact scan's. Counts the candidate `(probe, row)`
+/// pairs rescored, the sublinearity evidence.
 fn scan_shard_ann(
     store: &FeatureStore,
     index: &AnnIndex,
@@ -619,7 +679,7 @@ fn scan_shard_ann(
     probe_lists: &[Vec<u32>],
     sizes: &[usize],
     row: &mut RowBuf,
-) -> Result<(TopHits, Vec<u64>, u64), durable::Error> {
+) -> Result<Partial, durable::Error> {
     let mut top: TopHits = vec![vec![Vec::with_capacity(4); sizes.len()]; probes.len()];
     let mut buckets = vec![0u64; sizes.len()];
     let lists = index.postings(shard)?;
@@ -656,25 +716,15 @@ fn scan_shard_ann(
             reader.read_row_at(e.offset, row)?;
             for &pi in &interested[c] {
                 scanned += 1;
-                let probe = &probes[pi as usize];
-                let dot = dot_sorted(
-                    probe.features.indices(),
-                    probe.features.values(),
-                    &row.indices,
-                    &row.values,
-                );
-                if dot <= 0.0 {
-                    continue;
-                }
-                let hit =
-                    Hit { score: dot / (probe.norm * e.norm), athlete: e.athlete, city: e.city };
-                for per_size in top[pi as usize].iter_mut().skip(first_size) {
-                    push_topk(per_size, hit, 3);
+                if let Some(hit) = probes[pi as usize].score(row, e.norm) {
+                    for per_size in top[pi as usize].iter_mut().skip(first_size) {
+                        push_topk(per_size, hit, 3);
+                    }
                 }
             }
         }
     }
-    Ok((top, cumulative_tracks(&buckets), scanned))
+    Ok(Partial { top, tracks: cumulative_tracks(&buckets), rescored: scanned })
 }
 
 /// Runs the accuracy-vs-population sweep, shard-parallel, streaming
@@ -692,7 +742,7 @@ pub fn scale_sweep(cfg: &ScaleConfig, exec: &Executor) -> Result<ScaleReport, du
     assert!(!cfg.pop_sizes.is_empty(), "sweep needs at least one population size");
     let build = build_store(cfg, exec)?;
     let store = FeatureStore::open(&cfg.store_dir)?;
-    let pipeline = fit_pipeline(&cfg.population);
+    let pipeline = fit_vocabulary(&cfg.population);
     let probes = build_probes(cfg, &pipeline);
     let sizes = &cfg.pop_sizes;
 
@@ -705,12 +755,13 @@ pub fn scale_sweep(cfg: &ScaleConfig, exec: &Executor) -> Result<ScaleReport, du
         RowBuf::default,
         |row, _, &s| scan_shard(&store, s, &probes, &sigs, sizes, row),
     );
-    let (exact_top, tracks) = merge_partials(partials, probes.len(), sizes.len())?;
+    let exact = merge_partials(partials, probes.len(), sizes.len())?;
+    let tracks = exact.tracks;
 
     // ANN mode scans through the IVF index and keeps the exact pass
     // above as the recall reference; exact mode reports it directly.
     let (merged, ann) = match cfg.ann {
-        None => (exact_top, None),
+        None => (exact.top, None),
         Some(settings) => {
             let (index, _) =
                 AnnIndex::ensure(&store, settings.centroids, cfg.population.seed, exec)?;
@@ -729,34 +780,12 @@ pub fn scale_sweep(cfg: &ScaleConfig, exec: &Executor) -> Result<ScaleReport, du
                 RowBuf::default,
                 |row, _, &s| scan_shard_ann(&store, &index, s, &probes, &probe_lists, sizes, row),
             );
-            let mut rows_scanned = 0u64;
-            let plain = ann_partials
-                .into_iter()
-                .map(|p| {
-                    p.map(|(top, shard_tracks, scanned)| {
-                        rows_scanned += scanned;
-                        (top, shard_tracks)
-                    })
-                })
-                .collect();
-            let (ann_top, ann_tracks) = merge_partials(plain, probes.len(), sizes.len())?;
-            debug_assert_eq!(ann_tracks, tracks, "posting lists must cover every row");
+            let ivf = merge_partials(ann_partials, probes.len(), sizes.len())?;
+            debug_assert_eq!(ivf.tracks, tracks, "posting lists must cover every row");
             let recall3 = (0..sizes.len())
                 .map(|si| {
                     let sum: f64 = (0..probes.len())
-                        .map(|pi| {
-                            let exact = &exact_top[pi][si];
-                            if exact.is_empty() {
-                                return 1.0;
-                            }
-                            let kept = exact
-                                .iter()
-                                .filter(|h| {
-                                    ann_top[pi][si].iter().any(|a| a.athlete == h.athlete)
-                                })
-                                .count();
-                            kept as f64 / exact.len() as f64
-                        })
+                        .map(|pi| recall_at3(&exact.top[pi][si], &ivf.top[pi][si]))
                         .sum();
                     sum / probes.len().max(1) as f64
                 })
@@ -764,11 +793,11 @@ pub fn scale_sweep(cfg: &ScaleConfig, exec: &Executor) -> Result<ScaleReport, du
             let info = AnnInfo {
                 centroids: settings.centroids,
                 nprobe: settings.nprobe,
-                rows_scanned,
+                rows_scanned: ivf.rescored,
                 rows_total: probes.len() as u64 * tracks.last().copied().unwrap_or(0),
                 recall3,
             };
-            (ann_top, Some(info))
+            (ivf.top, Some(info))
         }
     };
 
@@ -812,28 +841,32 @@ pub fn scale_sweep(cfg: &ScaleConfig, exec: &Executor) -> Result<ScaleReport, du
 }
 
 /// Merges per-shard scan partials in shard index order, giving the
-/// same hit lists and track counts at any thread count.
+/// same hit lists, track counts and rescored pairs at any thread count.
 fn merge_partials(
-    partials: Vec<Result<(TopHits, Vec<u64>), durable::Error>>,
+    partials: Vec<Result<Partial, durable::Error>>,
     n_probes: usize,
     n_sizes: usize,
-) -> Result<(TopHits, Vec<u64>), durable::Error> {
-    let mut merged: TopHits = vec![vec![Vec::with_capacity(4); n_sizes]; n_probes];
-    let mut tracks = vec![0u64; n_sizes];
+) -> Result<Partial, durable::Error> {
+    let mut merged = Partial {
+        top: vec![vec![Vec::with_capacity(4); n_sizes]; n_probes],
+        tracks: vec![0u64; n_sizes],
+        rescored: 0,
+    };
     for partial in partials {
-        let (top, shard_tracks) = partial?;
-        for (si, t) in shard_tracks.iter().enumerate() {
-            tracks[si] += t;
+        let Partial { top, tracks, rescored } = partial?;
+        for (si, t) in tracks.iter().enumerate() {
+            merged.tracks[si] += t;
         }
+        merged.rescored += rescored;
         for (pi, per_probe) in top.into_iter().enumerate() {
             for (si, hits) in per_probe.into_iter().enumerate() {
                 for h in hits {
-                    push_topk(&mut merged[pi][si], h, 3);
+                    push_topk(&mut merged.top[pi][si], h, 3);
                 }
             }
         }
     }
-    Ok((merged, tracks))
+    Ok(merged)
 }
 
 /// Regenerates every population shard and returns its fingerprint —
@@ -1039,14 +1072,14 @@ mod tests {
         let exec = Executor::new(2);
         build_store(&cfg, &exec).expect("build");
         let store = FeatureStore::open(&cfg.store_dir).expect("open");
-        let pipeline = fit_pipeline(&cfg.population);
+        let pipeline = fit_vocabulary(&cfg.population);
         let probes = build_probes(&cfg, &pipeline);
         assert!(!probes.is_empty(), "need probes for the comparison to mean anything");
         let sigs: Vec<OverlapSig> =
             probes.iter().map(|p| OverlapSig::new(p.features.indices())).collect();
         let mut row = RowBuf::default();
         for s in 0..store.manifest().shards.len() {
-            let (top, tracks) =
+            let Partial { top, tracks, .. } =
                 scan_shard(&store, s, &probes, &sigs, &cfg.pop_sizes, &mut row).expect("scan");
             let (naive_top, naive_tracks) = naive_scan(&store, s, &probes, &cfg.pop_sizes);
             assert_eq!(tracks, naive_tracks, "shard {s} track counts diverged");
@@ -1081,6 +1114,15 @@ mod tests {
         let ann_tracks: Vec<u64> = base.points.iter().map(|p| p.tracks).collect();
         let exact_tracks: Vec<u64> = exact.points.iter().map(|p| p.tracks).collect();
         assert_eq!(ann_tracks, exact_tracks, "posting lists must cover every row");
+
+        // Probing every posting list rescores every row with the exact
+        // scan's scoring, so the IVF sweep must reproduce it.
+        let mut every_list = cfg.clone();
+        every_list.ann = Some(AnnSettings { centroids: 8, nprobe: 8 });
+        let full = scale_sweep(&every_list, &Executor::new(2)).expect("every-list sweep");
+        assert_eq!(full.points, exact.points, "probing every list must match the exact scan");
+        let full_ann = full.ann.as_ref().expect("ANN accounting present");
+        assert!(full_ann.recall3.iter().all(|&r| r == 1.0), "recall@3 {:?}", full_ann.recall3);
         let _ = std::fs::remove_dir_all(&cfg.store_dir);
     }
 
@@ -1111,43 +1153,59 @@ mod tests {
 
     #[test]
     fn grown_store_matches_fresh_build_bit_for_bit() {
+        // Doubling a population of whole shards appends shards in place
+        // (generation bump) instead of refitting and rewriting everything.
+        let (build, generation) = grow_and_match_fresh_build("grow", 16, 32);
+        assert_eq!((build.reused, build.appended, build.shards, generation), (false, 2, 4, 2));
+    }
+
+    #[test]
+    fn grown_partial_store_rebuilds_store_and_index() {
+        // 12 athletes in shards of 8 end in a partial shard, so growing
+        // to 24 rewrites every shard and republishes generation 1; the
+        // index must rebuild rather than extend past a stale sidecar.
+        let (build, generation) = grow_and_match_fresh_build("grow-partial", 12, 24);
+        assert_eq!((build.reused, build.appended, build.shards, generation), (false, 0, 3, 1));
+    }
+
+    /// Sweeps `from` athletes with the IVF index on, grows the population
+    /// to `to`, and requires the grown store and index to match a
+    /// from-scratch build at `to`. Returns the grow's build report and
+    /// the grown store's generation.
+    fn grow_and_match_fresh_build(tag: &str, from: usize, to: usize) -> (StoreBuildReport, u64) {
         let exec = Executor::new(2);
-        let mut small = tiny_cfg("grow", 16);
+        let mut small = tiny_cfg(tag, from);
         small.ann = Some(AnnSettings { centroids: 8, nprobe: 3 });
         scale_sweep(&small, &exec).expect("small sweep");
 
-        // Doubling the population appends shards in place (generation
-        // bump) instead of refitting and rewriting everything.
         let mut grown = small.clone();
-        grown.population.athletes = 32;
-        grown.pop_sizes = vec![16, 32];
+        grown.population.athletes = to;
+        grown.pop_sizes = vec![from, to];
         let build = build_store(&grown, &exec).expect("grow");
-        assert!(!build.reused);
-        assert_eq!(build.appended, 2, "two new shards appended");
-        assert_eq!(build.shards, 4);
         let store = FeatureStore::open(&grown.store_dir).expect("open grown");
-        assert_eq!(store.manifest().generation, 2);
+        let (index, _) = AnnIndex::ensure(&store, 8, grown.population.seed, &exec).expect("index");
+        let entries: Vec<u64> = index.manifest().shards.iter().map(|s| s.entries).collect();
+        let rows: Vec<u64> = store.manifest().shards.iter().map(|s| s.rows).collect();
+        assert_eq!(entries, rows, "every sidecar must index its shard as stored");
         let grown_report = scale_sweep(&grown, &exec).expect("grown sweep");
 
         // A from-scratch build of the same population must agree.
         let mut fresh = grown.clone();
         fresh.store_dir =
-            std::env::temp_dir().join(format!("elev-scale-grow-fresh-{}", std::process::id()));
+            std::env::temp_dir().join(format!("elev-scale-{tag}-fresh-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&fresh.store_dir);
         let fresh_report = scale_sweep(&fresh, &exec).expect("fresh sweep");
         assert_eq!(grown_report, fresh_report, "grown and fresh sweeps diverged");
 
         // Beyond report equality: every shard payload and every ANN
         // sidecar (codebook included) is byte-identical; only the two
-        // manifests differ, by generation.
+        // manifests may differ, by generation.
         let fresh_store = FeatureStore::open(&fresh.store_dir).expect("open fresh");
         assert_eq!(fresh_store.manifest().generation, 1);
-        let mut files: Vec<String> =
-            store.manifest().shards.iter().map(|s| s.file.clone()).collect();
-        for s in 0..store.manifest().shards.len() {
-            files.push(annindex::ann_shard_file_name(s));
-        }
-        files.push("codebook.ann".to_string());
+        let shards = &store.manifest().shards;
+        let mut files: Vec<String> = shards.iter().map(|s| s.file.clone()).collect();
+        files.extend((0..shards.len()).map(annindex::ann_shard_file_name));
+        files.push(annindex::CODEBOOK_FILE.to_string());
         for name in files {
             let a = std::fs::read(grown.store_dir.join(&name)).expect("grown file");
             let b = std::fs::read(fresh.store_dir.join(&name)).expect("fresh file");
@@ -1160,5 +1218,6 @@ mod tests {
         assert_eq!(again.appended, 0);
         let _ = std::fs::remove_dir_all(&grown.store_dir);
         let _ = std::fs::remove_dir_all(&fresh.store_dir);
+        (build, store.manifest().generation)
     }
 }

@@ -255,6 +255,11 @@ fi
 if has scale; then
     echo "== scale (10^4-athlete quick slice: shard digests + sweep artifact) =="
     dir="$(mktemp -d)"
+    # The committed artifact is the pin: the sweeps below rewrite it
+    # and must reproduce it. An intended output change regenerates and
+    # commits it.
+    json="results/scale_population.json"
+    cp "$json" "$dir/committed.json"
     export ELEV_POP_SIZE=10000 ELEV_SHARD_SIZE=1024 ELEV_STORE_DIR="$dir/featstore"
     cargo build -q --release -p bench --bin scale_sweep
 
@@ -269,19 +274,22 @@ if has scale; then
     echo "scale: $n_shards shard digests identical at 1/4 threads and reversed order"
 
     # The sweep itself: must emit the JSON artifact with at least 4
-    # population sizes, each carrying both threat-model accuracies.
+    # population sizes, each carrying both threat-model accuracies, and
+    # equal the committed artifact short of its IVF section.
     ./target/release/scale_sweep
-    json="results/scale_population.json"
     test -s "$json"
-    json="$json" python3 -c 'import json, os
+    json="$json" committed="$dir/committed.json" python3 -c 'import json, os
 r = json.load(open(os.environ["json"]))
 assert r["suite"] == "scale_population"
 pts = r["points"]
 assert len(pts) >= 4, "sweep must cover >= 4 population sizes"
 assert all("tm1_top1" in p and "tm1_top3" in p and "tm3_top1" in p for p in pts)
 sizes = [p["athletes"] for p in pts]
-assert sizes == sorted(sizes), "population sizes must ascend"'
-    echo "scale: sweep artifact OK ($json)"
+assert sizes == sorted(sizes), "population sizes must ascend"
+c = json.load(open(os.environ["committed"]))
+c.pop("ann", None)
+assert r == c, "exact sweep differs from the committed artifact"'
+    echo "scale: sweep artifact OK ($json), equal to the committed one without ann"
 
     # ANN mode: the IVF sweep must be bit-identical at 1 vs 4 worker
     # threads, hold recall@3 >= 0.95 against the exact scan at every
@@ -298,6 +306,8 @@ assert len(ann["recall3"]) == len(r["points"])
 assert all(v >= 0.95 for v in ann["recall3"]), "recall@3 below 0.95 floor"
 assert ann["rows_scanned"] * 2 < ann["rows_total"], "IVF scan not sublinear"'
     echo "scale: ANN sweep thread-invariant, recall@3 >= 0.95 at every pool size"
+    cmp "$dir/committed.json" "$json"
+    echo "scale: $json byte-identical to the committed artifact"
     unset ELEV_POP_SIZE ELEV_SHARD_SIZE ELEV_STORE_DIR
     rm -rf "$dir"
 fi
