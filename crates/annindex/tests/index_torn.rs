@@ -5,35 +5,20 @@
 //!   addresses a row record that positioned reads decode;
 //! - **the torn-write ladder** — `durable::ladder` run through
 //!   [`Codebook::load`] and [`read_postings`], plus the cross-checks
-//!   that refuse a sidecar built for another shard, `k` or config;
+//!   that refuse a sidecar built for another shard, `k` or config, and
+//!   the manifest ladder through [`AnnIndex::open`];
 //! - **determinism** — the codebook is bit-identical at 1 vs 4
 //!   executor threads and depends only on shard-0 content, so an
 //!   index built incrementally over appended shards equals one built
 //!   from scratch.
 
-use annindex::{ann_shard_file_name, read_postings, AnnIndex, Codebook, CODEBOOK_FILE};
+use annindex::{ann_shard_file_name, read_postings, AnnIndex, Codebook, Ensured, CODEBOOK_FILE};
+use durable::ladder::TempDir;
 use exec::Executor;
 use featstore::{
     shard_file_name, FeatureStore, RowBuf, ShardEntry, ShardWriter, StoreManifest,
 };
-use std::path::{Path, PathBuf};
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!("elev-ann-torn-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        Self(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
+use std::path::Path;
 
 const N_COLS: u64 = 48;
 const CONFIG: u64 = 0x5EED_CAFE;
@@ -78,7 +63,7 @@ fn publish_store(dir: &Path, seed: u64, shards: usize, per_shard: usize) -> Feat
 
 #[test]
 fn index_roundtrips_and_postings_address_real_rows() {
-    let dir = TempDir::new("rt");
+    let dir = TempDir::new("ann-torn-rt");
     let store = publish_store(&dir.0, 5, 2, 12);
     let exec = Executor::new(2);
     let idx = AnnIndex::build(&store, 4, 77, &exec).expect("build");
@@ -119,18 +104,19 @@ fn index_roundtrips_and_postings_address_real_rows() {
 
 #[test]
 fn codebook_and_sidecar_readers_run_the_framing_ladder() {
-    let dir = TempDir::new("ladder");
+    let dir = TempDir::new("ann-torn-ladder");
     let store = publish_store(&dir.0, 6, 1, 10);
     let idx = AnnIndex::build(&store, 4, 1, &Executor::new(1)).expect("build");
     let k = idx.codebook().k();
     durable::ladder::run(&dir.0.join(CODEBOOK_FILE), |p| Codebook::load(p, CONFIG));
     durable::ladder::run(&dir.0.join(ann_shard_file_name(0)), |p| read_postings(p, 0, k, CONFIG));
+    durable::ladder::manifest(&dir.0.join(annindex::ANN_MANIFEST), |_| AnnIndex::open(&dir.0));
     assert!(AnnIndex::open(&dir.0).is_ok(), "restored index reads clean");
 }
 
 #[test]
 fn sidecar_headers_crosscheck_their_expectation() {
-    let dir = TempDir::new("classes");
+    let dir = TempDir::new("ann-torn-classes");
     let store = publish_store(&dir.0, 8, 1, 6);
     let idx = AnnIndex::build(&store, 2, 3, &Executor::new(1)).expect("build");
     let k = idx.codebook().k();
@@ -152,8 +138,8 @@ fn sidecar_headers_crosscheck_their_expectation() {
 
 #[test]
 fn codebook_is_thread_invariant_and_prefix_stable_across_stores() {
-    let small = TempDir::new("prefix-small");
-    let large = TempDir::new("prefix-large");
+    let small = TempDir::new("ann-torn-prefix-small");
+    let large = TempDir::new("ann-torn-prefix-large");
     // Same shard-0 content; the large store has three more shards.
     let store_small = publish_store(&small.0, 11, 1, 16);
     let store_large = publish_store(&large.0, 11, 4, 16);
@@ -175,16 +161,17 @@ fn codebook_is_thread_invariant_and_prefix_stable_across_stores() {
 
 #[test]
 fn ensure_reuses_extends_and_rebuilds() {
-    let inc = TempDir::new("inc");
-    let full = TempDir::new("full");
+    let inc = TempDir::new("ann-torn-inc");
+    let full = TempDir::new("ann-torn-full");
     let exec = Executor::new(2);
 
     // Incremental path: 2 shards, index, append 2 more, ensure.
     let mut store = publish_store(&inc.0, 13, 2, 8);
-    let (_, reused) = AnnIndex::ensure(&store, 4, 21, &exec).expect("build");
-    assert!(!reused);
-    let (_, reused) = AnnIndex::ensure(&store, 4, 21, &exec).expect("reuse");
-    assert!(reused, "unchanged store must reuse the index as-is");
+    let (idx, path) = AnnIndex::ensure(&store, 4, 21, &exec).expect("build");
+    assert_eq!(path, Ensured::Built);
+    assert_eq!((idx.manifest().generation, idx.manifest().store_generation), (1, 1));
+    let (_, path) = AnnIndex::ensure(&store, 4, 21, &exec).expect("reuse");
+    assert_eq!(path, Ensured::Reused, "unchanged store must reuse the index as-is");
     let codebook_before = std::fs::read(inc.0.join(CODEBOOK_FILE)).expect("codebook");
 
     let mut metas = Vec::new();
@@ -198,10 +185,11 @@ fn ensure_reuses_extends_and_rebuilds() {
         metas.push(w.finish().expect("finish"));
     }
     store.append_shards(CONFIG, 32, &metas).expect("append");
-    let (idx, reused) = AnnIndex::ensure(&store, 4, 21, &exec).expect("extend");
-    assert!(!reused);
+    let (idx, path) = AnnIndex::ensure(&store, 4, 21, &exec).expect("extend");
+    assert_eq!(path, Ensured::Extended, "whole appended shards extend the index");
     assert_eq!(idx.manifest().shards.len(), 4);
-    assert_eq!(idx.manifest().generation, 2, "index tracks the store generation");
+    assert_eq!(idx.manifest().store_generation, 2, "index tracks the store generation");
+    assert_eq!(idx.manifest().generation, 2, "the extension is the index's next generation");
     let codebook_after = std::fs::read(inc.0.join(CODEBOOK_FILE)).expect("codebook");
     assert_eq!(codebook_before, codebook_after, "extension freezes the codebook");
 
@@ -214,8 +202,10 @@ fn ensure_reuses_extends_and_rebuilds() {
         assert_eq!(a, b, "shard {s} sidecar must not depend on the build path");
     }
 
-    // A different seed is incompatible: ensure rebuilds from scratch.
-    let (idx2, reused) = AnnIndex::ensure(&store, 4, 22, &exec).expect("rebuild");
-    assert!(!reused);
+    // A different seed is incompatible: ensure rebuilds from scratch,
+    // under the index's next generation number.
+    let (idx2, path) = AnnIndex::ensure(&store, 4, 22, &exec).expect("rebuild");
+    assert_eq!(path, Ensured::Built);
     assert_eq!(idx2.manifest().seed, 22);
+    assert_eq!(idx2.manifest().generation, 3);
 }

@@ -10,10 +10,13 @@
 //!   `target/featstore`; reused when the config fingerprint matches;
 //!   when only the athlete count increased, grown in place if the old
 //!   population fills whole shards, otherwise rebuilt, IVF index
-//!   included);
+//!   included; every publish takes the directory's next generation
+//!   number);
 //! - `ELEV_ANN` — set to `1` to match probes through the deterministic
-//!   IVF index (sublinear candidate scan + exact rescoring) instead of
-//!   the exact brute-force scan, with recall@3 accounting;
+//!   IVF index (candidate scan of the probed posting lists + exact
+//!   rescoring: a constant-factor cut of the exact scan's work, ~12.4%
+//!   of pairs at the defaults, not a sublinear one) instead of the
+//!   exact brute-force scan, with recall@3 accounting;
 //! - `ELEV_ANN_CENTROIDS` / `ELEV_ANN_NPROBE` — IVF codebook size
 //!   (default 64) and posting lists scanned per probe (default 8).
 //!

@@ -1,35 +1,20 @@
 //! Pins the on-disk bytes of every durable container. The goldens
 //! digest in-memory artifacts, so nothing else holds the file formats
 //! still: a feature-store shard plus `store.txt`, the IVF codebook,
-//! posting sidecar and `ann.txt`, and a registry directory of
-//! `.elevmdl` records with `manifest.txt` and `manifest.prev.txt`.
-//! Each is written from fixed, hand-built inputs and every file's
-//! length and FNV-1a-64 must match the constants below.
+//! posting sidecar and `ann.txt`, and a registry directory of framed
+//! `.elevmdl` records with `manifest.txt` and `manifest.prev.txt` (the
+//! three manifests are `durable::Generation` texts). Each is written
+//! from fixed, hand-built inputs and every file's length and
+//! FNV-1a-64 must match the constants below.
 
 use annindex::AnnIndex;
 use conformance::Digest;
+use durable::ladder::TempDir;
 use exec::Executor;
 use featstore::{FeatureStore, ShardEntry, ShardWriter, StoreManifest};
 use neuralnet::FlatMlp;
 use serve::registry::{self, ModelPayload, ModelRecord};
-use std::path::{Path, PathBuf};
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!("elev-formats-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        Self(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
+use std::path::Path;
 
 /// Asserts that `dir` holds exactly the files in `want`, each with
 /// the pinned `(name, length, FNV-1a-64)`. A mismatch prints the
@@ -57,7 +42,7 @@ type Row = (u64, u32, u32, &'static [u32], &'static [f32]);
 
 #[test]
 fn feature_store_and_ivf_index_bytes_are_pinned() {
-    let dir = TempDir::new("store");
+    let dir = TempDir::new("formats-store");
     const CONFIG: u64 = 0x00F0_4A75;
     const N_COLS: u64 = 16;
     let rows: [Row; 6] = [
@@ -88,11 +73,11 @@ fn feature_store_and_ivf_index_bytes_are_pinned() {
     assert_files(
         &dir.0,
         &[
-            ("ann.txt", 98, 0x8bc9fbf08e45722d),
+            ("ann.txt", 141, 0x89f269703f7b515f),
             ("codebook.ann", 244, 0x1cf41ffcf8674ac9),
             ("shard-00000.fst", 396, 0xfe1b899a994742fa),
             ("shard-00000.ivf", 268, 0x8d0999e3ad7692e1),
-            ("store.txt", 111, 0xf0e7368637544f36),
+            ("store.txt", 135, 0xf56d809e8730f31e),
         ],
     );
 }
@@ -121,19 +106,19 @@ fn records(version: u32) -> Vec<ModelRecord> {
 
 #[test]
 fn registry_directory_bytes_are_pinned() {
-    let dir = TempDir::new("registry");
+    let dir = TempDir::new("formats-registry");
     registry::save_dir(&dir.0, &records(1)).expect("publish 1");
     registry::save_dir(&dir.0, &records(2)).expect("publish 2");
 
     assert_files(
         &dir.0,
         &[
-            ("fmt-cnn@1.elevmdl", 113, 0x1cd4785dc6484be3),
-            ("fmt-cnn@2.elevmdl", 113, 0x9f37412d827ccd61),
-            ("fmt-mlp@1.elevmdl", 168, 0x936f89a5f4c4d1e7),
-            ("fmt-mlp@2.elevmdl", 168, 0xd34616efbc477dad),
-            ("manifest.prev.txt", 161, 0x74be6251f760298f),
-            ("manifest.txt", 161, 0x3b4219a29ad3e1e5),
+            ("fmt-cnn@1.elevmdl", 177, 0x686fcb4ef1be5f5d),
+            ("fmt-cnn@2.elevmdl", 177, 0xce727cf25bc62b73),
+            ("fmt-mlp@1.elevmdl", 232, 0x217c473e5167cb46),
+            ("fmt-mlp@2.elevmdl", 232, 0x152b46dfeccfab75),
+            ("manifest.prev.txt", 138, 0x70499ccd13556106),
+            ("manifest.txt", 138, 0xf68222e8aa3e8713),
         ],
     );
 }

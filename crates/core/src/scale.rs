@@ -263,7 +263,7 @@ fn store_report(m: &StoreManifest, dir: &Path, reused: bool, appended: usize) ->
 /// featurized (the vocabulary is fitted on shard 0, which appends
 /// never touch), and the manifest generation bumps via the
 /// crash-safe append path. A store whose last shard is partial is
-/// rebuilt instead, at generation 1.
+/// rebuilt instead, under the directory's next generation number.
 ///
 /// # Errors
 ///
@@ -324,7 +324,7 @@ pub fn build_store(
         n_cols: n_cols as u64,
         shard_size: pop.shard_size as u64,
         athletes: pop.athletes as u64,
-        generation: 1,
+        generation: durable::Generation::next(&cfg.store_dir, &featstore::STORE),
         shards: metas
             .iter()
             .enumerate()
@@ -670,7 +670,8 @@ fn scan_shard(
 /// with the exact dot product. Track counts still come from *all*
 /// posting entries (every row lands in exactly one list), so they are
 /// identical to the exact scan's. Counts the candidate `(probe, row)`
-/// pairs rescored, the sublinearity evidence.
+/// pairs rescored: the share of the exact scan's work the index keeps
+/// (a constant fraction at a fixed codebook size, not a sublinear one).
 fn scan_shard_ann(
     store: &FeatureStore,
     index: &AnnIndex,
@@ -902,6 +903,7 @@ pub fn remove_store(dir: &Path) -> Result<(), durable::Error> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use annindex::Ensured;
 
     fn tiny_cfg(tag: &str, athletes: usize) -> ScaleConfig {
         let mut cfg = ScaleConfig::new(athletes, 77);
@@ -1144,7 +1146,7 @@ mod tests {
         }
         assert!(
             ann.rows_scanned * 2 < ann.rows_total,
-            "IVF scan rescored {}/{} pairs — not sublinear",
+            "IVF scan rescored {}/{} pairs — not under half the exact scan's work",
             ann.rows_scanned,
             ann.rows_total
         );
@@ -1155,24 +1157,27 @@ mod tests {
     fn grown_store_matches_fresh_build_bit_for_bit() {
         // Doubling a population of whole shards appends shards in place
         // (generation bump) instead of refitting and rewriting everything.
-        let (build, generation) = grow_and_match_fresh_build("grow", 16, 32);
+        let (build, generation, path) = grow_and_match_fresh_build("grow", 16, 32);
         assert_eq!((build.reused, build.appended, build.shards, generation), (false, 2, 4, 2));
+        assert_eq!(path, Ensured::Extended, "whole appended shards extend the index");
     }
 
     #[test]
     fn grown_partial_store_rebuilds_store_and_index() {
         // 12 athletes in shards of 8 end in a partial shard, so growing
-        // to 24 rewrites every shard and republishes generation 1; the
-        // index must rebuild rather than extend past a stale sidecar.
-        let (build, generation) = grow_and_match_fresh_build("grow-partial", 12, 24);
-        assert_eq!((build.reused, build.appended, build.shards, generation), (false, 0, 3, 1));
+        // to 24 rewrites every shard and publishes the next generation
+        // (2: a rebuild never reuses a number); the index must rebuild
+        // rather than extend past a stale sidecar.
+        let (build, generation, path) = grow_and_match_fresh_build("grow-partial", 12, 24);
+        assert_eq!((build.reused, build.appended, build.shards, generation), (false, 0, 3, 2));
+        assert_eq!(path, Ensured::Built, "a rewritten shard rebuilds the index");
     }
 
     /// Sweeps `from` athletes with the IVF index on, grows the population
     /// to `to`, and requires the grown store and index to match a
-    /// from-scratch build at `to`. Returns the grow's build report and
-    /// the grown store's generation.
-    fn grow_and_match_fresh_build(tag: &str, from: usize, to: usize) -> (StoreBuildReport, u64) {
+    /// from-scratch build at `to`. Returns the grow's build report, the
+    /// grown store's generation and the path the index took.
+    fn grow_and_match_fresh_build(tag: &str, from: usize, to: usize) -> (StoreBuildReport, u64, Ensured) {
         let exec = Executor::new(2);
         let mut small = tiny_cfg(tag, from);
         small.ann = Some(AnnSettings { centroids: 8, nprobe: 3 });
@@ -1183,7 +1188,7 @@ mod tests {
         grown.pop_sizes = vec![from, to];
         let build = build_store(&grown, &exec).expect("grow");
         let store = FeatureStore::open(&grown.store_dir).expect("open grown");
-        let (index, _) = AnnIndex::ensure(&store, 8, grown.population.seed, &exec).expect("index");
+        let (index, path) = AnnIndex::ensure(&store, 8, grown.population.seed, &exec).expect("index");
         let entries: Vec<u64> = index.manifest().shards.iter().map(|s| s.entries).collect();
         let rows: Vec<u64> = store.manifest().shards.iter().map(|s| s.rows).collect();
         assert_eq!(entries, rows, "every sidecar must index its shard as stored");
@@ -1218,6 +1223,6 @@ mod tests {
         assert_eq!(again.appended, 0);
         let _ = std::fs::remove_dir_all(&grown.store_dir);
         let _ = std::fs::remove_dir_all(&fresh.store_dir);
-        (build, store.manifest().generation)
+        (build, store.manifest().generation, path)
     }
 }

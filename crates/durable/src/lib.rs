@@ -6,11 +6,14 @@
 //!   (corruption detection, not tampering);
 //! - [`Enc`] / [`Dec`] — little-endian field encoding;
 //! - [`FramedWriter`] / [`FramedReader`] — the framed file format below;
-//! - [`atomic_write`] — the crash-safe publish every manifest uses;
-//! - [`ManifestLines`] — the `name value` fields and dense
-//!   `index file count` lists of the text manifests;
+//! - [`atomic_write`] — the crash-safe write under every publish;
+//! - [`Generation`] — a published generation: the one manifest format,
+//!   numbering rule, publish order and fallback load of the model
+//!   registry's `manifest.txt`, the store's `store.txt` and the
+//!   index's `ann.txt`;
 //! - [`Error`] — one error type with stable [`Error::name`]s;
-//! - [`ladder`] — the torn-write ladder every framed reader's tests run.
+//! - [`ladder`] — the torn-write ladders every framed reader's and
+//!   manifest reader's tests run.
 //!
 //! # Framed files
 //!
@@ -44,6 +47,27 @@
 //! crash leaves either the old file or the new one. Loaders open files
 //! by the names their manifests list, so a leftover temp file is never
 //! read.
+//!
+//! # Published generations
+//!
+//! A container publishes its member files first and a text manifest
+//! naming them last ([`Generation::publish`]):
+//!
+//! ```text
+//! elevfst v2                  header: container and manifest version
+//! generation 3                publish number
+//! config 00000000c0ffee00     the container's `name value` fields
+//! files 1                     then one `index file count` line per member
+//! 0 shard-00000.fst 128
+//! fnv1a64 5f0e8a4f9d1c2b37    FNV-1a-64 over every byte above
+//! ```
+//!
+//! A cut manifest reads as [`Error::Malformed`] (it no longer ends in
+//! its checksum line) and a flipped byte above that line as
+//! [`Error::ChecksumMismatch`]. A publish must exceed every generation
+//! the manifest and its `.prev` copy hold; the outgoing manifest becomes
+//! that copy only when it parses, and [`Generation::load`] falls back
+//! to it when the current manifest or a member fails.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -601,106 +625,227 @@ fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> Result<(), Error> 
     }
 }
 
-// ---- text manifests -----------------------------------------------------
+// ---- published generations ---------------------------------------------
 
-/// Line cursor over a text manifest: a header line, `name value`
-/// fields in a fixed order, then a `count` line and that many dense
-/// `index file count` entry lines.
-#[derive(Debug)]
-pub struct ManifestLines<'a> {
-    lines: std::iter::Peekable<std::str::Lines<'a>>,
-    what: &'static str,
+/// Where a container keeps its manifest: file name, the `.prev` copy
+/// kept for fallback loads, and the header line (container + version).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Manifest {
+    /// Manifest file name under the container directory.
+    pub file: &'static str,
+    /// The previous generation's manifest.
+    pub prev: &'static str,
+    /// The manifest's first line.
+    pub header: &'static str,
 }
 
-impl<'a> ManifestLines<'a> {
-    /// Starts on `text`, whose first line must be `header`; `what`
-    /// names the manifest in error messages.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Malformed`] on a missing or different header line.
-    pub fn new(text: &'a str, header: &str, what: &'static str) -> Result<Self, Error> {
-        let mut m = Self { lines: text.lines().peekable(), what };
-        if m.lines.next() != Some(header) {
-            return Err(m.bad("missing or unsupported header line"));
+/// One published generation: its number (1 on a directory's first
+/// publish, strictly rising after), the container's `name value`
+/// fields and its member files, each with the container's count.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Generation {
+    /// Publish number.
+    pub number: u64,
+    /// Fields in render order.
+    pub fields: Vec<(String, String)>,
+    /// Member files in index order, with their counts.
+    pub files: Vec<(String, u64)>,
+}
+
+/// What [`Generation::load`] loaded.
+#[derive(Debug)]
+pub struct Loaded<T> {
+    /// What the member reader returned per file, in manifest order.
+    pub records: Vec<T>,
+    /// Number of the generation the records came from.
+    pub generation: u64,
+    /// True when the current generation failed and `.prev` was loaded.
+    pub fell_back: bool,
+    /// The current generation's errors (per failed file, or the
+    /// manifest's own) when it fell back; empty on a clean load.
+    pub errors: Vec<(String, Error)>,
+}
+
+impl Generation {
+    /// The manifest text, checksum line included.
+    pub fn render(&self, m: &Manifest) -> String {
+        let mut out = format!("{}\ngeneration {}\n", m.header, self.number);
+        for (name, value) in &self.fields {
+            out.push_str(&format!("{name} {value}\n"));
         }
-        Ok(m)
-    }
-
-    fn bad(&self, msg: &str) -> Error {
-        Error::Malformed(format!("{}: {msg}", self.what))
-    }
-
-    fn raw_field(&mut self, name: &str) -> Result<&'a str, Error> {
-        let line = self.lines.next().ok_or_else(|| self.bad(&format!("missing {name}")))?;
-        line.strip_prefix(name)
-            .and_then(|v| v.strip_prefix(' '))
-            .ok_or_else(|| self.bad(&format!("expected `{name} ...`, got `{line}`")))
-    }
-
-    /// The value of the next line, which must be `name value`.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Malformed`] on a missing line, another name, or a value
-    /// that does not parse.
-    pub fn field<T: std::str::FromStr>(&mut self, name: &str) -> Result<T, Error> {
-        let v = self.raw_field(name)?;
-        v.parse().map_err(|_| self.bad(&format!("bad {name} `{v}`")))
-    }
-
-    /// [`field`](Self::field) for a hexadecimal `u64` value.
-    ///
-    /// # Errors
-    ///
-    /// As [`field`](Self::field).
-    pub fn hex_field(&mut self, name: &str) -> Result<u64, Error> {
-        let v = self.raw_field(name)?;
-        u64::from_str_radix(v, 16).map_err(|_| self.bad(&format!("{name} `{v}` is not hex")))
-    }
-
-    /// [`field`](Self::field) when the next line is named `name`,
-    /// `None` otherwise (a field older files lack).
-    ///
-    /// # Errors
-    ///
-    /// As [`field`](Self::field).
-    pub fn optional_field<T: std::str::FromStr>(&mut self, name: &str) -> Result<Option<T>, Error> {
-        let next = self.lines.peek().and_then(|l| l.strip_prefix(name));
-        if next.is_some_and(|rest| rest.starts_with(' ')) {
-            self.field(name).map(Some)
-        } else {
-            Ok(None)
+        out.push_str(&format!("files {}\n", self.files.len()));
+        for (i, (file, count)) in self.files.iter().enumerate() {
+            out.push_str(&format!("{i} {file} {count}\n"));
         }
+        let fnv = fnv1a64(out.as_bytes());
+        out.push_str(&format!("fnv1a64 {fnv:016x}\n"));
+        out
     }
 
-    /// A `name N` line followed by `N` lines of `index file count`
-    /// whose indices run densely from 0; returns `(file, count)` in
-    /// index order.
+    /// Parses manifest text.
     ///
     /// # Errors
     ///
-    /// [`Error::Malformed`] on a short list, a bad or over-long line,
-    /// or indices that are not dense ascending.
-    pub fn entries(&mut self, name: &str) -> Result<Vec<(String, u64)>, Error> {
-        let n: usize = self.field(name)?;
-        let mut out = Vec::with_capacity(n.min(1 << 16));
-        for i in 0..n {
-            let line = self.lines.next().ok_or_else(|| self.bad(&format!("ends mid {name} list")))?;
-            let parts: Vec<&str> = line.split_whitespace().collect();
-            let (index, count) = match parts[..] {
-                [index, _, count] => (index.parse::<usize>().ok(), count.parse::<u64>().ok()),
-                _ => (None, None),
-            };
-            let (Some(index), Some(count)) = (index, count) else {
-                return Err(self.bad(&format!("bad {name} line `{line}`")));
-            };
-            if index != i {
-                return Err(self.bad(&format!("{name} indices are not dense ascending")));
+    /// [`Error::ChecksumMismatch`] when the checksum line disagrees with
+    /// the text above it; [`Error::Malformed`] when there is no checksum
+    /// line (a cut) or the layout is broken.
+    pub fn parse(text: &str, m: &Manifest) -> Result<Self, Error> {
+        let bad = |msg: String| Error::Malformed(format!("{}: {msg}", m.file));
+        let body_len = text.strip_suffix('\n').map_or(0, |t| t.rfind('\n').map_or(0, |i| i + 1));
+        let (body, last) = text.split_at(body_len);
+        let stored = (last.strip_prefix("fnv1a64 ").and_then(|h| h.strip_suffix('\n')))
+            .filter(|h| h.len() == 16)
+            .and_then(|h| u64::from_str_radix(h, 16).ok())
+            .ok_or_else(|| bad("does not end in its checksum line (cut short?)".into()))?;
+        let computed = fnv1a64(body.as_bytes());
+        if stored != computed {
+            return Err(Error::ChecksumMismatch { stored, computed });
+        }
+
+        let mut lines = body.lines();
+        if lines.next() != Some(m.header) {
+            return Err(bad("missing or unsupported header line".into()));
+        }
+        let number = (lines.next().and_then(|l| l.strip_prefix("generation ")))
+            .and_then(|n| n.parse().ok())
+            .ok_or_else(|| bad("missing generation line".into()))?;
+        let mut fields = Vec::new();
+        let n_files: usize = loop {
+            let line = lines.next().ok_or_else(|| bad("missing files line".into()))?;
+            let (name, value) = line.split_once(' ').ok_or_else(|| bad(format!("bad line `{line}`")))?;
+            if name == "files" {
+                break value.parse().map_err(|_| bad(format!("bad files count `{value}`")))?;
             }
-            out.push((parts[1].to_owned(), count));
+            fields.push((name.to_owned(), value.to_owned()));
+        };
+        let mut files = Vec::new();
+        for (i, line) in lines.enumerate() {
+            match line.split(' ').collect::<Vec<_>>()[..] {
+                [index, file, count] if i < n_files && index.parse() == Ok(i) => {
+                    let count = count.parse().map_err(|_| bad(format!("bad count in `{line}`")))?;
+                    files.push((file.to_owned(), count));
+                }
+                _ => return Err(bad(format!("bad, out-of-order or extra files line `{line}`"))),
+            }
         }
-        Ok(out)
+        if files.len() != n_files {
+            return Err(bad("ends mid files list".into()));
+        }
+        Ok(Self { number, fields, files })
+    }
+
+    /// The value of field `name`.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Malformed`] when it is missing or does not parse.
+    pub fn field<T: std::str::FromStr>(&self, name: &str) -> Result<T, Error> {
+        self.parsed(name, str::parse)
+    }
+
+    /// [`field`](Self::field) for a hexadecimal `u64`.
+    ///
+    /// # Errors
+    ///
+    /// As [`field`](Self::field).
+    pub fn hex_field(&self, name: &str) -> Result<u64, Error> {
+        self.parsed(name, |v| u64::from_str_radix(v, 16))
+    }
+
+    fn parsed<T, E>(&self, name: &str, parse: impl Fn(&str) -> Result<T, E>) -> Result<T, Error> {
+        let (_, value) = (self.fields.iter().find(|(n, _)| n == name))
+            .ok_or_else(|| Error::Malformed(format!("missing {name}")))?;
+        parse(value).map_err(|_| Error::Malformed(format!("bad {name} `{value}`")))
+    }
+
+    fn read_file(dir: &Path, file: &str, m: &Manifest) -> Result<(String, Self), Error> {
+        let text = std::fs::read_to_string(dir.join(file))?;
+        let generation = Self::parse(&text, m)?;
+        Ok((text, generation))
+    }
+
+    /// The current generation under `dir` (what derived containers,
+    /// which rebuild rather than fall back, read).
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Io`] when the manifest is unreadable; as
+    /// [`parse`](Self::parse).
+    pub fn read(dir: &Path, m: &Manifest) -> Result<Self, Error> {
+        Self::read_file(dir, m.file, m).map(|(_, g)| g)
+    }
+
+    /// The highest number the current and `.prev` manifests hold among
+    /// those that parse (0 if none), and the current text if it parses.
+    fn published(dir: &Path, m: &Manifest) -> (u64, Option<String>) {
+        let current = Self::read_file(dir, m.file, m).ok();
+        let prev = Self::read_file(dir, m.prev, m).map_or(0, |(_, g)| g.number);
+        let highest = current.as_ref().map_or(0, |(_, g)| g.number).max(prev);
+        (highest, current.map(|(text, _)| text))
+    }
+
+    /// The number the next publish under `dir` takes.
+    pub fn next(dir: &Path, m: &Manifest) -> u64 {
+        Self::published(dir, m).0 + 1
+    }
+
+    /// Publishes this generation under `dir`, its members already
+    /// durable: the outgoing manifest is copied to `m.prev` when it
+    /// parses, then this one replaces it via [`atomic_write`].
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Malformed`] when `number` does not exceed a published
+    /// generation; [`Error::Io`] on filesystem failure.
+    pub fn publish(&self, dir: &Path, m: &Manifest) -> Result<(), Error> {
+        let (highest, current) = Self::published(dir, m);
+        if self.number <= highest {
+            return Err(Error::Malformed(format!(
+                "{}: generation {} does not exceed published generation {highest}",
+                m.file, self.number
+            )));
+        }
+        if let Some(text) = current {
+            atomic_write(&dir.join(m.prev), text.as_bytes())?;
+        }
+        atomic_write(&dir.join(m.file), self.render(m).as_bytes())
+    }
+
+    /// Loads the current generation under `dir`, reading each member
+    /// through `read(path, count)`, or the `.prev` one when the current
+    /// manifest or any member fails.
+    ///
+    /// # Errors
+    ///
+    /// The current generation's first error when `.prev` fails too.
+    pub fn load<T>(
+        dir: &Path,
+        m: &Manifest,
+        read: impl Fn(&Path, u64) -> Result<T, Error>,
+    ) -> Result<Loaded<T>, Error> {
+        let members = |file: &str| -> Result<Loaded<T>, Vec<(String, Error)>> {
+            let (_, g) = Self::read_file(dir, file, m).map_err(|e| vec![(file.to_owned(), e)])?;
+            let (mut records, mut errors) = (Vec::new(), Vec::new());
+            for (name, count) in &g.files {
+                match read(&dir.join(name), *count) {
+                    Ok(record) => records.push(record),
+                    Err(e) => errors.push((name.clone(), e)),
+                }
+            }
+            if errors.is_empty() {
+                Ok(Loaded { records, generation: g.number, fell_back: false, errors })
+            } else {
+                Err(errors)
+            }
+        };
+        let errors = match members(m.file) {
+            Ok(loaded) => return Ok(loaded),
+            Err(errors) => errors,
+        };
+        match members(m.prev) {
+            Ok(loaded) => Ok(Loaded { fell_back: true, errors, ..loaded }),
+            Err(_) => Err(errors.into_iter().next().expect("a failed load has an error").1),
+        }
     }
 }
 
@@ -735,43 +880,74 @@ mod tests {
 
     #[test]
     fn atomic_write_publishes_under_a_hidden_temp_name() {
-        let dir = std::env::temp_dir().join(format!("elev-durable-aw-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("mkdir");
+        let tmp = ladder::TempDir::new("durable-aw");
+        let dir = &tmp.0;
         let path = dir.join("m.txt");
         assert_eq!(temp_path(&path), Ok(dir.join(".m.txt.tmp")));
         atomic_write(&path, b"one").expect("write");
         atomic_write(&path, b"two").expect("overwrite");
         assert_eq!(std::fs::read(&path).expect("read"), b"two");
         let names: Vec<_> =
-            std::fs::read_dir(&dir).expect("ls").map(|e| e.expect("entry").file_name()).collect();
+            std::fs::read_dir(dir).expect("ls").map(|e| e.expect("entry").file_name()).collect();
         assert_eq!(names, ["m.txt"], "no temp file survives a publish");
-        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    const DEMO: Manifest = Manifest { file: "demo.txt", prev: "demo.prev.txt", header: "demo v1" };
+
+    fn demo(number: u64) -> Generation {
+        Generation {
+            number,
+            fields: vec![("config".into(), "00ff".into()), ("size".into(), "3".into())],
+            files: vec![("a.bin".into(), 5), ("b.bin".into(), 6)],
+        }
     }
 
     #[test]
     fn manifest_lines_parse_fields_and_dense_entries() {
-        let text = "demo v1\nconfig 00ff\nsize 3\nshards 2\n0 a.bin 5\n1 b.bin 6\n";
-        let mut m = ManifestLines::new(text, "demo v1", "demo").expect("header");
-        assert_eq!(m.hex_field("config"), Ok(0xff));
-        assert_eq!(m.optional_field::<u64>("generation"), Ok(None));
-        assert_eq!(m.field::<u64>("size"), Ok(3));
-        assert_eq!(m.entries("shards"), Ok(vec![("a.bin".into(), 5), ("b.bin".into(), 6)]));
+        let g = demo(4);
+        let text = g.render(&DEMO);
+        assert!(text.starts_with("demo v1\ngeneration 4\nconfig 00ff\nsize 3\nfiles 2\n0 a.bin"));
+        let parsed = Generation::parse(&text, &DEMO).expect("parses");
+        assert_eq!(parsed, g);
+        assert_eq!(parsed.hex_field("config"), Ok(0xff));
+        assert_eq!(parsed.field::<u64>("size"), Ok(3));
+        assert_eq!(parsed.field::<u64>("absent").unwrap_err().name(), "malformed");
 
-        let bad = |text: &str| {
-            let mut m = ManifestLines::new(text, "demo v1", "demo")?;
-            m.entries("shards")
-        };
-        for text in [
+        // Well-checksummed texts that break the layout are malformed.
+        let sealed = |body: &str| format!("{body}fnv1a64 {:016x}\n", fnv1a64(body.as_bytes()));
+        for body in [
             "",
-            "demo v2\n",
-            "demo v1\nshard 1\n",
-            "demo v1\nshards x\n",
-            "demo v1\nshards 2\n0 a.bin 5\n",
-            "demo v1\nshards 1\n1 a.bin 5\n",
-            "demo v1\nshards 1\n0 a.bin 5 extra\n",
+            "demo v2\ngeneration 1\nfiles 0\n",
+            "demo v1\nfiles 0\n",
+            "demo v1\ngeneration 1\n",
+            "demo v1\ngeneration 1\nfiles 2\n0 a.bin 5\n",
+            "demo v1\ngeneration 1\nfiles 1\n1 a.bin 5\n",
+            "demo v1\ngeneration 1\nfiles 1\n0 a.bin 5\nextra\n",
         ] {
-            assert_eq!(bad(text).unwrap_err().name(), "malformed", "{text:?}");
+            let err = Generation::parse(&sealed(body), &DEMO).unwrap_err();
+            assert_eq!(err.name(), "malformed", "{body:?}");
         }
+        assert!(Generation::parse(&sealed("demo v1\ngeneration 1\nfiles 0\n"), &DEMO).is_ok());
+    }
+
+    #[test]
+    fn numbers_never_repeat_and_every_cut_or_flip_reads_as_an_error() {
+        let tmp = ladder::TempDir::new("durable-gen");
+        let dir = &tmp.0;
+        assert_eq!(Generation::next(dir, &DEMO), 1);
+        demo(1).publish(dir, &DEMO).expect("gen 1");
+        assert!(!dir.join(DEMO.prev).exists(), "a first publish has no prev");
+        ladder::manifest(&dir.join(DEMO.file), |_| Generation::read(dir, &DEMO));
+        assert_eq!(demo(1).publish(dir, &DEMO).unwrap_err().name(), "malformed");
+        demo(2).publish(dir, &DEMO).expect("gen 2");
+
+        // Over a torn manifest, numbering continues past `.prev`, which
+        // keeps the last manifest that parsed.
+        atomic_write(&dir.join(DEMO.file), b"torn").expect("tear");
+        assert_eq!(Generation::next(dir, &DEMO), 2);
+        demo(2).publish(dir, &DEMO).expect("publish over torn");
+        let prev = std::fs::read_to_string(dir.join(DEMO.prev)).expect("prev");
+        assert_eq!(Generation::parse(&prev, &DEMO).map(|g| g.number), Ok(1));
+        assert_eq!(Generation::next(dir, &DEMO), 3);
     }
 }

@@ -1,27 +1,11 @@
 //! The framed file format end to end: write → stream → positioned
 //! reads, the torn-write ladder, and the footer's structural checks.
 
+use durable::ladder::TempDir;
 use durable::{Dec, Enc, Error, FramedReader, FramedWriter, HEADER_LEN};
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 8] = b"ELEVTST\x01";
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!("elev-durable-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        Self(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 /// Writes records `tag 1 | i u32 | i × u64` for `i` in `0..n`; returns
 /// the path and the record boundaries (each record's start offset,
@@ -68,7 +52,7 @@ fn read_demo(path: &Path) -> Result<u32, Error> {
 
 #[test]
 fn records_stream_and_read_back_by_offset() {
-    let dir = TempDir::new("rt");
+    let dir = TempDir::new("durable-rt");
     let (path, starts) = write_demo(&dir.0, 5);
     assert_eq!(read_demo(&path), Ok(5));
 
@@ -93,14 +77,14 @@ fn records_stream_and_read_back_by_offset() {
 
 #[test]
 fn framed_reader_runs_the_ladder() {
-    let dir = TempDir::new("ladder");
+    let dir = TempDir::new("durable-ladder");
     let (path, _) = write_demo(&dir.0, 4);
     durable::ladder::run(&path, read_demo);
 }
 
 #[test]
 fn footer_pins_the_record_count_and_the_end_of_file() {
-    let dir = TempDir::new("footer");
+    let dir = TempDir::new("durable-footer");
     let (path, starts) = write_demo(&dir.0, 4);
     let original = std::fs::read(&path).expect("bytes");
 

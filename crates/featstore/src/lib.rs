@@ -28,11 +28,18 @@
 //! steady-state allocations, no interior seek state shared between
 //! readers of the same file. Checksums are verified **before** any
 //! length field beyond the fixed header is trusted.
+//!
+//! # The store manifest
+//!
+//! `store.txt` is a [`durable::Generation`] (header `elevfst v2`, one
+//! `index file rows` line per shard) published last; an append or a
+//! rebuild in place takes the next generation number. Opening a store
+//! reads only the current manifest, no shard.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use durable::{Dec, Enc, Error, FramedReader, FramedWriter, ManifestLines};
+use durable::{Dec, Enc, Error, FramedReader, FramedWriter, Generation, Manifest};
 use std::path::{Path, PathBuf};
 
 /// Shard files start with these bytes.
@@ -43,6 +50,9 @@ pub const FORMAT_VERSION: u32 = 1;
 
 /// Store manifest file name, written last on publish.
 pub const MANIFEST: &str = "store.txt";
+
+/// The store's published-generation manifest.
+pub const STORE: Manifest = Manifest { file: MANIFEST, prev: "store.prev.txt", header: "elevfst v2" };
 
 const TAG_ROW: u32 = 1;
 
@@ -323,46 +333,35 @@ pub struct StoreManifest {
     pub shard_size: u64,
     /// Total athletes featurized.
     pub athletes: u64,
-    /// Publish generation: 1 on first publish, bumped by every
-    /// [`FeatureStore::append_shards`] — derived sidecars (e.g. the
-    /// IVF index) record which generation they cover.
+    /// Publish generation, never reused in a directory — derived
+    /// sidecars (e.g. the IVF index) record which one they cover.
     pub generation: u64,
     /// Shard entries in ascending index order.
     pub shards: Vec<ShardEntry>,
 }
 
 impl StoreManifest {
-    /// Renders the manifest text.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str("elevfst v1\n");
-        out.push_str(&format!("config {:016x}\n", self.config));
-        out.push_str(&format!("n_cols {}\n", self.n_cols));
-        out.push_str(&format!("shard_size {}\n", self.shard_size));
-        out.push_str(&format!("athletes {}\n", self.athletes));
-        out.push_str(&format!("generation {}\n", self.generation));
-        out.push_str(&format!("shards {}\n", self.shards.len()));
-        for s in &self.shards {
-            out.push_str(&format!("{} {} {}\n", s.index, s.file, s.rows));
+    fn to_generation(&self) -> Generation {
+        Generation {
+            number: self.generation,
+            fields: vec![
+                ("config".into(), format!("{:016x}", self.config)),
+                ("n_cols".into(), self.n_cols.to_string()),
+                ("shard_size".into(), self.shard_size.to_string()),
+                ("athletes".into(), self.athletes.to_string()),
+            ],
+            files: self.shards.iter().map(|s| (s.file.clone(), s.rows)).collect(),
         }
-        out
     }
 
-    /// Parses manifest text. The `generation` line is optional (stores
-    /// published before appends existed read as generation 1).
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Malformed`] on any structural defect.
-    pub fn parse(text: &str) -> Result<Self, Error> {
-        let mut m = ManifestLines::new(text, "elevfst v1", "manifest")?;
+    fn from_generation(g: Generation) -> Result<Self, Error> {
         Ok(Self {
-            config: m.hex_field("config")?,
-            n_cols: m.field("n_cols")?,
-            shard_size: m.field("shard_size")?,
-            athletes: m.field("athletes")?,
-            generation: m.optional_field("generation")?.unwrap_or(1),
-            shards: (m.entries("shards")?.into_iter().enumerate())
+            config: g.hex_field("config")?,
+            n_cols: g.field("n_cols")?,
+            shard_size: g.field("shard_size")?,
+            athletes: g.field("athletes")?,
+            generation: g.number,
+            shards: (g.files.into_iter().enumerate())
                 .map(|(index, (file, rows))| ShardEntry { index, file, rows })
                 .collect(),
         })
@@ -378,15 +377,15 @@ pub struct FeatureStore {
 }
 
 impl FeatureStore {
-    /// Opens a published store.
+    /// Opens a published store (reads the manifest, no shard).
     ///
     /// # Errors
     ///
-    /// [`Error::Io`] if the manifest is unreadable,
-    /// [`Error::Malformed`] if it does not parse.
+    /// As [`Generation::read`], or [`Error::Malformed`] on a missing
+    /// field.
     pub fn open(dir: &Path) -> Result<Self, Error> {
-        let text = std::fs::read_to_string(dir.join(MANIFEST))?;
-        Ok(Self { dir: dir.to_path_buf(), manifest: StoreManifest::parse(&text)? })
+        let manifest = StoreManifest::from_generation(Generation::read(dir, &STORE)?)?;
+        Ok(Self { dir: dir.to_path_buf(), manifest })
     }
 
     /// The parsed manifest.
@@ -439,13 +438,15 @@ impl FeatureStore {
         Ok(r)
     }
 
-    /// Publishes `manifest` under `dir` (atomic write, manifest last).
+    /// Publishes `manifest` under `dir` as a [`Generation`]; its shard
+    /// files must already be durable.
     ///
     /// # Errors
     ///
-    /// [`Error::Io`] on filesystem failure.
+    /// [`Error::Malformed`] when `manifest.generation` does not exceed
+    /// a published one; [`Error::Io`] on filesystem failure.
     pub fn publish_manifest(dir: &Path, manifest: &StoreManifest) -> Result<(), Error> {
-        durable::atomic_write(&dir.join(MANIFEST), manifest.render().as_bytes())
+        manifest.to_generation().publish(dir, &STORE)
     }
 
     /// Extends a published store with freshly written shards — the
@@ -453,8 +454,8 @@ impl FeatureStore {
     /// frozen, so appends only add rows: `config` must match the
     /// manifest fingerprint, every new shard must continue the dense
     /// ascending index sequence and carry a matching header, and the
-    /// updated manifest (generation bumped, `athletes` raised) is
-    /// published atomically last.
+    /// updated manifest (next generation, `athletes` raised) is
+    /// published last.
     ///
     /// # Errors
     ///
@@ -494,7 +495,7 @@ impl FeatureStore {
         }
         let manifest = StoreManifest {
             athletes,
-            generation: self.manifest.generation + 1,
+            generation: Generation::next(&self.dir, &STORE),
             shards,
             ..self.manifest.clone()
         };
@@ -507,18 +508,13 @@ impl FeatureStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("elev-fst-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        dir
-    }
+    use durable::ladder::TempDir;
 
     #[test]
     fn write_read_roundtrip() {
-        let dir = temp_dir("rt");
-        let mut w = ShardWriter::create(&dir, 0, 100, 0xABCD).expect("create");
+        let tmp = TempDir::new("fst-rt");
+        let dir = tmp.0.as_path();
+        let mut w = ShardWriter::create(dir, 0, 100, 0xABCD).expect("create");
         w.append_row(7, 3, 0, &[1, 5, 99], &[1.0, 2.5, -3.0]).expect("row");
         w.append_row(8, 4, 1, &[], &[]).expect("empty row");
         let meta = w.finish().expect("finish");
@@ -535,16 +531,15 @@ mod tests {
         assert_eq!(row.indices, Vec::<u32>::new());
         assert!(!r.next_row(&mut row).expect("footer"));
         assert!(!r.next_row(&mut row).expect("idempotent EOF"));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn writer_rejects_bad_rows() {
-        let dir = temp_dir("bad");
-        let mut w = ShardWriter::create(&dir, 0, 10, 0).expect("create");
+        let tmp = TempDir::new("fst-bad");
+        let dir = tmp.0.as_path();
+        let mut w = ShardWriter::create(dir, 0, 10, 0).expect("create");
         assert_eq!(w.append_row(0, 0, 0, &[1], &[]).unwrap_err().name(), "malformed");
         assert_eq!(w.append_row(0, 0, 0, &[10], &[1.0]).unwrap_err().name(), "malformed");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -560,33 +555,22 @@ mod tests {
                 ShardEntry { index: 1, file: shard_file_name(1), rows: 70 },
             ],
         };
-        let parsed = StoreManifest::parse(&m.render()).expect("parses");
-        assert_eq!(parsed, m);
-        assert!(StoreManifest::parse("elevfst v2\n").is_err());
-        assert!(StoreManifest::parse("").is_err());
-        let mut swapped = m.clone();
-        swapped.shards.swap(0, 1);
-        assert!(StoreManifest::parse(&swapped.render()).is_err(), "non-dense indices");
+        let text = m.to_generation().render(&STORE);
+        assert!(text.starts_with("elevfst v2\ngeneration 3\nconfig 00000000deadbeef\n"));
+        let parsed = Generation::parse(&text, &STORE).and_then(StoreManifest::from_generation);
+        assert_eq!(parsed, Ok(m));
 
-        // A pre-generation manifest (no `generation` line) parses as
-        // generation 1.
-        let legacy = m.render().lines().filter(|l| !l.starts_with("generation ")).fold(
-            String::new(),
-            |mut acc, l| {
-                acc.push_str(l);
-                acc.push('\n');
-                acc
-            },
-        );
-        let parsed = StoreManifest::parse(&legacy).expect("legacy parses");
-        assert_eq!(parsed.generation, 1);
-        assert_eq!(parsed.shards, m.shards);
+        // A well-formed generation without the store's fields is not a
+        // store manifest.
+        let bare = Generation { number: 1, fields: Vec::new(), files: Vec::new() };
+        assert_eq!(StoreManifest::from_generation(bare).unwrap_err().name(), "malformed");
     }
 
     #[test]
     fn positioned_row_reads_match_streaming() {
-        let dir = temp_dir("pread");
-        let mut w = ShardWriter::create(&dir, 0, 100, 0xABCD).expect("create");
+        let tmp = TempDir::new("fst-pread");
+        let dir = tmp.0.as_path();
+        let mut w = ShardWriter::create(dir, 0, 100, 0xABCD).expect("create");
         w.append_row(7, 3, 0, &[1, 5, 99], &[1.0, 2.5, -3.0]).expect("row");
         w.append_row(8, 4, 1, &[2], &[0.5]).expect("row");
         let meta = w.finish().expect("finish");
@@ -623,13 +607,13 @@ mod tests {
         let footer_at = r.read_row_at(offsets[1], &mut row).expect("last row");
         assert_eq!(r.read_row_at(footer_at, &mut row).unwrap_err().name(), "malformed");
         assert_eq!(r.read_row_at(eof + 1_000, &mut row).unwrap_err().name(), "truncated");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn append_shards_extends_and_guards() {
-        let dir = temp_dir("append");
-        let mut w = ShardWriter::create(&dir, 0, 10, 0xC0FFEE).expect("create");
+        let tmp = TempDir::new("fst-append");
+        let dir = tmp.0.as_path();
+        let mut w = ShardWriter::create(dir, 0, 10, 0xC0FFEE).expect("create");
         w.append_row(0, 0, 0, &[1], &[1.0]).expect("row");
         let m0 = w.finish().expect("finish");
         let manifest = StoreManifest {
@@ -640,10 +624,10 @@ mod tests {
             generation: 1,
             shards: vec![ShardEntry { index: 0, file: m0.file.clone(), rows: m0.rows }],
         };
-        FeatureStore::publish_manifest(&dir, &manifest).expect("publish");
-        let mut store = FeatureStore::open(&dir).expect("open");
+        FeatureStore::publish_manifest(dir, &manifest).expect("publish");
+        let mut store = FeatureStore::open(dir).expect("open");
 
-        let mut w = ShardWriter::create(&dir, 1, 10, 0xC0FFEE).expect("create");
+        let mut w = ShardWriter::create(dir, 1, 10, 0xC0FFEE).expect("create");
         w.append_row(1, 1, 0, &[2], &[2.0]).expect("row");
         let m1 = w.finish().expect("finish");
 
@@ -663,7 +647,7 @@ mod tests {
         assert_eq!(store.manifest().shards.len(), 2);
 
         // The published manifest agrees with the in-memory one.
-        let reopened = FeatureStore::open(&dir).expect("reopen");
+        let reopened = FeatureStore::open(dir).expect("reopen");
         assert_eq!(reopened.manifest(), store.manifest());
         assert_eq!(reopened.reader(1).expect("reader").validate().expect("valid"), 1);
 
@@ -672,6 +656,5 @@ mod tests {
             store.append_shards(0xC0FFEE, 3, std::slice::from_ref(&m1)).unwrap_err().name(),
             "malformed"
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

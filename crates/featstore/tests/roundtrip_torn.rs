@@ -7,30 +7,15 @@
 //!   deleted file classify distinctly; no corruption mode ever decodes
 //!   quietly;
 //! - **manifest cross-checks** — a shard whose header disagrees with
-//!   `store.txt` is refused.
+//!   `store.txt` is refused, every cut or flipped byte of `store.txt`
+//!   reads as an error, and a republish takes the next generation.
 
 use featstore::{
     shard_file_name, FeatureStore, RowBuf, ShardEntry, ShardReader, ShardWriter, StoreManifest,
 };
+use durable::ladder::TempDir;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!("elev-fst-torn-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        Self(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 /// A deterministic pseudo-random shard of `n_rows` rows over `n_cols`
 /// columns; returns its path and the rows written.
@@ -86,7 +71,7 @@ proptest! {
     /// byte.
     #[test]
     fn shards_roundtrip_bit_exact(seed in 0u64..10_000, n_rows in 0usize..24) {
-        let dir = TempDir::new(&format!("rt-{seed}-{n_rows}"));
+        let dir = TempDir::new(&format!("fst-torn-rt-{seed}-{n_rows}"));
         let (path, written) = write_shard(&dir.0, seed, n_rows, 64);
         let decoded = read_all(&path).expect("clean shard reads");
         prop_assert_eq!(&decoded, &written);
@@ -94,7 +79,7 @@ proptest! {
         // Re-encode: an independent writer fed the decoded rows must
         // produce byte-identical output (the format has exactly one
         // encoding per shard).
-        let dir2 = TempDir::new(&format!("rt2-{seed}-{n_rows}"));
+        let dir2 = TempDir::new(&format!("fst-torn-rt2-{seed}-{n_rows}"));
         let mut w = ShardWriter::create(&dir2.0, 0, 64, seed).expect("create");
         for row in &decoded {
             w.append_row(row.athlete, row.city, row.activity, &row.indices, &row.values)
@@ -109,14 +94,14 @@ proptest! {
 
 #[test]
 fn shard_reader_runs_the_framing_ladder() {
-    let dir = TempDir::new("ladder");
+    let dir = TempDir::new("fst-torn-ladder");
     let (path, _) = write_shard(&dir.0, 1, 6, 64);
     durable::ladder::run(&path, |p| ShardReader::open(p)?.validate());
 }
 
 #[test]
 fn store_manifest_crosschecks_shard_headers() {
-    let dir = TempDir::new("store");
+    let dir = TempDir::new("fst-torn-store");
     let (_, rows) = write_shard(&dir.0, 3, 4, 64);
     let manifest = StoreManifest {
         config: 3,
@@ -130,11 +115,17 @@ fn store_manifest_crosschecks_shard_headers() {
     let store = FeatureStore::open(&dir.0).expect("open");
     assert_eq!(store.rows(), rows.len() as u64);
     assert_eq!(store.reader(0).expect("reader").validate().expect("validates"), rows.len() as u64);
+    durable::ladder::manifest(&dir.0.join(featstore::MANIFEST), |_| FeatureStore::open(&dir.0));
+
+    // A republish (a rebuild in place) must not reuse a published
+    // number: 1 is refused, 2 is next.
+    assert_eq!(FeatureStore::publish_manifest(&dir.0, &manifest).unwrap_err().name(), "malformed");
+    assert_eq!(durable::Generation::next(&dir.0, &featstore::STORE), 2);
 
     // A manifest claiming a different config must refuse the shard.
-    let mut wrong = manifest.clone();
-    wrong.config = 999;
+    let wrong = StoreManifest { config: 999, generation: 2, ..manifest };
     FeatureStore::publish_manifest(&dir.0, &wrong).expect("publish");
     let store = FeatureStore::open(&dir.0).expect("open");
+    assert_eq!(store.manifest().generation, 2);
     assert_eq!(store.reader(0).unwrap_err().name(), "malformed");
 }

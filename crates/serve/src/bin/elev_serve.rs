@@ -76,10 +76,10 @@ fn parse_args() -> Result<Args, String> {
 
 fn load_or_train(args: &Args) -> Result<ModelBundle, String> {
     if let Some(dir) = &args.model_dir {
-        if dir.join(registry::MANIFEST).exists() {
-            // The crash-safe loader: every file verified against its
-            // manifest line, with automatic fallback to the last-good
-            // generation when the current publish is torn.
+        if [registry::MANIFEST, registry::MANIFEST_PREV].iter().any(|m| dir.join(m).exists()) {
+            // The crash-safe loader: falls back to the last-good
+            // generation when the current one is torn or missing; the
+            // bundle keeps the generation `/v1/health` reports.
             let load = registry::load_generation(dir).map_err(|e| format!("registry: {e}"))?;
             if load.fell_back {
                 eprintln!(
@@ -90,7 +90,7 @@ fn load_or_train(args: &Args) -> Result<ModelBundle, String> {
                     eprintln!("  {file}: {err}");
                 }
             }
-            return ModelBundle::from_records(load.records).map_err(|e| format!("bundle: {e}"));
+            return ModelBundle::from_generation(load).map_err(|e| format!("bundle: {e}"));
         }
     }
     eprintln!("no registry found; training a quick bundle (seed {:#x})", args.seed);

@@ -14,7 +14,7 @@
 //! profiles.
 
 use crate::arena::InferenceArena;
-use crate::registry::{ModelPayload, ModelRecord};
+use crate::registry::{GenerationLoad, ModelPayload, ModelRecord};
 use classicml::{ForestConfig, RandomForest, SvmClassifier, SvmConfig};
 use datasets::Dataset;
 use elev_core::experiments::{Corpora, ExperimentScale};
@@ -250,6 +250,9 @@ impl TaskModels {
 pub struct ModelBundle {
     /// Bundle version (max record version when loaded from disk).
     pub version: u32,
+    /// Registry generation the bundle was loaded from (0 when trained
+    /// or rebuilt from loose records).
+    pub generation: u64,
     tasks: Vec<TaskModels>,
 }
 
@@ -264,7 +267,7 @@ impl ModelBundle {
             TaskModels::fit("tm1", &corpora.user, Discretizer::Floor, cfg, mix_seed(seed, 11)),
             TaskModels::fit("tm3", &corpora.city, Discretizer::mined(), cfg, mix_seed(seed, 12)),
         ];
-        Self { version: cfg.version, tasks }
+        Self { version: cfg.version, generation: 0, tasks }
     }
 
     /// The bundle's tasks, in report order.
@@ -343,7 +346,13 @@ impl ModelBundle {
                 mlp: partial.mlp.ok_or_else(|| format!("task {task}: missing mlp"))?,
             });
         }
-        Ok(Self { version, tasks })
+        Ok(Self { version, generation: 0, tasks })
+    }
+
+    /// [`from_records`](Self::from_records) over a registry load,
+    /// keeping the number of the generation it came from.
+    pub fn from_generation(load: GenerationLoad) -> Result<Self, String> {
+        Ok(Self { generation: load.generation, ..Self::from_records(load.records)? })
     }
 
     /// Pre-grows an arena so even the first request on a worker stays

@@ -40,5 +40,5 @@ pub mod server;
 pub use arena::InferenceArena;
 pub use bundle::{BundleConfig, ModelBundle, TaskModels};
 pub use client::{ClientConfig, HttpClient};
-pub use registry::{GenerationLoad, Manifest, ManifestEntry, ModelKind, ModelRecord};
+pub use registry::{GenerationLoad, ModelKind, ModelRecord};
 pub use server::{ConnError, HealthSnapshot, ServeConfig, Server};

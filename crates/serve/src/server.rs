@@ -234,7 +234,8 @@ pub struct HealthSnapshot {
     pub reload_fallbacks: u64,
     /// Whether the reload circuit breaker is open.
     pub breaker_open: bool,
-    /// Registry generation currently served (0 = no registry).
+    /// Registry generation of the served bundle (0 = not loaded from a
+    /// registry).
     pub generation: u64,
     /// Whether the server is draining.
     pub draining: bool,
@@ -353,13 +354,7 @@ impl Server {
             ip_slots: std::array::from_fn(|_| AtomicU32::new(0)),
             cfg: cfg.clone(),
         });
-        if let Some(dir) = &cfg.model_dir {
-            if let Ok(text) = std::fs::read_to_string(dir.join(registry::MANIFEST)) {
-                if let Ok(manifest) = registry::parse_manifest(&text) {
-                    shared.stats.generation.store(manifest.generation, Ordering::Relaxed);
-                }
-            }
-        }
+        shared.stats.generation.store(shared.bundle().generation, Ordering::Relaxed);
 
         let acceptor = {
             let shared = Arc::clone(&shared);
@@ -602,11 +597,12 @@ fn reload_loop(dir: &std::path::Path, poll: Duration, shared: &Shared) {
         // A half-written registry (or one that fails validation) keeps
         // the previous bundle serving; the swap is all-or-nothing.
         match registry::load_generation(dir) {
-            Ok(load) if !load.fell_back => match ModelBundle::from_records(load.records) {
+            Ok(load) if !load.fell_back => match ModelBundle::from_generation(load) {
                 Ok(bundle) => {
+                    let generation = bundle.generation;
                     *shared.bundle.write().unwrap_or_else(PoisonError::into_inner) =
                         Arc::new(bundle);
-                    shared.stats.generation.store(load.generation, Ordering::Relaxed);
+                    shared.stats.generation.store(generation, Ordering::Relaxed);
                     shared.stats.reload_successes.fetch_add(1, Ordering::Relaxed);
                     consecutive_bad = 0;
                     shared.stats.breaker_open.store(false, Ordering::Relaxed);

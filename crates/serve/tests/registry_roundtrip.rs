@@ -1,35 +1,16 @@
 //! Registry lifecycle tests: bit-exact save→load for every model
-//! kind, distinct structured errors for the three corruption modes,
-//! and manifest-driven hot reload on a live server.
+//! kind, report-preserving directory round trips, and manifest-driven
+//! hot reload on a live server. The corruption ladder over a record
+//! file lives in `registry_torn.rs`.
 
 mod common;
 
+use durable::ladder::TempDir;
 use serve::bundle::ModelBundle;
 use serve::client::HttpClient;
-use durable::Error;
-use serve::registry::{self, decode_record, encode_record, ModelPayload, ModelRecord};
+use serve::registry::{self, read_record, write_record, ModelPayload, ModelRecord};
 use serve::{InferenceArena, ServeConfig, Server};
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
-
-/// A per-test scratch directory under the system temp dir, removed on
-/// drop.
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!("elev-serve-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        Self(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 /// Asserts two payloads carry bit-identical weights (stricter than
 /// `PartialEq`, which NaN would satisfy vacuously for raw images).
@@ -89,9 +70,11 @@ fn every_kind_roundtrips_to_bits() {
     for kind in ["svm", "rfc", "mlp", "cnn"] {
         assert!(kinds.contains(&kind), "round trip must cover {kind}");
     }
+    let dir = TempDir::new("serve-kinds");
     for record in &records {
-        let bytes = encode_record(record);
-        let back = decode_record(&bytes).expect("decodes");
+        let path = dir.0.join(registry::file_name(record));
+        let stamp = write_record(&path, record).expect("writes");
+        let back = read_record(&path, stamp).expect("reads");
         assert_eq!(back.name, record.name);
         assert_eq!(back.version, record.version);
         assert_eq!(back.task, record.task);
@@ -110,63 +93,17 @@ fn every_kind_roundtrips_to_bits() {
 }
 
 #[test]
-fn corruption_modes_map_to_distinct_errors() {
-    let records = common::tiny_bundle().to_records();
-    let record = records.iter().find(|r| r.payload.kind().name() == "mlp").expect("mlp record");
-    let bytes = encode_record(record);
-
-    // Head truncation: the reader runs out of bytes mid-header.
-    match decode_record(&bytes[..10]) {
-        Err(Error::Truncated { len: 10, .. }) => {}
-        other => panic!("head truncation: expected Truncated, got {other:?}"),
-    }
-
-    // A flipped weight byte: the checksum catches it before any length
-    // field is trusted.
-    let mut flipped = bytes.clone();
-    let mid = flipped.len() / 2;
-    flipped[mid] ^= 0x40;
-    match decode_record(&flipped) {
-        Err(Error::ChecksumMismatch { stored, computed }) => {
-            assert_ne!(stored, computed);
-        }
-        other => panic!("flipped byte: expected ChecksumMismatch, got {other:?}"),
-    }
-
-    // A future container version: rejected by version, not checksum.
-    let mut future = bytes.clone();
-    future[8..12].copy_from_slice(&99u32.to_le_bytes());
-    match decode_record(&future) {
-        Err(Error::UnsupportedVersion { found: 99 }) => {}
-        other => panic!("future version: expected UnsupportedVersion, got {other:?}"),
-    }
-
-    // Wrong magic, for completeness.
-    let mut alien = bytes;
-    alien[0] = b'X';
-    match decode_record(&alien) {
-        Err(Error::BadMagic) => {}
-        other => panic!("wrong magic: expected BadMagic, got {other:?}"),
-    }
-}
-
-#[test]
 fn directory_roundtrip_preserves_reports() {
-    let dir = TempDir::new("dir-roundtrip");
+    let dir = TempDir::new("serve-dir-roundtrip");
     let bundle = common::tiny_bundle();
     registry::save_dir(&dir.0, &bundle.to_records()).expect("save_dir");
 
-    let manifest =
-        std::fs::read_to_string(dir.0.join(registry::MANIFEST)).expect("manifest exists");
-    assert_eq!(
-        manifest.lines().count(),
-        7,
-        "generation header + one manifest line per record:\n{manifest}"
-    );
-    assert_eq!(manifest.lines().next(), Some("generation 1"), "first publish is generation 1");
-    for line in manifest.lines().skip(1) {
-        assert!(line.contains(" fnv1a64=0x"), "manifest line lacks checksum: {line}");
-    }
+    let manifest = durable::Generation::read(&dir.0, &registry::REGISTRY).expect("manifest");
+    assert_eq!(manifest.number, 1, "first publish is generation 1");
+    let mut names: Vec<String> = bundle.to_records().iter().map(registry::file_name).collect();
+    names.sort();
+    let listed: Vec<String> = manifest.files.iter().map(|(file, _)| file.clone()).collect();
+    assert_eq!(listed, names, "one manifest entry per record, by file name");
 
     let loaded = registry::load_generation(&dir.0).expect("load").records;
     let loaded = ModelBundle::from_records(loaded).expect("rebuilds");
@@ -180,7 +117,7 @@ fn directory_roundtrip_preserves_reports() {
 
 #[test]
 fn manifest_mtime_change_hot_reloads() {
-    let dir = TempDir::new("hot-reload");
+    let dir = TempDir::new("serve-hot-reload");
     let bundle = common::tiny_bundle();
     registry::save_dir(&dir.0, &bundle.to_records()).expect("save_dir");
 

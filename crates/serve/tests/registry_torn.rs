@@ -7,32 +7,15 @@
 
 mod common;
 
-use durable::{atomic_write, Error};
+use durable::ladder::TempDir;
+use durable::{atomic_write, Error, Generation};
 use serve::bundle::ModelBundle;
 use serve::client::HttpClient;
 use serve::registry::{self, ModelRecord};
 use serve::{InferenceArena, ServeConfig, Server};
-use std::path::{Path, PathBuf};
+use std::cell::RefCell;
+use std::path::Path;
 use std::time::{Duration, Instant};
-
-/// A per-test scratch directory under the system temp dir, removed on
-/// drop.
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!("elev-torn-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        Self(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 fn records_v(version: u32) -> Vec<ModelRecord> {
     common::tiny_bundle()
@@ -46,73 +29,91 @@ fn records_v(version: u32) -> Vec<ModelRecord> {
 }
 
 /// Publishes generation 1 (v1 records) then generation 2 (v2 records)
-/// and returns the v2 file names in manifest order.
-fn two_generations(dir: &Path) -> Vec<String> {
+/// and returns the v2 manifest entries (file name, stamp) in manifest
+/// order.
+fn two_generations(dir: &Path) -> Vec<(String, u64)> {
     registry::save_dir(dir, &records_v(1)).expect("publish gen1");
     registry::save_dir(dir, &records_v(2)).expect("publish gen2");
-    let manifest = std::fs::read_to_string(dir.join(registry::MANIFEST)).expect("manifest");
-    registry::parse_manifest(&manifest)
-        .expect("parses")
-        .entries
-        .iter()
-        .map(|e| e.file.clone())
-        .collect()
+    Generation::read(dir, &registry::REGISTRY).expect("manifest").files
+}
+
+/// Parses the registry manifest file `name` (current or `.prev`).
+fn manifest(dir: &Path, name: &str) -> Generation {
+    let text = std::fs::read_to_string(dir.join(name)).expect("manifest");
+    Generation::parse(&text, &registry::REGISTRY).expect("parses")
+}
+
+/// Requires `load` to have fallen back to generation 1 with exactly one
+/// failed file, `file`, of error class `class`, and the fallback to
+/// serve.
+fn assert_served_fallback(load: registry::GenerationLoad, file: &str, class: &str) {
+    assert!(load.fell_back, "must fall back: {:?}", load.errors);
+    assert_eq!(load.generation, 1, "must serve the last-good generation");
+    assert_eq!(load.errors.len(), 1, "one torn file: {:?}", load.errors);
+    assert_eq!((load.errors[0].0.as_str(), load.errors[0].1.name()), (file, class));
+    let bundle = ModelBundle::from_generation(load).expect("gen1 rebuilds");
+    let mut arena = InferenceArena::new();
+    let (status, _) = bundle.report_json(&common::clean_gpx(), &mut arena);
+    assert_eq!(status, 200, "the fallback generation must actually serve");
 }
 
 #[test]
 fn byte_level_cut_ladder_falls_back_with_distinct_errors() {
-    let dir = TempDir::new("cut-ladder");
+    let dir = TempDir::new("torn-cut-ladder");
     let files = two_generations(&dir.0);
-    let victim = dir.0.join(&files[0]);
-    let original = std::fs::read(&victim).expect("victim bytes");
+    // The smallest record keeps the every-byte ladder quick.
+    let size = |file: &str| std::fs::metadata(dir.0.join(file)).expect("record").len();
+    let (victim, stamp) = files.iter().min_by_key(|(f, _)| size(f)).expect("records").clone();
 
-    // A write killed at any byte offset leaves a strict prefix: every
-    // rung of the ladder must read as Truncated and fall back to
-    // generation 1.
-    for cut in [0usize, 1, original.len() / 4, original.len() / 2, original.len() - 1] {
-        std::fs::write(&victim, &original[..cut]).expect("tear");
-        let load = registry::load_generation(&dir.0).expect("fallback exists");
-        assert!(load.fell_back, "cut at {cut}: must fall back");
-        assert_eq!(load.generation, 1, "cut at {cut}: must serve the last-good generation");
-        assert_eq!(load.errors.len(), 1, "cut at {cut}: one torn file");
-        assert_eq!(load.errors[0].0, files[0]);
-        assert!(
-            matches!(load.errors[0].1, Error::Truncated { len, .. } if len == cut),
-            "cut at {cut}: expected Truncated, got {:?}",
-            load.errors[0].1
-        );
-        let bundle = ModelBundle::from_records(load.records).expect("gen1 rebuilds");
-        let mut arena = InferenceArena::new();
-        let (status, _) = bundle.report_json(&common::clean_gpx(), &mut arena);
-        assert_eq!(status, 200, "cut at {cut}: the fallback generation must actually serve");
-    }
-
-    // Same length, flipped bit: a distinct error class, same fallback.
-    let mut flipped = original.clone();
-    let mid = flipped.len() / 2;
-    flipped[mid] ^= 0x20;
-    std::fs::write(&victim, &flipped).expect("flip");
-    let load = registry::load_generation(&dir.0).expect("fallback exists");
-    assert!(load.fell_back);
-    assert_eq!(load.errors[0].1.name(), "checksum_mismatch", "got {:?}", load.errors[0].1);
-
-    // Deleted outright: a third distinct class.
-    std::fs::remove_file(&victim).expect("rm");
-    let load = registry::load_generation(&dir.0).expect("fallback exists");
-    assert!(load.fell_back);
-    assert_eq!(load.errors[0].1.name(), "io", "got {:?}", load.errors[0].1);
+    // Every rung reads as its class through the record reader; the
+    // first of each class must also make the loader fall back and serve.
+    let classes = RefCell::new(Vec::new());
+    durable::ladder::run(&dir.0.join(&victim), |p| {
+        let read = registry::read_record(p, stamp);
+        if let Err(e) = &read {
+            if !classes.borrow().contains(&e.name()) {
+                classes.borrow_mut().push(e.name());
+                let load = registry::load_generation(&dir.0).expect("fallback exists");
+                assert_served_fallback(load, &victim, e.name());
+            }
+        }
+        read
+    });
+    assert_eq!(
+        *classes.borrow(),
+        ["truncated", "checksum_mismatch", "bad_magic", "unsupported_version", "io"]
+    );
 
     // Restored: generation 2 loads clean again.
-    std::fs::write(&victim, &original).expect("restore");
     let load = registry::load_generation(&dir.0).expect("clean");
     assert!(!load.fell_back, "restored publish must load clean: {:?}", load.errors);
     assert_eq!(load.generation, 2);
 }
 
 #[test]
-fn kill_at_every_record_boundary_serves_the_last_good_generation() {
-    let dir = TempDir::new("record-boundary");
+fn a_record_another_publish_wrote_under_the_same_name_never_loads() {
+    let dir = TempDir::new("torn-foreign-record");
     let files = two_generations(&dir.0);
+
+    // Another publish, even one numbered 2 as well, writes a v2 record
+    // with other content under the same name: landing it here must not
+    // make it part of this generation 2.
+    let staging = TempDir::new("torn-foreign-record-staging");
+    let mut other = records_v(2);
+    other[0].labels[0].push_str("-relabelled");
+    registry::save_dir(&staging.0, &records_v(1)).expect("stage gen1");
+    registry::save_dir(&staging.0, &other).expect("stage gen2");
+    let name = registry::file_name(&other[0]);
+    assert!(files.iter().any(|(f, _)| *f == name));
+    std::fs::copy(staging.0.join(&name), dir.0.join(&name)).expect("land");
+    let load = registry::load_generation(&dir.0).expect("fallback exists");
+    assert_served_fallback(load, &name, "malformed");
+}
+
+#[test]
+fn kill_at_every_record_boundary_serves_the_last_good_generation() {
+    let dir = TempDir::new("torn-record-boundary");
+    let files: Vec<String> = two_generations(&dir.0).into_iter().map(|(f, _)| f).collect();
     let images: Vec<Vec<u8>> =
         files.iter().map(|f| std::fs::read(dir.0.join(f)).expect("image")).collect();
 
@@ -150,48 +151,46 @@ fn kill_at_every_record_boundary_serves_the_last_good_generation() {
 
 #[test]
 fn torn_manifest_falls_back_to_prev() {
-    let dir = TempDir::new("torn-manifest");
+    let dir = TempDir::new("torn-torn-manifest");
     two_generations(&dir.0);
     let manifest_path = dir.0.join(registry::MANIFEST);
-    let good = std::fs::read_to_string(&manifest_path).expect("manifest");
+    let good = std::fs::read(&manifest_path).expect("manifest");
 
-    // A manifest cut mid-line must read as malformed — never as a
-    // shorter valid manifest. Cut right before the last line's
-    // checksum field so the line is unambiguously incomplete.
-    let cut = good.rfind(" fnv1a64=").expect("manifest has checksums");
-    std::fs::write(&manifest_path, &good[..cut]).expect("tear");
-    let load = registry::load_generation(&dir.0).expect("fallback exists");
-    assert!(load.fell_back);
-    assert_eq!(load.generation, 1);
-    assert_eq!(load.errors.len(), 1);
-    assert_eq!(load.errors[0].0, registry::MANIFEST);
-    assert_eq!(load.errors[0].1.name(), "malformed", "got {:?}", load.errors[0].1);
-
-    // A cut INSIDE the hex digits still parses as (wrong) hex — the
-    // entry's checksum then disagrees with the file, so the loader
-    // falls back anyway: the file verification backstops the text
-    // format.
-    std::fs::write(&manifest_path, &good[..good.len() - 10]).expect("tear hex");
-    let load = registry::load_generation(&dir.0).expect("fallback exists");
-    assert!(load.fell_back);
-    assert_eq!(load.generation, 1);
-    assert_eq!(load.errors[0].1.name(), "checksum_mismatch", "got {:?}", load.errors[0].1);
-
-    // Manifest gone entirely: same fallback, io error class.
+    // Cut (never a shorter valid manifest), flipped or deleted, the
+    // manifest reads as its error class and falls back to generation 1.
+    let mut flipped = good.clone();
+    flipped[good.len() / 2] ^= 0x10;
+    for (torn, class) in [
+        (good[..good.len() / 2].to_vec(), "malformed"),
+        (good[..good.len() - 10].to_vec(), "malformed"),
+        (flipped, "checksum_mismatch"),
+    ] {
+        std::fs::write(&manifest_path, &torn).expect("tear");
+        let load = registry::load_generation(&dir.0).expect("fallback exists");
+        assert_served_fallback(load, registry::MANIFEST, class);
+    }
     std::fs::remove_file(&manifest_path).expect("rm");
     let load = registry::load_generation(&dir.0).expect("fallback exists");
-    assert!(load.fell_back);
-    assert_eq!(load.errors[0].1.name(), "io");
+    assert_served_fallback(load, registry::MANIFEST, "io");
+}
+
+#[test]
+fn every_cut_or_flip_of_the_manifest_reads_as_an_error() {
+    // One generation, so no fallback hides the manifest's own error.
+    let dir = TempDir::new("torn-manifest-ladder");
+    registry::save_dir(&dir.0, &records_v(1)).expect("publish gen1");
+    durable::ladder::manifest(&dir.0.join(registry::MANIFEST), |_| {
+        registry::load_generation(&dir.0)
+    });
 }
 
 #[test]
 fn first_publish_has_no_fallback_and_surfaces_the_error() {
-    let dir = TempDir::new("no-fallback");
+    let dir = TempDir::new("torn-no-fallback");
     registry::save_dir(&dir.0, &records_v(1)).expect("publish gen1");
     assert!(!dir.0.join(registry::MANIFEST_PREV).exists(), "first publish has no prev");
 
-    let manifest = std::fs::read_to_string(dir.0.join(registry::MANIFEST)).expect("manifest");
-    let first = registry::parse_manifest(&manifest).expect("parses").entries[0].file.clone();
+    let first = manifest(&dir.0, registry::MANIFEST).files[0].0.clone();
     let victim = dir.0.join(&first);
     let original = std::fs::read(&victim).expect("bytes");
     std::fs::write(&victim, &original[..original.len() / 2]).expect("tear");
@@ -204,7 +203,7 @@ fn first_publish_has_no_fallback_and_surfaces_the_error() {
 
 #[test]
 fn leftover_tmp_files_are_ignored_by_the_loader() {
-    let dir = TempDir::new("tmp-leftovers");
+    let dir = TempDir::new("torn-tmp-leftovers");
     registry::save_dir(&dir.0, &records_v(1)).expect("publish gen1");
     // A crash between `File::create` and `rename` leaves a hidden
     // `.tmp` sibling; the loader must not trip on it.
@@ -217,7 +216,7 @@ fn leftover_tmp_files_are_ignored_by_the_loader() {
 
 #[test]
 fn publishing_over_a_torn_manifest_keeps_the_last_good_fallback() {
-    let dir = TempDir::new("publish-over-torn");
+    let dir = TempDir::new("torn-publish-over-torn");
     two_generations(&dir.0);
     let manifest_path = dir.0.join(registry::MANIFEST);
     atomic_write(&manifest_path, b"torn garbage").expect("tear");
@@ -225,16 +224,14 @@ fn publishing_over_a_torn_manifest_keeps_the_last_good_fallback() {
     // The garbage must not become the fallback, and the new generation
     // must not restart from 1.
     registry::save_dir(&dir.0, &records_v(3)).expect("publish gen3");
-    let text = |name: &str| std::fs::read_to_string(dir.0.join(name)).expect("manifest");
-    let prev = registry::parse_manifest(&text(registry::MANIFEST_PREV)).expect("prev parses");
-    assert_eq!(prev.generation, 1, "the last manifest that parsed stays the fallback");
-    let current = registry::parse_manifest(&text(registry::MANIFEST)).expect("parses");
-    assert_eq!(current.generation, 2, "one past the highest generation that parsed");
+    let prev = manifest(&dir.0, registry::MANIFEST_PREV);
+    assert_eq!(prev.number, 1, "the last manifest that parsed stays the fallback");
+    let current = manifest(&dir.0, registry::MANIFEST);
+    assert_eq!(current.number, 2, "one past the highest generation that parsed");
 
     // A clean publish after that numbers on from the new manifest.
     registry::save_dir(&dir.0, &records_v(4)).expect("publish gen4");
-    let prev = registry::parse_manifest(&text(registry::MANIFEST_PREV)).expect("prev parses");
-    assert_eq!(prev, current);
+    assert_eq!(manifest(&dir.0, registry::MANIFEST_PREV), current);
     let load = registry::load_generation(&dir.0).expect("clean");
     assert!(!load.fell_back, "{:?}", load.errors);
     assert_eq!(load.generation, 3);
@@ -242,10 +239,10 @@ fn publishing_over_a_torn_manifest_keeps_the_last_good_fallback() {
 
 #[test]
 fn live_server_keeps_serving_through_a_torn_publish() {
-    let dir = TempDir::new("live-torn");
+    let dir = TempDir::new("torn-live-torn");
     registry::save_dir(&dir.0, &records_v(1)).expect("publish gen1");
     let load = registry::load_generation(&dir.0).expect("clean");
-    let served = ModelBundle::from_records(load.records).expect("rebuilds");
+    let served = ModelBundle::from_generation(load).expect("rebuilds");
 
     let cfg = ServeConfig {
         port: 0,
@@ -262,26 +259,23 @@ fn live_server_keeps_serving_through_a_torn_publish() {
     let raw = common::clean_gpx();
     let gen1_report = client.post("/v1/report", &raw).expect("post").text();
 
-    // Publish generation 2 in a staging directory, then land it torn:
+    // Publish generation 2 in a staging directory (after a generation 1
+    // there, so its number follows the live one), then land it torn:
     // record files first (one truncated), manifests last — the mtime
     // bump is what the reloader sees.
-    let staging = TempDir::new("live-torn-staging");
-    registry::save_dir(&staging.0, &records_v(2)).expect("stage gen2");
-    let staged = std::fs::read_to_string(staging.0.join(registry::MANIFEST)).expect("manifest");
-    let entries = registry::parse_manifest(&staged).expect("parses").entries;
-    for (i, entry) in entries.iter().enumerate() {
-        let mut image = std::fs::read(staging.0.join(&entry.file)).expect("image");
+    let staging = TempDir::new("torn-live-torn-staging");
+    let entries = two_generations(&staging.0);
+    for (i, (file, _)) in entries.iter().enumerate() {
+        let mut image = std::fs::read(staging.0.join(file)).expect("image");
         if i == 0 {
             image.truncate(image.len() / 2); // the torn write
         }
-        std::fs::write(dir.0.join(&entry.file), &image).expect("land");
+        std::fs::write(dir.0.join(file), &image).expect("land");
     }
-    let gen1_manifest = std::fs::read_to_string(dir.0.join(registry::MANIFEST)).expect("old");
-    atomic_write(&dir.0.join(registry::MANIFEST_PREV), gen1_manifest.as_bytes())
-        .expect("prev");
-    let gen2_manifest = staged.replacen("generation 1", "generation 2", 1);
-    atomic_write(&dir.0.join(registry::MANIFEST), gen2_manifest.as_bytes())
-        .expect("manifest");
+    let gen1_manifest = std::fs::read(dir.0.join(registry::MANIFEST)).expect("old");
+    atomic_write(&dir.0.join(registry::MANIFEST_PREV), &gen1_manifest).expect("prev");
+    let gen2_manifest = std::fs::read(staging.0.join(registry::MANIFEST)).expect("staged");
+    atomic_write(&dir.0.join(registry::MANIFEST), &gen2_manifest).expect("manifest");
 
     // The reloader must notice, refuse the torn generation, and keep
     // serving generation 1.
@@ -302,10 +296,9 @@ fn live_server_keeps_serving_through_a_torn_publish() {
 
     // Repair the torn file and re-touch the manifest: the reloader
     // must pick up generation 2 cleanly.
-    let repaired = std::fs::read(staging.0.join(&entries[0].file)).expect("image");
-    std::fs::write(dir.0.join(&entries[0].file), &repaired).expect("repair");
-    atomic_write(&dir.0.join(registry::MANIFEST), gen2_manifest.as_bytes())
-        .expect("re-touch");
+    let repaired = std::fs::read(staging.0.join(&entries[0].0)).expect("image");
+    std::fs::write(dir.0.join(&entries[0].0), &repaired).expect("repair");
+    atomic_write(&dir.0.join(registry::MANIFEST), &gen2_manifest).expect("re-touch");
     let deadline = Instant::now() + Duration::from_secs(10);
     while server.health().generation < 2 {
         assert!(Instant::now() < deadline, "repair never reloaded: {:?}", server.health());
@@ -322,10 +315,10 @@ fn live_server_keeps_serving_through_a_torn_publish() {
 
 #[test]
 fn repeated_bad_reloads_open_the_circuit_breaker() {
-    let dir = TempDir::new("breaker");
+    let dir = TempDir::new("torn-breaker");
     registry::save_dir(&dir.0, &records_v(1)).expect("publish gen1");
     let load = registry::load_generation(&dir.0).expect("clean");
-    let served = ModelBundle::from_records(load.records).expect("rebuilds");
+    let served = ModelBundle::from_generation(load).expect("rebuilds");
     let gen1_manifest = std::fs::read_to_string(dir.0.join(registry::MANIFEST)).expect("manifest");
 
     let cfg = ServeConfig {
@@ -372,4 +365,45 @@ fn repeated_bad_reloads_open_the_circuit_breaker() {
     }
     assert!(server.health().reload_successes >= 1);
     server.shutdown();
+}
+
+#[test]
+fn a_server_started_over_a_torn_publish_reports_the_fallback_generation() {
+    let dir = TempDir::new("torn-start-torn");
+    let files = two_generations(&dir.0);
+    let victim = dir.0.join(&files[0].0);
+    let image = std::fs::read(&victim).expect("image");
+    std::fs::write(&victim, &image[..image.len() / 2]).expect("tear");
+
+    let load = registry::load_generation(&dir.0).expect("fallback exists");
+    assert!(load.fell_back);
+    let cfg = ServeConfig { workers: 1, model_dir: Some(dir.0.clone()), ..ServeConfig::from_env() };
+    let server = Server::start(ModelBundle::from_generation(load).expect("gen1"), &cfg)
+        .expect("bind");
+    assert_eq!(server.health().generation, 1, "health must name the generation it serves");
+    server.shutdown();
+}
+
+#[test]
+fn smoke_serves_the_prev_generation_when_only_prev_exists() {
+    let dir = TempDir::new("torn-smoke-prev");
+    two_generations(&dir.0);
+    std::fs::remove_file(dir.0.join(registry::MANIFEST)).expect("rm manifest");
+    let upload = TempDir::new("torn-smoke-prev-upload");
+    let gpx = upload.0.join("clean.gpx");
+    std::fs::write(&gpx, common::clean_gpx()).expect("gpx");
+
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_elev-serve"))
+        .arg("--model-dir")
+        .arg(&dir.0)
+        .arg("--smoke")
+        .arg(&gpx)
+        .output()
+        .expect("run elev-serve");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "elev-serve failed: {stderr}");
+    assert!(stderr.contains("serving last-good generation 1"), "stderr: {stderr}");
+    let gen1 = ModelBundle::from_records(records_v(1)).expect("gen1");
+    let (status, json) = gen1.report_json(&common::clean_gpx(), &mut InferenceArena::new());
+    assert_eq!(String::from_utf8_lossy(&out.stdout), format!("{status}\n{json}\n"));
 }

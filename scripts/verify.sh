@@ -293,7 +293,8 @@ assert r == c, "exact sweep differs from the committed artifact"'
 
     # ANN mode: the IVF sweep must be bit-identical at 1 vs 4 worker
     # threads, hold recall@3 >= 0.95 against the exact scan at every
-    # pool size, and rescore a sublinear fraction of candidate pairs.
+    # pool size, and rescore under half of the candidate pairs (a
+    # constant-factor cut: the index is not sublinear).
     ELEV_ANN=1 ELEV_THREADS=4 ./target/release/scale_sweep > /dev/null
     cp "$json" "$dir/ann_t4.json"
     ELEV_ANN=1 ELEV_THREADS=1 ./target/release/scale_sweep > /dev/null
@@ -304,7 +305,7 @@ ann = r["ann"]
 assert ann is not None, "sweep artifact has no ann section"
 assert len(ann["recall3"]) == len(r["points"])
 assert all(v >= 0.95 for v in ann["recall3"]), "recall@3 below 0.95 floor"
-assert ann["rows_scanned"] * 2 < ann["rows_total"], "IVF scan not sublinear"'
+assert ann["rows_scanned"] * 2 < ann["rows_total"], "IVF scan rescored half the pairs or more"'
     echo "scale: ANN sweep thread-invariant, recall@3 >= 0.95 at every pool size"
     cmp "$dir/committed.json" "$json"
     echo "scale: $json byte-identical to the committed artifact"
