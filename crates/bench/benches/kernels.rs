@@ -321,7 +321,7 @@ fn main() {
             .flat_map(|a| &a.activities)
             .map(|act| act.elevation_profile())
             .collect();
-        let vocabulary = fit_vocabulary(&pop);
+        let vocabulary = fit_vocabulary(&pop, &exec::Executor::from_env());
         let store_pipeline = vocabulary.pipeline();
         let dir = std::env::temp_dir().join(format!("elev-bench-fst-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -400,7 +400,7 @@ fn main() {
         // Probe features live in the store's feature space: the same
         // shard-0-fitted vocabulary `build_store` used.
         let terrain = cfg.population.terrain();
-        let vocabulary = fit_vocabulary(&cfg.population);
+        let vocabulary = fit_vocabulary(&cfg.population, &exec);
         assert_eq!(vocabulary.pipeline().n_features(), build.n_cols, "probe space != store space");
 
         let n_probes = 32u64;
@@ -408,7 +408,7 @@ fn main() {
             .map(|id| Probe::held_out(&cfg.population, &terrain, id, vocabulary.pipeline()))
             .collect();
         let probe_sigs: Vec<OverlapSig> =
-            probes.iter().map(|p| OverlapSig::new(p.features.indices())).collect();
+            probes.iter().map(|p| OverlapSig::new(p.features().indices())).collect();
 
         // Each pass answers every query independently — the serving
         // shape (one uploaded profile, one top-3 answer), which is
@@ -436,7 +436,7 @@ fn main() {
             annindex::AnnIndex::ensure(&store, 64, cfg.population.seed, &exec).expect("index");
         let probe_lists: Vec<Vec<u32>> = probes
             .iter()
-            .map(|p| index.codebook().top_centroids(p.features.indices(), p.features.values(), 8))
+            .map(|p| index.codebook().top_centroids(p.features().indices(), p.features().values(), 8))
             .collect();
         let ann_query = |pi: usize, row: &mut featstore::RowBuf| {
             let mut top = Vec::new();

@@ -122,7 +122,8 @@ fn main() {
 
     // Scaling: re-identification accuracy vs candidate-population size
     // over the sharded feature store (quick slice; scale_sweep runs the
-    // full ladder and writes results/scale_population.json).
+    // full ladder, and its reference run writes
+    // results/scale_population.json).
     let t = Instant::now();
     let pop_size = if scale == ExperimentScale::full() { 10_000 } else { 600 };
     let mut scale_cfg = elev_core::scale::ScaleConfig::new(pop_size, seed);

@@ -20,6 +20,11 @@
 //! - `ELEV_ANN_CENTROIDS` / `ELEV_ANN_NPROBE` — IVF codebook size
 //!   (default 64) and posting lists scanned per probe (default 8).
 //!
+//! The report goes to `results/scale_population.json`, the committed
+//! artifact, only from the reference run: 10 000 athletes in shards of
+//! 1024, seed 42, IVF matching at the defaults. Every other run writes
+//! it to `target/scale_population.json`.
+//!
 //! Flags:
 //!
 //! - `--digests` — regenerate every population shard, print one
@@ -30,7 +35,7 @@
 //!   order (the printed lines must not change).
 
 use bench::{pct, start, TextTable};
-use elev_core::scale::{scale_sweep, shard_fingerprints, ScaleConfig};
+use elev_core::scale::{scale_sweep, shard_fingerprints, AnnSettings, ScaleConfig};
 use std::time::Instant;
 
 fn main() {
@@ -116,7 +121,18 @@ fn main() {
     let json = report.to_json();
     println!("scale-report-json:");
     println!("{json}");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/scale_population.json");
+    // Only the reference run rewrites the committed artifact.
+    let mut reference = ScaleConfig::new(10_000, 42);
+    reference.store_dir.clone_from(&cfg.store_dir);
+    reference.ann = Some(AnnSettings::default());
+    let path = if cfg == reference {
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/scale_population.json")
+    } else {
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/scale_population.json")
+    };
+    if let Some(dir) = std::path::Path::new(path).parent() {
+        std::fs::create_dir_all(dir).expect("create the report directory");
+    }
     std::fs::write(path, format!("{json}\n")).expect("write scale_population.json");
     println!();
     println!("wrote {path}");

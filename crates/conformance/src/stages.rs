@@ -439,7 +439,8 @@ pub fn compute_stages(seed: u64) -> Vec<StageArtifact> {
     {
         let pop = conformance_population(seed);
         let terrain = pop.terrain();
-        let vocabulary = fit_vocabulary(&pop);
+        let exec = exec::Executor::from_env();
+        let vocabulary = fit_vocabulary(&pop, &exec);
         let pipeline = vocabulary.pipeline();
 
         let mut rows: Vec<featstore::RowBuf> = Vec::new();
@@ -469,7 +470,7 @@ pub fn compute_stages(seed: u64) -> Vec<StageArtifact> {
             pipeline.n_features(),
             k,
             seed,
-            &exec::Executor::from_env(),
+            &exec,
         );
         let mut lists: Vec<Vec<usize>> = vec![Vec::new(); codebook.k()];
         let norms: Vec<f32> = rows.iter().map(|r| annindex::l2(&r.values)).collect();
@@ -487,7 +488,7 @@ pub fn compute_stages(seed: u64) -> Vec<StageArtifact> {
         let (mut recall_sum, mut rescored) = (0.0f64, 0usize);
         for id in 0..n_probes {
             let probe = Probe::held_out(&pop, &terrain, id, pipeline);
-            let f = &probe.features;
+            let f = probe.features();
             let selected = codebook.top_centroids(f.indices(), f.values(), nprobe);
             let mut ann_top = Vec::new();
             for &c in &selected {

@@ -34,18 +34,20 @@
 //! How a probe is matched is decided here and nowhere else. The
 //! public matcher items are the one probe path: [`fit_vocabulary`]
 //! (the shard-0 feature space), [`Probe::held_out`] (the probe
-//! recipe), [`Probe::score`] (the cosine and its drops), [`Hit`] with
+//! recipe) or [`Probe::new`] (a probe of the caller's own features),
+//! [`Probe::score`] (the cosine and its drops), [`Hit`] with
 //! [`push_topk`] (the distinct-athlete ranking), [`OverlapSig`] (the
 //! exact scan's prefilter) and [`recall_at3`] (IVF against exact).
 //! Both shard scans, the `ann.sweep` conformance stage and the
 //! `ann_match` kernel bench call them; a served `POST /v1/identify`
 //! calls them too rather than carrying a copy.
 
+use crate::featcache::SharedPipeline;
 use annindex::{l2, AnnIndex};
 use exec::Executor;
 use featstore::{FeatureStore, RowBuf, ShardEntry, ShardWriter, StoreManifest, MANIFEST};
 use routegen::PopulationConfig;
-use sparsemat::{dot_sorted, SparseVec};
+use sparsemat::SparseVec;
 use std::path::{Path, PathBuf};
 use terrain::SyntheticTerrain;
 use textrep::{Discretizer, FeatureSelection, TextPipeline};
@@ -175,23 +177,29 @@ pub fn population_ladder(max: usize) -> Vec<usize> {
 
 /// Fits the scale vocabulary: the [`SCALE_NGRAM`] featurization on the
 /// elevation profiles of shard 0 alone, so the feature space is the
-/// same at every population size. Memoized through
-/// [`featcache`](crate::featcache).
-pub fn fit_vocabulary(pop: &PopulationConfig) -> crate::featcache::SharedPipeline {
-    let terrain = pop.terrain();
-    let shard0 = pop.generate_shard(&terrain, 0);
-    let profiles: Vec<Vec<f64>> = shard0
-        .athletes
-        .iter()
-        .flat_map(|a| &a.activities)
-        .map(|act| act.elevation_profile())
-        .collect();
+/// same at every population size. Shard 0 is regenerated on `exec`,
+/// athlete by athlete, keeping only each athlete's elevation profiles
+/// (never the shard's tracks) in id order, so the fit is the same at
+/// any thread count. Memoized through [`featcache`](crate::featcache).
+pub fn fit_vocabulary(pop: &PopulationConfig, exec: &Executor) -> SharedPipeline {
     crate::featcache::pipeline_for(
-        &profiles,
+        &shard0_profiles(pop, exec),
         Discretizer::Floor,
         SCALE_NGRAM,
         FeatureSelection::standard(),
     )
+}
+
+/// The elevation profiles of shard 0's history activities, in athlete
+/// id then activity order, regenerated on `exec`.
+fn shard0_profiles(pop: &PopulationConfig, exec: &Executor) -> Vec<Vec<f64>> {
+    let terrain = pop.terrain();
+    let ids: Vec<u64> = pop.shard_range(0).collect();
+    let per_athlete = exec.map(&ids, |_, &id| {
+        let athlete = pop.generate_athlete(&terrain, id);
+        athlete.activities.iter().map(|act| act.elevation_profile()).collect::<Vec<_>>()
+    });
+    per_athlete.into_iter().flatten().collect()
 }
 
 /// Outcome of [`build_store`]: shape of the published store and
@@ -216,7 +224,7 @@ pub struct StoreBuildReport {
 /// writer, returning its publish metadata.
 fn featurize_shard(
     cfg: &ScaleConfig,
-    pipeline: &crate::featcache::SharedPipeline,
+    pipeline: &SharedPipeline,
     terrain: &terrain::SyntheticTerrain,
     n_cols: usize,
     fingerprint: u64,
@@ -288,7 +296,7 @@ pub fn build_store(
             && m.athletes % m.shard_size == 0
             && m.shards.len() * pop.shard_size == m.athletes as usize
         {
-            let pipeline = fit_vocabulary(pop);
+            let pipeline = fit_vocabulary(pop, exec);
             let n_cols = pipeline.pipeline().n_features();
             if n_cols as u64 == m.n_cols {
                 let terrain = pop.terrain();
@@ -310,7 +318,7 @@ pub fn build_store(
     }
     std::fs::create_dir_all(&cfg.store_dir)?;
 
-    let pipeline = fit_vocabulary(pop);
+    let pipeline = fit_vocabulary(pop, exec);
     let n_cols = pipeline.pipeline().n_features();
     let terrain = pop.terrain();
     let shard_ids: Vec<usize> = (0..pop.n_shards()).collect();
@@ -342,17 +350,22 @@ pub fn build_store(
     })
 }
 
-/// One probe: a fresh (held-out) activity of a candidate athlete.
+/// One probe: a fresh (held-out) activity of a candidate athlete, kept
+/// sparse (for index routing and the overlap signature) and dense, one
+/// value per vocabulary column (for [`score`](Self::score)). The fields
+/// are private, so the two copies cannot drift apart.
 #[derive(Debug, Clone)]
 pub struct Probe {
     /// Global id of the probe's athlete.
-    pub athlete: u64,
+    athlete: u64,
     /// The athlete's home-city label.
-    pub city: u32,
+    city: u32,
     /// The held-out activity's features in the scale vocabulary.
-    pub features: SparseVec,
+    features: SparseVec,
     /// L2 norm of `features`.
-    pub norm: f32,
+    norm: f32,
+    /// `features` densified to the vocabulary's width.
+    dense: Vec<f32>,
 }
 
 impl Probe {
@@ -369,20 +382,44 @@ impl Probe {
         let mut acts = pop.athlete_activities(terrain, id, habits.weekly_cadence + 1);
         let act = acts.pop().expect("cadence + 1 activities");
         let features = vocabulary.transform_sparse(&act.elevation_profile());
+        Self::new(id, habits.city_index as u32, features)
+    }
+
+    /// A probe of athlete `athlete` living in city `city`, from
+    /// `features` in the scale vocabulary (as wide as it), with its
+    /// norm and dense copy.
+    pub fn new(athlete: u64, city: u32, features: SparseVec) -> Self {
         let norm = l2(features.values());
-        Self { athlete: id, city: habits.city_index as u32, features, norm }
+        let dense = features.to_dense();
+        Self { athlete, city, features, norm, dense }
+    }
+
+    /// The probe's features in the scale vocabulary.
+    pub fn features(&self) -> &SparseVec {
+        &self.features
     }
 
     /// Scores one stored row of norm `row_norm`: the cosine
     /// `dot / (|p|·|r|)` as a hit for the row's athlete, or `None` when
     /// the row has zero norm or `dot <= 0` (no shared vocabulary).
+    ///
+    /// The dot sums `dense[j] * v` over the row's nonzeros in ascending
+    /// index order, and an index past the vocabulary's width counts as
+    /// zero. Feature values are non-negative, so each index the probe
+    /// lacks adds +0.0 to a non-negative sum: the result is the sorted
+    /// merge-join's (`sparsemat::dot_sorted`) bit for bit, without its
+    /// branch per index.
     #[inline]
     pub fn score(&self, row: &RowBuf, row_norm: f32) -> Option<Hit> {
         if row_norm == 0.0 {
             return None;
         }
-        let dot =
-            dot_sorted(self.features.indices(), self.features.values(), &row.indices, &row.values);
+        let mut dot = 0f32;
+        for (&j, &v) in row.indices.iter().zip(&row.values) {
+            // Indices ascend, so every later one is past the width too.
+            let Some(&p) = self.dense.get(j as usize) else { break };
+            dot += p * v;
+        }
         (dot > 0.0).then(|| Hit {
             score: dot / (self.norm * row_norm),
             athlete: row.athlete,
@@ -589,8 +626,8 @@ impl ScaleReport {
 /// Builds the stratified probe set: for each city, the first
 /// `probes_per_city` athletes (by global id) living there among ids
 /// below the smallest population size; each contributes their *next*
-/// activity beyond the stored history.
-fn build_probes(cfg: &ScaleConfig, pipeline: &crate::featcache::SharedPipeline) -> Vec<Probe> {
+/// activity beyond the stored history, generated on `exec`.
+fn build_probes(cfg: &ScaleConfig, vocabulary: &SharedPipeline, exec: &Executor) -> Vec<Probe> {
     let pop = &cfg.population;
     let terrain = pop.terrain();
     let min_size = *cfg.pop_sizes.first().expect("at least one population size") as u64;
@@ -603,7 +640,7 @@ fn build_probes(cfg: &ScaleConfig, pipeline: &crate::featcache::SharedPipeline) 
             picks.push(id);
         }
     }
-    picks.into_iter().map(|id| Probe::held_out(pop, &terrain, id, pipeline.pipeline())).collect()
+    exec.map(&picks, |_, &id| Probe::held_out(pop, &terrain, id, vocabulary.pipeline()))
 }
 
 /// Per-probe, per-population-size top-3 hit lists.
@@ -734,17 +771,29 @@ fn scan_shard_ann(
 ///
 /// # Errors
 ///
-/// Any [`durable::Error`] from the store build or the shard scans.
+/// Any [`durable::Error`] from the store build or the shard scans;
+/// [`durable::Error::Malformed`] when the store's width is not the
+/// fitted vocabulary's (a reused store featurized before a
+/// featurization change).
 ///
 /// # Panics
 ///
 /// Panics if `cfg.pop_sizes` is empty.
 pub fn scale_sweep(cfg: &ScaleConfig, exec: &Executor) -> Result<ScaleReport, durable::Error> {
     assert!(!cfg.pop_sizes.is_empty(), "sweep needs at least one population size");
+    let vocabulary = fit_vocabulary(&cfg.population, exec);
     let build = build_store(cfg, exec)?;
+    let width = vocabulary.pipeline().n_features();
+    if build.n_cols != width {
+        return Err(durable::Error::Malformed(format!(
+            "{} holds a store {} features wide, but the vocabulary fitted now is {width} wide; \
+             remove the store to rebuild it",
+            cfg.store_dir.display(),
+            build.n_cols
+        )));
+    }
     let store = FeatureStore::open(&cfg.store_dir)?;
-    let pipeline = fit_vocabulary(&cfg.population);
-    let probes = build_probes(cfg, &pipeline);
+    let probes = build_probes(cfg, &vocabulary, exec);
     let sizes = &cfg.pop_sizes;
 
     let sigs: Vec<OverlapSig> =
@@ -904,6 +953,8 @@ pub fn remove_store(dir: &Path) -> Result<(), durable::Error> {
 mod tests {
     use super::*;
     use annindex::Ensured;
+    use proptest::prelude::*;
+    use sparsemat::dot_sorted;
 
     fn tiny_cfg(tag: &str, athletes: usize) -> ScaleConfig {
         let mut cfg = ScaleConfig::new(athletes, 77);
@@ -1074,8 +1125,8 @@ mod tests {
         let exec = Executor::new(2);
         build_store(&cfg, &exec).expect("build");
         let store = FeatureStore::open(&cfg.store_dir).expect("open");
-        let pipeline = fit_vocabulary(&cfg.population);
-        let probes = build_probes(&cfg, &pipeline);
+        let vocabulary = fit_vocabulary(&cfg.population, &exec);
+        let probes = build_probes(&cfg, &vocabulary, &exec);
         assert!(!probes.is_empty(), "need probes for the comparison to mean anything");
         let sigs: Vec<OverlapSig> =
             probes.iter().map(|p| OverlapSig::new(p.features.indices())).collect();
@@ -1224,5 +1275,108 @@ mod tests {
         let _ = std::fs::remove_dir_all(&grown.store_dir);
         let _ = std::fs::remove_dir_all(&fresh.store_dir);
         (build, store.manifest().generation, path)
+    }
+
+    #[test]
+    fn a_reused_store_of_another_width_is_refused() {
+        let cfg = tiny_cfg("width", 16);
+        let exec = Executor::new(2);
+        let build = build_store(&cfg, &exec).expect("build");
+        // Republish every shard and the manifest one column wider, so
+        // headers and manifest agree, as a store featurized before a
+        // vocabulary change would.
+        let store = FeatureStore::open(&cfg.store_dir).expect("open");
+        let mut m = store.manifest().clone();
+        m.n_cols += 1;
+        for s in 0..m.shards.len() {
+            let mut reader = store.reader(s).expect("reader");
+            let (mut row, mut rows) = (RowBuf::default(), Vec::new());
+            while reader.next_row(&mut row).expect("row") {
+                rows.push(row.clone());
+            }
+            let mut w = ShardWriter::create(&cfg.store_dir, s, m.n_cols, m.config).expect("create");
+            for r in &rows {
+                w.append_row(r.athlete, r.city, r.activity, &r.indices, &r.values).expect("append");
+            }
+            w.finish().expect("finish");
+        }
+        m.generation = durable::Generation::next(&cfg.store_dir, &featstore::STORE);
+        FeatureStore::publish_manifest(&cfg.store_dir, &m).expect("republish");
+
+        let err = scale_sweep(&cfg, &exec).expect_err("a store of another width is refused");
+        assert_eq!(err.name(), "malformed");
+        let msg = err.to_string();
+        let (stored, fitted) = (build.n_cols + 1, build.n_cols);
+        assert!(
+            msg.contains(&format!("{stored} features wide"))
+                && msg.contains(&format!("fitted now is {fitted} wide")),
+            "error must name both widths: {msg}"
+        );
+        let _ = std::fs::remove_dir_all(&cfg.store_dir);
+    }
+
+    #[test]
+    fn vocabulary_and_probes_are_thread_invariant() {
+        let cfg = tiny_cfg("vocab-threads", 24);
+        let (one, four) = (Executor::new(1), Executor::new(4));
+        let profiles = shard0_profiles(&cfg.population, &four);
+        let shard0 = cfg.population.generate_shard(&cfg.population.terrain(), 0);
+        let expected: Vec<Vec<f64>> = shard0
+            .athletes
+            .iter()
+            .flat_map(|a| &a.activities)
+            .map(|a| a.elevation_profile())
+            .collect();
+        assert_eq!(shard0_profiles(&cfg.population, &one), expected);
+        assert_eq!(profiles, expected, "shard-0 profiles must keep id order on any executor");
+
+        let a = fit_vocabulary(&cfg.population, &one);
+        let b = fit_vocabulary(&cfg.population, &four);
+        assert_eq!(a.pipeline().n_features(), b.pipeline().n_features());
+        assert_eq!(a.pipeline().vectorizer().features(), b.pipeline().vectorizer().features());
+        assert_eq!(a.pipeline().codebook(), b.pipeline().codebook());
+
+        let key = |p: &Probe| {
+            let dense: Vec<u32> = p.dense.iter().map(|v| v.to_bits()).collect();
+            (p.athlete, p.city, p.features.clone(), p.norm.to_bits(), dense)
+        };
+        let probes_one: Vec<_> = build_probes(&cfg, &a, &one).iter().map(key).collect();
+        let probes_four: Vec<_> = build_probes(&cfg, &b, &four).iter().map(key).collect();
+        assert!(!probes_one.is_empty());
+        assert_eq!(probes_one, probes_four);
+    }
+
+    /// A sorted sparse vector over `0..bound`: non-negative values, some
+    /// exactly zero, possibly empty.
+    fn sparse(bound: u32, max_nnz: usize) -> impl Strategy<Value = (Vec<u32>, Vec<f32>)> {
+        let value = prop_oneof![Just(0.0f32), 0.0f32..1.0];
+        prop::collection::vec((0..bound, value), 0..max_nnz).prop_map(|mut pairs| {
+            pairs.sort_by_key(|&(i, _)| i);
+            pairs.dedup_by_key(|&mut (i, _)| i);
+            pairs.into_iter().unzip()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn dense_score_is_the_merge_join_bit_for_bit(
+            (width, (p_idx, p_val), (r_idx, r_val)) in (1u32..48)
+                .prop_flat_map(|w| (Just(w), sparse(w, 24), sparse(w + 16, 32))),
+        ) {
+            let probe = Probe::new(7, 3, SparseVec::new(width as usize, p_idx, p_val));
+            let row = RowBuf { athlete: 11, city: 2, activity: 0, indices: r_idx, values: r_val };
+            let row_norm = l2(&row.values);
+            // The scan's formula before dense probes.
+            let p = &probe.features;
+            let dot = dot_sorted(p.indices(), p.values(), &row.indices, &row.values);
+            let expected = (row_norm != 0.0 && dot > 0.0)
+                .then(|| ((dot / (probe.norm * row_norm)).to_bits(), row.athlete, row.city));
+            let got = probe.score(&row, row_norm).map(|h| (h.score.to_bits(), h.athlete, h.city));
+            prop_assert_eq!(got, expected);
+            // A row scored with a zero norm is dropped whatever its dot.
+            prop_assert!(probe.score(&row, 0.0).is_none());
+        }
     }
 }

@@ -25,27 +25,65 @@ pub enum Phase {
     Predict,
 }
 
-static FEATURIZE_NS: AtomicU64 = AtomicU64::new(0);
-static FIT_NS: AtomicU64 = AtomicU64::new(0);
-static CNN_TRAIN_NS: AtomicU64 = AtomicU64::new(0);
-static PREDICT_NS: AtomicU64 = AtomicU64::new(0);
+/// One set of per-phase counters, in nanoseconds.
+struct Counters {
+    featurize: AtomicU64,
+    fit: AtomicU64,
+    cnn_train: AtomicU64,
+    predict: AtomicU64,
+}
 
-fn counter(phase: Phase) -> &'static AtomicU64 {
-    match phase {
-        Phase::Featurize => &FEATURIZE_NS,
-        Phase::Fit => &FIT_NS,
-        Phase::CnnTrain => &CNN_TRAIN_NS,
-        Phase::Predict => &PREDICT_NS,
+/// The process-global counters behind [`time`], [`snapshot`] and
+/// [`reset`].
+static COUNTERS: Counters = Counters::new();
+
+impl Counters {
+    const fn new() -> Self {
+        Self {
+            featurize: AtomicU64::new(0),
+            fit: AtomicU64::new(0),
+            cnn_train: AtomicU64::new(0),
+            predict: AtomicU64::new(0),
+        }
+    }
+
+    fn counter(&self, phase: Phase) -> &AtomicU64 {
+        match phase {
+            Phase::Featurize => &self.featurize,
+            Phase::Fit => &self.fit,
+            Phase::CnnTrain => &self.cnn_train,
+            Phase::Predict => &self.predict,
+        }
+    }
+
+    fn time<T>(&self, phase: Phase, f: impl FnOnce() -> T) -> T {
+        let start = Instant::now();
+        let out = f();
+        let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.counter(phase).fetch_add(ns, Ordering::Relaxed);
+        out
+    }
+
+    fn snapshot(&self) -> PhaseTimes {
+        let read = |c: &AtomicU64| Duration::from_nanos(c.load(Ordering::Relaxed));
+        PhaseTimes {
+            featurize: read(&self.featurize),
+            fit: read(&self.fit),
+            cnn_train: read(&self.cnn_train),
+            predict: read(&self.predict),
+        }
+    }
+
+    fn reset(&self) {
+        for c in [&self.featurize, &self.fit, &self.cnn_train, &self.predict] {
+            c.store(0, Ordering::Relaxed);
+        }
     }
 }
 
 /// Runs `f`, charging its elapsed time to `phase`.
 pub fn time<T>(phase: Phase, f: impl FnOnce() -> T) -> T {
-    let start = Instant::now();
-    let out = f();
-    let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    counter(phase).fetch_add(ns, Ordering::Relaxed);
-    out
+    COUNTERS.time(phase, f)
 }
 
 /// Accumulated per-phase totals since process start (or [`reset`]).
@@ -72,20 +110,12 @@ impl PhaseTimes {
 
 /// Reads the current totals.
 pub fn snapshot() -> PhaseTimes {
-    PhaseTimes {
-        featurize: Duration::from_nanos(FEATURIZE_NS.load(Ordering::Relaxed)),
-        fit: Duration::from_nanos(FIT_NS.load(Ordering::Relaxed)),
-        cnn_train: Duration::from_nanos(CNN_TRAIN_NS.load(Ordering::Relaxed)),
-        predict: Duration::from_nanos(PREDICT_NS.load(Ordering::Relaxed)),
-    }
+    COUNTERS.snapshot()
 }
 
 /// Zeroes all counters (tests and per-run reporting).
 pub fn reset() {
-    FEATURIZE_NS.store(0, Ordering::Relaxed);
-    FIT_NS.store(0, Ordering::Relaxed);
-    CNN_TRAIN_NS.store(0, Ordering::Relaxed);
-    PREDICT_NS.store(0, Ordering::Relaxed);
+    COUNTERS.reset();
 }
 
 #[cfg(test)]
@@ -109,10 +139,12 @@ mod tests {
 
     #[test]
     fn phases_are_charged_independently() {
-        let before = snapshot();
-        time(Phase::Featurize, || std::thread::sleep(Duration::from_millis(1)));
-        let after = snapshot();
-        assert!(after.featurize > before.featurize);
-        assert_eq!(after.predict, before.predict);
+        // Private counters: other tests in the process charge the
+        // global ones concurrently, a `Predict` span included.
+        let counters = Counters::new();
+        counters.time(Phase::Featurize, || std::thread::sleep(Duration::from_millis(1)));
+        let after = counters.snapshot();
+        assert!(after.featurize >= Duration::from_millis(1));
+        assert_eq!((after.fit, after.cnn_train, after.predict), Default::default());
     }
 }

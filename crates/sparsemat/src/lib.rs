@@ -39,10 +39,10 @@ use serde::{Deserialize, Serialize};
 use tensorlite::Tensor;
 
 /// Merge-join dot product of two sparse vectors given as parallel
-/// sorted index/value slices — the cosine-matching kernel the scale
-/// sweeps and the IVF index share. Accumulates in ascending index
-/// order, so the result is a pure function of the two operands
-/// (bit-identical at any call site).
+/// sorted index/value slices — the reference the scale matcher's
+/// dense-probe scoring is tested against, bit for bit. Accumulates in
+/// ascending index order, so the result is a pure function of the two
+/// operands (bit-identical at any call site).
 pub fn dot_sorted(a_idx: &[u32], a_val: &[f32], b_idx: &[u32], b_val: &[f32]) -> f32 {
     let (mut i, mut j, mut acc) = (0usize, 0usize, 0f32);
     while i < a_idx.len() && j < b_idx.len() {

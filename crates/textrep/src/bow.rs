@@ -116,13 +116,17 @@ impl BowVectorizer {
         max_n: usize,
         selection: FeatureSelection,
     ) -> Self {
-        let mut tf: HashMap<String, usize> = HashMap::new();
+        // Counted under borrowed keys: one `String` per distinct gram,
+        // not per occurrence. `from_counts` orders totally, so the
+        // map's iteration order never reaches the features.
+        let mut tf: HashMap<&str, usize> = HashMap::new();
         for line in corpus {
             count_tiled(line, word_size, max_n, |gram| {
-                *tf.entry(gram.to_owned()).or_insert(0) += 1;
+                *tf.entry(gram).or_insert(0) += 1;
             });
         }
-        Self::from_counts(tf.into_iter().collect(), selection, word_size, max_n)
+        let counted = tf.into_iter().map(|(gram, f)| (gram.to_owned(), f)).collect();
+        Self::from_counts(counted, selection, word_size, max_n)
     }
 
     fn from_counts(
@@ -211,7 +215,12 @@ impl BowVectorizer {
 
 /// Visits the non-overlapping word-aligned tiling of `line` for every
 /// gram order `1..=max_n`.
-fn count_tiled(line: &str, word_size: usize, max_n: usize, mut visit: impl FnMut(&str)) {
+fn count_tiled<'a>(
+    line: &'a str,
+    word_size: usize,
+    max_n: usize,
+    mut visit: impl FnMut(&'a str),
+) {
     let usable = line.len() - line.len() % word_size;
     let line = &line[..usable];
     for n in 1..=max_n {

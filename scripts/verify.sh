@@ -255,10 +255,12 @@ fi
 if has scale; then
     echo "== scale (10^4-athlete quick slice: shard digests + sweep artifact) =="
     dir="$(mktemp -d)"
-    # The committed artifact is the pin: the sweeps below rewrite it
-    # and must reproduce it. An intended output change regenerates and
-    # commits it.
+    # The committed artifact is the pin: the reference (IVF) sweeps
+    # below rewrite it and must reproduce it. An intended output change
+    # regenerates and commits it. Every other sweep writes its report to
+    # target/scale_population.json.
     json="results/scale_population.json"
+    exact="target/scale_population.json"
     cp "$json" "$dir/committed.json"
     export ELEV_POP_SIZE=10000 ELEV_SHARD_SIZE=1024 ELEV_STORE_DIR="$dir/featstore"
     cargo build -q --release -p bench --bin scale_sweep
@@ -273,12 +275,17 @@ if has scale; then
     n_shards="$(wc -l < "$dir/digests_t4.txt")"
     echo "scale: $n_shards shard digests identical at 1/4 threads and reversed order"
 
-    # The sweep itself: must emit the JSON artifact with at least 4
-    # population sizes, each carrying both threat-model accuracies, and
-    # equal the committed artifact short of its IVF section.
-    ./target/release/scale_sweep
-    test -s "$json"
-    json="$json" committed="$dir/committed.json" python3 -c 'import json, os
+    # The exact sweep: bit-identical at 1 vs 4 worker threads (its
+    # vocabulary fit and probes run on the executor too), and its report
+    # must carry at least 4 population sizes, each with both
+    # threat-model accuracies, and equal the committed artifact short of
+    # its IVF section.
+    rm -f "$exact"
+    ELEV_THREADS=4 ./target/release/scale_sweep
+    cp "$exact" "$dir/exact_t4.json"
+    ELEV_THREADS=1 ./target/release/scale_sweep > /dev/null
+    cmp "$dir/exact_t4.json" "$exact"
+    json="$exact" committed="$dir/committed.json" python3 -c 'import json, os
 r = json.load(open(os.environ["json"]))
 assert r["suite"] == "scale_population"
 pts = r["points"]
@@ -289,13 +296,15 @@ assert sizes == sorted(sizes), "population sizes must ascend"
 c = json.load(open(os.environ["committed"]))
 c.pop("ann", None)
 assert r == c, "exact sweep differs from the committed artifact"'
-    echo "scale: sweep artifact OK ($json), equal to the committed one without ann"
+    echo "scale: exact sweep thread-invariant ($exact), equal to the committed artifact without ann"
 
     # ANN mode: the IVF sweep must be bit-identical at 1 vs 4 worker
     # threads, hold recall@3 >= 0.95 against the exact scan at every
     # pool size, and rescore under half of the candidate pairs (a
     # constant-factor cut: the index is not sublinear).
+    rm "$exact"
     ELEV_ANN=1 ELEV_THREADS=4 ./target/release/scale_sweep > /dev/null
+    test ! -e "$exact" # the reference run writes $json instead
     cp "$json" "$dir/ann_t4.json"
     ELEV_ANN=1 ELEV_THREADS=1 ./target/release/scale_sweep > /dev/null
     cmp "$dir/ann_t4.json" "$json"
