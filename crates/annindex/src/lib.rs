@@ -62,6 +62,11 @@ pub fn ann_shard_file_name(index: usize) -> String {
     format!("shard-{index:05}.ivf")
 }
 
+/// A little-endian `f32` from its 4 bytes.
+fn f32_le(bytes: &[u8]) -> f32 {
+    f32::from_le_bytes(bytes.try_into().expect("4 bytes"))
+}
+
 /// L2 norm of a value slice.
 pub fn l2(values: &[f32]) -> f32 {
     values.iter().map(|v| v * v).sum::<f32>().sqrt()
@@ -250,7 +255,12 @@ impl Codebook {
             )));
         }
         let (k, n_cols) = (k as usize, n_cols as usize);
-        let mut centroids = vec![0f32; k * n_cols];
+        // The header's counts are not trusted to size anything: each
+        // centroid grows the table only by the bytes its record holds.
+        let centroid_bytes = n_cols
+            .checked_mul(4)
+            .ok_or_else(|| Error::Malformed(format!("absurd codebook width {n_cols}")))?;
+        let mut centroids = Vec::new();
         let mut next = 0usize;
         while let Some(payload) = r.next_record()? {
             let mut d = Dec::payload(payload);
@@ -264,9 +274,7 @@ impl Codebook {
                     "centroid {c} out of sequence (expected {next} of {k})"
                 )));
             }
-            for slot in centroids[c * n_cols..(c + 1) * n_cols].iter_mut() {
-                *slot = d.f32()?;
-            }
+            centroids.extend(d.take(centroid_bytes)?.chunks_exact(4).map(f32_le));
             d.end()?;
             next += 1;
         }
@@ -295,6 +303,9 @@ pub struct PostingEntry {
     /// L2 norm of the row's values (for cosine denominators).
     pub norm: f32,
 }
+
+/// Encoded bytes of one [`PostingEntry`]: offset, athlete, city, norm.
+const POSTING_BYTES: usize = 8 + 8 + 4 + 4;
 
 /// Quantizes every row of store shard `shard` with `codebook`,
 /// returning one posting list per centroid (entries in row order).
@@ -388,17 +399,21 @@ pub fn read_postings(
             )));
         }
         let count = d.u32()? as usize;
+        let bytes = count
+            .checked_mul(POSTING_BYTES)
+            .ok_or_else(|| Error::Malformed(format!("absurd posting count {count}")))?;
+        let mut entries = Dec::payload(d.take(bytes)?);
+        d.end()?;
         let list = &mut lists[c];
         list.reserve(count);
         for _ in 0..count {
             list.push(PostingEntry {
-                offset: d.u64()?,
-                athlete: d.u64()?,
-                city: d.u32()?,
-                norm: d.f32()?,
+                offset: entries.u64()?,
+                athlete: entries.u64()?,
+                city: entries.u32()?,
+                norm: entries.f32()?,
             });
         }
-        d.end()?;
         next += 1;
     }
     if next != k {

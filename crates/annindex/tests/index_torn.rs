@@ -14,6 +14,7 @@
 
 use annindex::{ann_shard_file_name, read_postings, AnnIndex, Codebook, Ensured, CODEBOOK_FILE};
 use durable::ladder::TempDir;
+use durable::{Enc, FramedWriter};
 use exec::Executor;
 use featstore::{
     shard_file_name, FeatureStore, RowBuf, ShardEntry, ShardWriter, StoreManifest,
@@ -134,6 +135,46 @@ fn sidecar_headers_crosscheck_their_expectation() {
     assert_eq!(read_postings(&target, 0, k, CONFIG ^ 1).unwrap_err().name(), "malformed");
     let codebook = dir.0.join(CODEBOOK_FILE);
     assert_eq!(Codebook::load(&codebook, CONFIG ^ 1).unwrap_err().name(), "malformed");
+}
+
+#[test]
+fn counts_the_bytes_cannot_hold_read_as_malformed() {
+    let dir = TempDir::new("ann-torn-counts");
+    let store = publish_store(&dir.0, 4, 1, 6);
+    let exec = Executor::new(1);
+    let (idx, _) = AnnIndex::ensure(&store, 2, 3, &exec).expect("build");
+    let k = idx.codebook().k();
+    let framed = |path: &Path, fields: [u64; 3], records: &[&[u8]]| {
+        let mut w = FramedWriter::create(path, annindex::MAGIC, annindex::FORMAT_VERSION, fields)
+            .expect("create");
+        for r in records {
+            w.write_record(r).expect("record");
+        }
+        w.finish().expect("finish")
+    };
+
+    // A 76-byte codebook whose valid header promises 2^30 centroids of
+    // 2^30 columns, and one promising a single 2^30-column centroid
+    // that its record does not hold.
+    let codebook = dir.0.join(CODEBOOK_FILE);
+    let huge = 1u64 << 30;
+    let mut short = Enc::default();
+    short.u32(1).u32(0).f32(0.5);
+    assert_eq!(framed(&codebook, [1, huge, CONFIG], &[&short.0]), 76 + 4 + 12 + 8);
+    assert_eq!(Codebook::load(&codebook, CONFIG).unwrap_err().name(), "malformed");
+    assert_eq!(framed(&codebook, [huge, huge, CONFIG], &[]), 76);
+    assert_eq!(Codebook::load(&codebook, CONFIG).unwrap_err().name(), "malformed");
+    // The index over it no longer opens, so ensure rebuilds it.
+    let (rebuilt, path) = AnnIndex::ensure(&store, 2, 3, &exec).expect("rebuild");
+    assert_eq!(path, Ensured::Built);
+    assert_eq!(rebuilt.codebook(), idx.codebook());
+
+    // A posting list promising u32::MAX entries in a 12-byte payload.
+    let sidecar = dir.0.join(ann_shard_file_name(0));
+    let mut list = Enc::default();
+    list.u32(1).u32(0).u32(u32::MAX);
+    framed(&sidecar, [0, k as u64, CONFIG], &[&list.0]);
+    assert_eq!(read_postings(&sidecar, 0, k, CONFIG).unwrap_err().name(), "malformed");
 }
 
 #[test]

@@ -29,7 +29,7 @@
 //! The scan is shard-parallel on the two-level `exec` budget and
 //! bit-identical at any thread count and shard order: per-row scores
 //! are pure, per-shard partials are merged in shard order, and ties
-//! break on `(score, athlete)` with total ordering.
+//! break on `(score, athlete, city)` under one total order.
 //!
 //! How a probe is matched is decided here and nowhere else. The
 //! public matcher items are the one probe path: [`fit_vocabulary`]
@@ -439,27 +439,27 @@ pub struct Hit {
     pub city: u32,
 }
 
-/// Total, deterministic hit ordering: score desc, then athlete asc.
-fn hit_before(a: &Hit, b: &Hit) -> bool {
-    match a.score.total_cmp(&b.score) {
-        std::cmp::Ordering::Greater => true,
-        std::cmp::Ordering::Less => false,
-        std::cmp::Ordering::Equal => a.athlete < b.athlete,
-    }
+/// Total, deterministic hit order: score desc (by `total_cmp`), then
+/// athlete asc, then city asc. Every field decides, so two hits tie
+/// only when they are equal.
+fn hit_order(a: &Hit, b: &Hit) -> std::cmp::Ordering {
+    b.score.total_cmp(&a.score).then(a.athlete.cmp(&b.athlete)).then(a.city.cmp(&b.city))
 }
 
 /// Inserts `hit` into a top-k list of *distinct athletes* (an
 /// athlete's best-scoring track represents them), ordered score desc
-/// then athlete asc.
+/// then athlete asc. The list is the first `k` of every athlete's best
+/// hit under one total order, so it does not depend on the order the
+/// hits arrive in: scans may visit rows in any order.
 pub fn push_topk(top: &mut Vec<Hit>, hit: Hit, k: usize) {
     if let Some(existing) = top.iter_mut().find(|h| h.athlete == hit.athlete) {
-        if hit_before(&hit, existing) {
+        if hit_order(&hit, existing).is_lt() {
             *existing = hit;
         }
     } else {
         top.push(hit);
     }
-    top.sort_by(|a, b| if hit_before(a, b) { std::cmp::Ordering::Less } else { std::cmp::Ordering::Greater });
+    top.sort_by(hit_order);
     top.truncate(k);
 }
 
@@ -740,24 +740,32 @@ fn scan_shard_ann(
         }
     }
 
-    let mut reader = store.reader(shard)?;
-    let mut scanned = 0u64;
+    // Visit the candidate rows in ascending offset order, so that
+    // consecutive positioned reads land in the reader's window;
+    // `push_topk` makes the hit lists independent of the visit order.
+    let mut candidates = Vec::new();
     for (c, list) in lists.iter().enumerate() {
         if interested[c].is_empty() {
             continue;
         }
         for e in list {
             let first_size = first_size_index(sizes, e.athlete);
-            if first_size == sizes.len() || e.norm == 0.0 {
-                continue;
+            if first_size < sizes.len() && e.norm != 0.0 {
+                candidates.push((e.offset, c, first_size, e.norm));
             }
-            reader.read_row_at(e.offset, row)?;
-            for &pi in &interested[c] {
-                scanned += 1;
-                if let Some(hit) = probes[pi as usize].score(row, e.norm) {
-                    for per_size in top[pi as usize].iter_mut().skip(first_size) {
-                        push_topk(per_size, hit, 3);
-                    }
+        }
+    }
+    candidates.sort_unstable_by_key(|&(offset, c, ..)| (offset, c));
+
+    let mut reader = store.reader(shard)?;
+    let mut scanned = 0u64;
+    for (offset, c, first_size, norm) in candidates {
+        reader.read_row_at(offset, row)?;
+        for &pi in &interested[c] {
+            scanned += 1;
+            if let Some(hit) = probes[pi as usize].score(row, norm) {
+                for per_size in top[pi as usize].iter_mut().skip(first_size) {
+                    push_topk(per_size, hit, 3);
                 }
             }
         }
@@ -1377,6 +1385,51 @@ mod tests {
             prop_assert_eq!(got, expected);
             // A row scored with a zero norm is dropped whatever its dot.
             prop_assert!(probe.score(&row, 0.0).is_none());
+        }
+
+        #[test]
+        fn push_topk_is_independent_of_visit_order(
+            hits in prop::collection::vec((0u8..6, 0u64..12, 0u32..3), 0..40),
+            order in prop::collection::vec(0u64..u64::MAX, 40),
+            k in 1usize..6,
+        ) {
+            // Few distinct scores and athletes, so ties and repeat
+            // athletes are common; draw 0 scores +0.0 and draw 5 -0.0,
+            // which `total_cmp` orders apart.
+            let hits: Vec<Hit> = hits
+                .into_iter()
+                .map(|(s, athlete, city)| {
+                    let score = if s == 5 { -0.0 } else { f32::from(s) * 0.25 };
+                    Hit { score, athlete, city }
+                })
+                .collect();
+            let mut shuffled: Vec<(u64, Hit)> = order.iter().copied().zip(hits.clone()).collect();
+            shuffled.sort_by_key(|&(key, _)| key);
+            let key = |top: &[Hit]| -> Vec<(u32, u64, u32)> {
+                top.iter().map(|h| (h.score.to_bits(), h.athlete, h.city)).collect()
+            };
+
+            let (mut visited, mut reshuffled) = (Vec::new(), Vec::new());
+            for &h in &hits {
+                push_topk(&mut visited, h, k);
+            }
+            for &(_, h) in &shuffled {
+                push_topk(&mut reshuffled, h, k);
+            }
+            prop_assert_eq!(key(&visited), key(&reshuffled));
+
+            // Both are the first k of every athlete's best hit.
+            let mut best: Vec<Hit> = Vec::new();
+            for h in &hits {
+                match best.iter_mut().find(|b| b.athlete == h.athlete) {
+                    Some(b) if hit_order(h, b).is_lt() => *b = *h,
+                    Some(_) => {}
+                    None => best.push(*h),
+                }
+            }
+            best.sort_by(hit_order);
+            best.truncate(k);
+            prop_assert_eq!(key(&visited), key(&best));
         }
     }
 }

@@ -5,7 +5,8 @@
 //! - [`fnv1a64`] / [`fnv1a64_continue`] — the integrity checksum
 //!   (corruption detection, not tampering);
 //! - [`Enc`] / [`Dec`] — little-endian field encoding;
-//! - [`FramedWriter`] / [`FramedReader`] — the framed file format below;
+//! - [`FramedWriter`] / [`FramedReader`] — the framed file format below,
+//!   read through a page-sized window ([`READ_WINDOW`]);
 //! - [`atomic_write`] — the crash-safe write under every publish;
 //! - [`Generation`] — a published generation: the one manifest format,
 //!   numbering rule, publish order and fallback load of the model
@@ -39,6 +40,16 @@
 //! [`Error::Truncated`], because only the footer's whole-file checksum
 //! covers the prefixes and the reader stops before it. The ladder's
 //! flips therefore stay off the prefixes.
+//!
+//! [`FramedReader`] reads through one window of [`READ_WINDOW`] bytes
+//! (a page), reserved at open and grown only for a record frame larger
+//! than a page: a reader holds at most the larger of a page and its
+//! largest frame. Streaming costs about one `pread` per page, not two
+//! per record, and one pass over each payload computes both its record
+//! checksum and the running whole-file checksum. A positioned read
+//! usually costs one `pread`, or none when the record lies in the
+//! window, so callers that read many records by offset read them in
+//! ascending order.
 //!
 //! # Publishing
 //!
@@ -86,11 +97,14 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     fnv1a64_continue(FNV1A64_INIT, bytes)
 }
 
+/// The FNV-1a-64 multiplier.
+const FNV1A64_PRIME: u64 = 0x0000_0100_0000_01b3;
+
 /// Continues an FNV-1a-64 stream from state `h`.
 pub fn fnv1a64_continue(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = h.wrapping_mul(FNV1A64_PRIME);
     }
     h
 }
@@ -444,10 +458,26 @@ impl FramedWriter {
     }
 }
 
-/// Reader over one framed file using positioned (`pread`-style) reads
-/// into one reused scratch buffer: bounded memory, no allocation per
-/// record once the scratch has grown to the largest record, and no
-/// seek state shared between readers of the same file.
+/// Bytes a [`FramedReader`] reads per refill of its window: one page.
+///
+/// A page, not more: a positioned read that lands outside the window
+/// pays for every byte its refill pulls (a query through the IVF index
+/// reads about one stored row in eight, by position), while streaming
+/// reads gain little past one page per `pread`.
+pub const READ_WINDOW: usize = 4096;
+
+/// Reader over one framed file through one page-sized window of
+/// positioned (`pread`-style) reads.
+///
+/// The window holds [`READ_WINDOW`] bytes, reserved at open; it grows
+/// only to hold a record frame larger than that, so memory stays
+/// bounded by the larger of a page and the largest frame read, and a
+/// warm reader allocates nothing. Reading refills the window from the
+/// requested record whenever the record's frame is not wholly inside
+/// it, so streaming costs about one `pread` per page rather than two
+/// per record (the header and the first records come with the open's
+/// own read), and a positioned read usually one `pread`. No seek state
+/// is shared between readers of the same file.
 #[derive(Debug)]
 pub struct FramedReader {
     file: File,
@@ -457,7 +487,11 @@ pub struct FramedReader {
     records_seen: u64,
     done: bool,
     content_fnv: u64,
-    scratch: Vec<u8>,
+    /// File bytes `[window_start, window_start + window_len)` are
+    /// `buf[..window_len]`.
+    buf: Vec<u8>,
+    window_start: u64,
+    window_len: usize,
 }
 
 impl FramedReader {
@@ -471,9 +505,21 @@ impl FramedReader {
     pub fn open(path: &Path, magic: &[u8; 8], version: u32) -> Result<Self, Error> {
         let file = File::open(path)?;
         let len = file.metadata()?.len();
-        let mut header = [0u8; HEADER_LEN];
+        let mut r = Self {
+            file,
+            len,
+            offset: HEADER_LEN as u64,
+            fields: [0; 3],
+            records_seen: 0,
+            done: false,
+            content_fnv: FNV1A64_INIT,
+            buf: vec![0; READ_WINDOW],
+            window_start: 0,
+            window_len: 0,
+        };
         let have = usize::try_from(len).map_or(HEADER_LEN, |l| l.min(HEADER_LEN));
-        read_exact_at(&file, &mut header[..have], 0)?;
+        r.window(0, have)?;
+        let header = &r.buf[..have];
         if have >= 8 && &header[..8] != magic {
             return Err(Error::BadMagic);
         }
@@ -485,22 +531,14 @@ impl FramedReader {
         if found != version {
             return Err(Error::UnsupportedVersion { found });
         }
-        let fields = [d.u64()?, d.u64()?, d.u64()?];
+        r.fields = [d.u64()?, d.u64()?, d.u64()?];
         let stored = d.u64()?;
         let computed = fnv1a64(&header[..HEADER_LEN - 8]);
         if stored != computed {
             return Err(Error::ChecksumMismatch { stored, computed });
         }
-        Ok(Self {
-            file,
-            len,
-            offset: HEADER_LEN as u64,
-            fields,
-            records_seen: 0,
-            done: false,
-            content_fnv: fnv1a64(&header),
-            scratch: Vec::new(),
-        })
+        r.content_fnv = fnv1a64(header);
+        Ok(r)
     }
 
     /// The three `u64` header fields.
@@ -515,9 +553,30 @@ impl FramedReader {
         self.offset
     }
 
-    /// Reads the record at `offset` into the scratch buffer and
-    /// verifies its checksum; returns the payload length.
-    fn read_frame(&mut self, offset: u64) -> Result<usize, Error> {
+    /// Makes file bytes `[at, at + n)`, which the file holds, resident
+    /// in the window — refilling it from `at` with at least a page when
+    /// they are not — and returns where they start in `buf`.
+    fn window(&mut self, at: u64, n: usize) -> Result<usize, Error> {
+        let end = self.window_start + self.window_len as u64;
+        if at >= self.window_start && at + n as u64 <= end {
+            return Ok((at - self.window_start) as usize);
+        }
+        let left = usize::try_from(self.len - at).unwrap_or(usize::MAX);
+        let fill = n.max(READ_WINDOW).min(left);
+        if self.buf.len() < fill {
+            self.buf.resize(fill, 0);
+        }
+        // An unfinished refill leaves an empty window, never a stale one.
+        self.window_len = 0;
+        read_exact_at(&self.file, &mut self.buf[..fill], at)?;
+        (self.window_start, self.window_len) = (at, fill);
+        Ok(0)
+    }
+
+    /// Brings the record frame at `offset` into the window; returns
+    /// where its payload starts in `buf` and the payload length. Checks
+    /// only that the file holds the whole frame.
+    fn frame(&mut self, offset: u64) -> Result<(usize, usize), Error> {
         let len = self.len as usize;
         let truncated = |needed: usize| Error::Truncated { offset: offset as usize, needed, len };
         let remaining = usize::try_from(self.len.saturating_sub(offset)).unwrap_or(usize::MAX);
@@ -526,28 +585,27 @@ impl FramedReader {
             // publish killed exactly at a record boundary.
             return Err(truncated(4 - remaining));
         }
-        let mut len4 = [0u8; 4];
-        read_exact_at(&self.file, &mut len4, offset)?;
+        let at = self.window(offset, 4)?;
+        let len4 = self.buf[at..at + 4].try_into().expect("4 bytes");
         let payload_len = u32::from_le_bytes(len4) as usize;
-        if remaining < 4 + payload_len + 8 {
-            return Err(truncated(4 + payload_len + 8 - remaining));
+        let frame_len = 4 + payload_len + 8;
+        if remaining < frame_len {
+            return Err(truncated(frame_len - remaining));
         }
-        // Read payload + trailing checksum; verify before the container
-        // decodes any interior length field.
-        self.scratch.clear();
-        self.scratch.resize(payload_len + 8, 0);
-        read_exact_at(&self.file, &mut self.scratch, offset + 4)?;
-        let (payload, fnv8) = self.scratch.split_at(payload_len);
-        let stored = u64::from_le_bytes(fnv8.try_into().expect("8 bytes"));
-        let computed = fnv1a64(payload);
-        if stored != computed {
-            return Err(Error::ChecksumMismatch { stored, computed });
-        }
-        Ok(payload_len)
+        let at = self.window(offset, frame_len)?;
+        Ok((at + 4, payload_len))
+    }
+
+    /// The checksum stored after the payload at `buf[at..at + n]`.
+    fn stored_fnv(&self, at: usize, n: usize) -> u64 {
+        u64::from_le_bytes(self.buf[at + n..at + n + 8].try_into().expect("8 bytes"))
     }
 
     /// The next record's payload, or `None` once the footer has been
-    /// reached and verified.
+    /// reached and verified. One pass over the payload computes both
+    /// its record checksum, verified before the payload is returned,
+    /// and the running whole-file checksum the footer is checked
+    /// against.
     ///
     /// # Errors
     ///
@@ -559,13 +617,18 @@ impl FramedReader {
         if self.done {
             return Ok(None);
         }
-        let payload_len = self.read_frame(self.offset)?;
+        let (at, payload_len) = self.frame(self.offset)?;
+        let payload = &self.buf[at..at + payload_len];
+        let with_len = fnv1a64_continue(self.content_fnv, &self.buf[at - 4..at]);
+        let (computed, content) = fnv1a64_both(FNV1A64_INIT, with_len, payload);
+        let stored = self.stored_fnv(at, payload_len);
+        if stored != computed {
+            return Err(Error::ChecksumMismatch { stored, computed });
+        }
         let pre_record_fnv = self.content_fnv;
-        self.content_fnv =
-            fnv1a64_continue(self.content_fnv, &(payload_len as u32).to_le_bytes());
-        self.content_fnv = fnv1a64_continue(self.content_fnv, &self.scratch);
-        self.offset += 4 + self.scratch.len() as u64;
-        let payload = &self.scratch[..payload_len];
+        self.content_fnv = fnv1a64_continue(content, &stored.to_le_bytes());
+        self.offset += 4 + payload_len as u64 + 8;
+        let payload = &self.buf[at..at + payload_len];
         if payload.get(..4) != Some(&FOOTER_TAG.to_le_bytes()[..]) {
             self.records_seen += 1;
             return Ok(Some(payload));
@@ -597,16 +660,33 @@ impl FramedReader {
     /// [`offset`](Self::offset) reported — plus the offset just past
     /// it, without disturbing the streaming cursor. The record checksum
     /// is verified exactly as in streaming reads; the footer is
-    /// returned like any record, so callers check their tag.
+    /// returned like any record, so callers check their tag. Reads in
+    /// ascending offset order mostly land in the window.
     ///
     /// # Errors
     ///
     /// [`Error::Truncated`] / [`Error::ChecksumMismatch`] on torn or
     /// corrupt records.
     pub fn read_record_at(&mut self, offset: u64) -> Result<(&[u8], u64), Error> {
-        let payload_len = self.read_frame(offset)?;
-        Ok((&self.scratch[..payload_len], offset + 4 + payload_len as u64 + 8))
+        let (at, payload_len) = self.frame(offset)?;
+        let computed = fnv1a64(&self.buf[at..at + payload_len]);
+        let stored = self.stored_fnv(at, payload_len);
+        if stored != computed {
+            return Err(Error::ChecksumMismatch { stored, computed });
+        }
+        Ok((&self.buf[at..at + payload_len], offset + 4 + payload_len as u64 + 8))
     }
+}
+
+/// Continues two FNV-1a-64 streams, from `a` and from `b`, over the
+/// same bytes in one pass: the two multiply chains are independent, so
+/// they overlap instead of running one after the other.
+fn fnv1a64_both(mut a: u64, mut b: u64, bytes: &[u8]) -> (u64, u64) {
+    for &x in bytes {
+        a = (a ^ u64::from(x)).wrapping_mul(FNV1A64_PRIME);
+        b = (b ^ u64::from(x)).wrapping_mul(FNV1A64_PRIME);
+    }
+    (a, b)
 }
 
 /// Positioned read: `pread` on unix, seek+read elsewhere.

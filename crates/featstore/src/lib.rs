@@ -23,11 +23,15 @@
 //!
 //! # Reading
 //!
-//! [`ShardReader`] streams records with positioned (`pread`-style)
-//! reads into caller-owned scratch ([`RowBuf`]) — bounded memory, zero
+//! [`ShardReader`] streams records through the `durable` reader's
+//! page-sized window of positioned (`pread`-style) reads and decodes
+//! them into caller-owned scratch ([`RowBuf`]) — bounded memory, zero
 //! steady-state allocations, no interior seek state shared between
 //! readers of the same file. Checksums are verified **before** any
-//! length field beyond the fixed header is trusted.
+//! length field beyond the fixed header is trusted, and a row's
+//! indices must ascend strictly below the shard's width: the writer
+//! refuses any other row and the reader reads one as
+//! [`Error::Malformed`].
 //!
 //! # The store manifest
 //!
@@ -97,8 +101,9 @@ impl ShardWriter {
     ///
     /// # Errors
     ///
-    /// [`Error::Malformed`] if `indices`/`values` disagree in length or
-    /// an index is out of column range; [`Error::Io`] on write failure.
+    /// [`Error::Malformed`] if `indices`/`values` disagree in length,
+    /// an index is out of column range, or the indices do not ascend
+    /// strictly; [`Error::Io`] on write failure.
     pub fn append_row(
         &mut self,
         athlete: u64,
@@ -114,12 +119,7 @@ impl ShardWriter {
                 values.len()
             )));
         }
-        if let Some(&bad) = indices.iter().find(|&&i| u64::from(i) >= self.n_cols) {
-            return Err(Error::Malformed(format!(
-                "index {bad} out of range for {} columns",
-                self.n_cols
-            )));
-        }
+        check_indices(indices, self.n_cols)?;
         let e = &mut self.enc;
         e.0.clear();
         e.u32(TAG_ROW).u64(athlete).u32(city).u32(activity).u32(indices.len() as u32);
@@ -172,7 +172,7 @@ pub struct RowBuf {
     pub city: u32,
     /// Activity index within the athlete's stream.
     pub activity: u32,
-    /// Sorted feature indices.
+    /// Feature indices, strictly ascending.
     pub indices: Vec<u32>,
     /// Feature values, parallel to `indices`.
     pub values: Vec<f32>,
@@ -287,25 +287,42 @@ impl ShardReader {
     }
 }
 
-/// Decodes the row fields following a `TAG_ROW` tag into `row`.
+/// Decodes the row fields following a `TAG_ROW` tag into `row`: one
+/// length check covers both arrays, then each index is checked against
+/// the width and its predecessor.
 fn decode_row_fields(d: &mut Dec<'_>, n_cols: u64, row: &mut RowBuf) -> Result<(), Error> {
     row.athlete = d.u64()?;
     row.city = d.u32()?;
     row.activity = d.u32()?;
     let nnz = d.u32()? as usize;
+    let bytes = nnz.checked_mul(8).ok_or_else(|| Error::Malformed(format!("absurd nnz {nnz}")))?;
+    let arrays = d.take(bytes)?;
+    d.end()?;
+    let (indices, values) = arrays.split_at(nnz * 4);
+    let le = |c: &[u8]| u32::from_le_bytes(c.try_into().expect("4 bytes"));
     row.indices.clear();
+    row.indices.extend(indices.chunks_exact(4).map(le));
+    check_indices(&row.indices, n_cols)?;
     row.values.clear();
-    for _ in 0..nnz {
-        let i = d.u32()?;
-        if u64::from(i) >= n_cols {
-            return Err(Error::Malformed(format!("index {i} out of range for {n_cols} columns")));
-        }
-        row.indices.push(i);
+    row.values.extend(values.chunks_exact(4).map(|c| f32::from_bits(le(c))));
+    Ok(())
+}
+
+/// Requires a row's indices to ascend strictly and stay below
+/// `n_cols`: matching reads a row's first and last index as its range
+/// (`OverlapSig`) and scores its nonzeros in index order, so a
+/// descending or repeated index would be silently mis-scored.
+fn check_indices(indices: &[u32], n_cols: u64) -> Result<(), Error> {
+    if let Some(&bad) = indices.iter().find(|&&i| u64::from(i) >= n_cols) {
+        return Err(Error::Malformed(format!("index {bad} out of range for {n_cols} columns")));
     }
-    for _ in 0..nnz {
-        row.values.push(d.f32()?);
+    if let Some(w) = indices.windows(2).find(|w| w[0] >= w[1]) {
+        return Err(Error::Malformed(format!(
+            "index {} follows index {}: row indices must ascend strictly",
+            w[1], w[0]
+        )));
     }
-    d.end()
+    Ok(())
 }
 
 // ---- the store directory ----------------------------------------------
@@ -540,6 +557,28 @@ mod tests {
         let mut w = ShardWriter::create(dir, 0, 10, 0).expect("create");
         assert_eq!(w.append_row(0, 0, 0, &[1], &[]).unwrap_err().name(), "malformed");
         assert_eq!(w.append_row(0, 0, 0, &[10], &[1.0]).unwrap_err().name(), "malformed");
+        assert_eq!(w.append_row(0, 0, 0, &[5, 1], &[1.0, 1.0]).unwrap_err().name(), "malformed");
+        assert_eq!(w.append_row(0, 0, 0, &[3, 3], &[1.0, 1.0]).unwrap_err().name(), "malformed");
+        assert_eq!(w.rows(), 0, "a refused row is not written");
+    }
+
+    #[test]
+    fn reader_rejects_rows_whose_indices_do_not_ascend() {
+        let tmp = TempDir::new("fst-order");
+        let path = tmp.0.join(shard_file_name(0));
+        // A checksummed record the writer would refuse: indices [5, 1].
+        let mut w = FramedWriter::create(&path, MAGIC, FORMAT_VERSION, [0, 10, 0]).expect("create");
+        let mut e = Enc::default();
+        e.u32(TAG_ROW).u64(1).u32(0).u32(0).u32(2).u32(5).u32(1).f32(1.0).f32(2.0);
+        w.write_record(&e.0).expect("record");
+        w.finish().expect("finish");
+
+        let mut row = RowBuf::default();
+        let mut r = ShardReader::open(&path).expect("open");
+        let at = r.stream_offset();
+        assert_eq!(r.next_row(&mut row).unwrap_err().name(), "malformed");
+        let mut r = ShardReader::open(&path).expect("open");
+        assert_eq!(r.read_row_at(at, &mut row).unwrap_err().name(), "malformed");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The synthetic terrain model.
 
 use crate::catalog::{Catalog, City, CityId};
-use crate::noise::{fbm, ridged, value_noise};
+use crate::noise::{fbm, fbm_with, ridged, ridged_with, value_noise, CellMemo};
 use geoprim::{LatLon, LocalProjection};
 
 /// Anything that maps coordinates to elevations in metres.
@@ -24,6 +24,10 @@ impl<T: ElevationModel + ?Sized> ElevationModel for &T {
     fn elevation_at(&self, p: LatLon) -> f64 {
         (**self).elevation_at(p)
     }
+
+    fn elevations(&self, points: &[LatLon]) -> Vec<f64> {
+        (**self).elevations(points)
+    }
 }
 
 /// Deterministic procedural terrain over the standard [`Catalog`].
@@ -39,6 +43,18 @@ impl<T: ElevationModel + ?Sized> ElevationModel for &T {
 /// construction seed, so two `SyntheticTerrain::new(s)` instances agree
 /// everywhere.
 ///
+/// Construction derives each city's constants once, its metre
+/// projection and noise seed, and the cities' order by box area, in
+/// which the first box containing a point is its city. A batch call
+/// ([`ElevationModel::elevations`], one per generated activity) also
+/// keeps, per noise octave, the four lattice corners of the last cell
+/// it hashed. Route points are 10 m apart, and even the finest hill
+/// octave is ~90 m wide, so consecutive points mostly share every cell
+/// and hash nothing. [`elevation_at`](ElevationModel::elevation_at) is
+/// the one-point case of the same sampler, and
+/// [`components_at`](Self::components_at) recomputes everything per
+/// point: the reference the sampler equals bit for bit.
+///
 /// # Examples
 ///
 /// ```
@@ -53,17 +69,39 @@ impl<T: ElevationModel + ?Sized> ElevationModel for &T {
 pub struct SyntheticTerrain {
     seed: u64,
     catalog: Catalog,
+    /// Per-city constants, parallel to `catalog.cities()`.
+    cities: Vec<CityConstants>,
+    /// Indices into `catalog.cities()`, smallest box first, ties in
+    /// catalog order.
+    by_area: Vec<usize>,
+}
+
+/// What [`SyntheticTerrain`] would otherwise recompute for a city at
+/// every point.
+#[derive(Debug, Clone)]
+struct CityConstants {
+    projection: LocalProjection,
+    seed: u64,
 }
 
 impl SyntheticTerrain {
     /// Creates terrain over [`Catalog::standard`] with the given seed.
     pub fn new(seed: u64) -> Self {
-        Self { seed, catalog: Catalog::standard() }
+        Self::with_catalog(seed, Catalog::standard())
     }
 
     /// Creates terrain over a custom catalog.
     pub fn with_catalog(seed: u64, catalog: Catalog) -> Self {
-        Self { seed, catalog }
+        let all = catalog.cities();
+        let cities = (all.iter())
+            .map(|c| CityConstants {
+                projection: LocalProjection::new(c.bbox.center()),
+                seed: city_seed(seed, c.id),
+            })
+            .collect();
+        let mut by_area: Vec<usize> = (0..all.len()).collect();
+        by_area.sort_by(|&a, &b| all[a].bbox.area_deg2().total_cmp(&all[b].bbox.area_deg2()));
+        Self { seed, catalog, cities, by_area }
     }
 
     /// The seed this terrain was built with.
@@ -80,20 +118,33 @@ impl SyntheticTerrain {
         self.catalog.city_at(p).unwrap_or_else(|| self.catalog.nearest_city(p))
     }
 
-    fn city_seed(&self, id: CityId) -> u64 {
-        // Stable per-city sub-seed: mix the discriminant into the seed.
-        let idx = CityId::ALL.iter().position(|c| *c == id).unwrap_or(0) as u64;
-        self.seed ^ idx.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(0x1234_5678)
+    /// Index of [`city_for`](Self::city_for)'s city. `by_area` lists
+    /// the cities smallest box first, ties in catalog order, so the
+    /// first box in it containing `p` is the smallest one, the first
+    /// of equals winning as in `Iterator::min_by`. A point outside
+    /// every box (rare: routes wander past a boundary) takes the
+    /// nearest box centre, as [`Catalog::nearest_city`] does.
+    fn city_index(&self, p: LatLon) -> usize {
+        let cities = self.catalog.cities();
+        let inside = self.by_area.iter().copied().find(|&i| cities[i].bbox.contains(p));
+        inside.unwrap_or_else(|| {
+            let distance = |i: usize| p.degree_distance(cities[i].bbox.center());
+            (0..cities.len())
+                .min_by(|&a, &b| distance(a).total_cmp(&distance(b)))
+                .expect("catalog is non-empty")
+        })
     }
 
     /// Elevation decomposed into `(base, regional, hills)` components;
-    /// useful for tests and for the ablation benches.
+    /// useful for tests and for the ablation benches. Recomputes every
+    /// per-city constant and noise cell, so it is the reference
+    /// [`ElevationModel`]'s sampler must equal.
     pub fn components_at(&self, p: LatLon) -> (f64, f64, f64) {
         let city = self.city_for(p);
         let s = &city.signature;
         let proj = LocalProjection::new(city.bbox.center());
         let (x, y) = proj.to_meters(p);
-        let cseed = self.city_seed(city.id);
+        let cseed = city_seed(self.seed, city.id);
 
         let regional = s.regional_relief_m
             * value_noise(
@@ -112,17 +163,56 @@ impl SyntheticTerrain {
         };
         (s.base_m, regional, hills)
     }
+
+    /// The elevation at `p`: [`components_at`](Self::components_at)
+    /// over the constants derived at construction, with noise slot 0
+    /// the regional octave and slot `1 + o` hill octave `o`.
+    fn sample(&self, p: LatLon, memo: &mut CellMemo) -> f64 {
+        let i = self.city_index(p);
+        let (s, k) = (&self.catalog.cities()[i].signature, &self.cities[i]);
+        let (x, y) = k.projection.to_meters(p);
+
+        let regional = s.regional_relief_m
+            * memo.noise(
+                0,
+                x / s.regional_wavelength_m,
+                y / s.regional_wavelength_m,
+                k.seed.wrapping_add(0x00A1_1CE5),
+            );
+        let (hx, hy) = (x / s.hill_wavelength_m, y / s.hill_wavelength_m);
+        let octave = |o: usize, x, y, seed| memo.noise(1 + o, x, y, seed);
+        let hills = if s.ridged {
+            s.relief_m * 0.5 * ridged_with(hx, hy, k.seed, s.octaves, s.gain, octave)
+        } else {
+            s.relief_m * 0.5 * fbm_with(hx, hy, k.seed, s.octaves, s.gain, octave)
+        };
+        quantize(s.base_m + regional + hills)
+    }
+}
+
+/// Stable per-city sub-seed: mix the city's position in
+/// [`CityId::ALL`] into the terrain seed.
+fn city_seed(seed: u64, id: CityId) -> u64 {
+    let idx = CityId::ALL.iter().position(|c| *c == id).unwrap_or(0) as u64;
+    seed ^ idx.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(0x1234_5678)
+}
+
+/// Clamps at sea level and quantizes to 1 cm, like a real elevation
+/// service interpolating a finite-resolution DEM: discrete elevation
+/// values *repeat*, which the paper's text encoding (unique-value
+/// codebook + n-gram frequencies) implicitly relies on.
+fn quantize(elevation: f64) -> f64 {
+    (elevation.max(0.0) * 100.0).round() / 100.0
 }
 
 impl ElevationModel for SyntheticTerrain {
     fn elevation_at(&self, p: LatLon) -> f64 {
-        let (base, regional, hills) = self.components_at(p);
-        // Quantize to 1 cm, like a real elevation service interpolating a
-        // finite-resolution DEM: discrete elevation values *repeat*, which
-        // the paper's text encoding (unique-value codebook + n-gram
-        // frequencies) implicitly relies on.
-        let v = (base + regional + hills).max(0.0);
-        (v * 100.0).round() / 100.0
+        self.sample(p, &mut CellMemo::default())
+    }
+
+    fn elevations(&self, points: &[LatLon]) -> Vec<f64> {
+        let mut memo = CellMemo::default();
+        points.iter().map(|&p| self.sample(p, &mut memo)).collect()
     }
 }
 

@@ -38,6 +38,31 @@ fn lerp(a: f64, b: f64, t: f64) -> f64 {
     a + (b - a) * t
 }
 
+/// The lattice cell a coordinate falls in, and its fade weight
+/// within the cell.
+#[inline]
+fn cell_of(x: f64) -> (i64, f64) {
+    let x0 = x.floor();
+    (x0 as i64, fade(x - x0))
+}
+
+/// The hashed lattice values at the four corners of cell `(ix, iy)`:
+/// `[v00, v10, v01, v11]`.
+#[inline]
+fn corners(ix: i64, iy: i64, seed: u64) -> [f64; 4] {
+    [
+        lattice(ix, iy, seed),
+        lattice(ix + 1, iy, seed),
+        lattice(ix, iy + 1, seed),
+        lattice(ix + 1, iy + 1, seed),
+    ]
+}
+
+#[inline]
+fn interpolate([v00, v10, v01, v11]: [f64; 4], tx: f64, ty: f64) -> f64 {
+    lerp(lerp(v00, v10, tx), lerp(v01, v11, tx), ty)
+}
+
 /// Single-octave value noise at `(x, y)`, in `[-1, 1]`.
 ///
 /// Bilinear interpolation of hashed lattice values with a quintic fade,
@@ -52,16 +77,50 @@ fn lerp(a: f64, b: f64, t: f64) -> f64 {
 /// assert!((-1.0..=1.0).contains(&a));
 /// ```
 pub fn value_noise(x: f64, y: f64, seed: u64) -> f64 {
-    let x0 = x.floor();
-    let y0 = y.floor();
-    let tx = fade(x - x0);
-    let ty = fade(y - y0);
-    let (ix, iy) = (x0 as i64, y0 as i64);
-    let v00 = lattice(ix, iy, seed);
-    let v10 = lattice(ix + 1, iy, seed);
-    let v01 = lattice(ix, iy + 1, seed);
-    let v11 = lattice(ix + 1, iy + 1, seed);
-    lerp(lerp(v00, v10, tx), lerp(v01, v11, tx), ty)
+    let (ix, tx) = cell_of(x);
+    let (iy, ty) = cell_of(y);
+    interpolate(corners(ix, iy, seed), tx, ty)
+}
+
+/// [`value_noise`] for a caller that samples many nearby points: each
+/// slot (one per noise octave) keeps the corners of the last lattice
+/// cell it hashed, so consecutive points in the same cell hash nothing.
+/// Slots grow on demand, so any octave count works. The result equals
+/// [`value_noise`]'s bit for bit: the corners are a pure function of
+/// `(cell, seed)`, and the interpolation is the same.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct CellMemo {
+    slots: Vec<Option<Cell>>,
+}
+
+/// A lattice cell `(ix, iy)` of the noise seeded `seed`, with its
+/// [`corners`].
+#[derive(Debug, Clone, Copy)]
+struct Cell {
+    key: (i64, i64, u64),
+    corners: [f64; 4],
+}
+
+impl CellMemo {
+    /// [`value_noise`]`(x, y, seed)` through slot `slot`.
+    #[inline]
+    pub(crate) fn noise(&mut self, slot: usize, x: f64, y: f64, seed: u64) -> f64 {
+        let (ix, tx) = cell_of(x);
+        let (iy, ty) = cell_of(y);
+        if self.slots.len() <= slot {
+            self.slots.resize(slot + 1, None);
+        }
+        let key = (ix, iy, seed);
+        let corners = match self.slots[slot] {
+            Some(cell) if cell.key == key => cell.corners,
+            _ => {
+                let corners = corners(ix, iy, seed);
+                self.slots[slot] = Some(Cell { key, corners });
+                corners
+            }
+        };
+        interpolate(corners, tx, ty)
+    }
 }
 
 /// Multi-octave fractal Brownian motion over [`value_noise`].
@@ -73,13 +132,26 @@ pub fn value_noise(x: f64, y: f64, seed: u64) -> f64 {
 ///
 /// Panics if `octaves` is zero.
 pub fn fbm(x: f64, y: f64, seed: u64, octaves: u32, gain: f64) -> f64 {
+    fbm_with(x, y, seed, octaves, gain, |_, x, y, s| value_noise(x, y, s))
+}
+
+/// [`fbm`] over `noise(octave, x, y, seed)`, which must equal
+/// [`value_noise`]`(x, y, seed)`.
+pub(crate) fn fbm_with(
+    x: f64,
+    y: f64,
+    seed: u64,
+    octaves: u32,
+    gain: f64,
+    mut noise: impl FnMut(usize, f64, f64, u64) -> f64,
+) -> f64 {
     assert!(octaves > 0, "fbm requires at least one octave");
     let mut sum = 0.0;
     let mut amp = 1.0;
     let mut freq = 1.0;
     let mut norm = 0.0;
     for o in 0..octaves {
-        sum += amp * value_noise(x * freq, y * freq, seed.wrapping_add(o as u64));
+        sum += amp * noise(o as usize, x * freq, y * freq, seed.wrapping_add(o as u64));
         norm += amp;
         amp *= gain;
         freq *= 2.0;
@@ -96,13 +168,26 @@ pub fn fbm(x: f64, y: f64, seed: u64, octaves: u32, gain: f64) -> f64 {
 ///
 /// Panics if `octaves` is zero.
 pub fn ridged(x: f64, y: f64, seed: u64, octaves: u32, gain: f64) -> f64 {
+    ridged_with(x, y, seed, octaves, gain, |_, x, y, s| value_noise(x, y, s))
+}
+
+/// [`ridged`] over `noise(octave, x, y, seed)`, which must equal
+/// [`value_noise`]`(x, y, seed)`.
+pub(crate) fn ridged_with(
+    x: f64,
+    y: f64,
+    seed: u64,
+    octaves: u32,
+    gain: f64,
+    mut noise: impl FnMut(usize, f64, f64, u64) -> f64,
+) -> f64 {
     assert!(octaves > 0, "ridged requires at least one octave");
     let mut sum = 0.0;
     let mut amp = 1.0;
     let mut freq = 1.0;
     let mut norm = 0.0;
     for o in 0..octaves {
-        let n = value_noise(x * freq, y * freq, seed.wrapping_add(0x5D0_u64 + o as u64));
+        let n = noise(o as usize, x * freq, y * freq, seed.wrapping_add(0x5D0_u64 + o as u64));
         sum += amp * (1.0 - n.abs());
         norm += amp;
         amp *= gain;
