@@ -4,13 +4,15 @@
 //! forward/backward, corpus generation, feature-store reads and probe
 //! matching, plus the learner and substrate costs below them.
 //!
-//! Most entries are *before/after pairs*: the baseline runs the old
-//! dense/naive code (`Tensor::matmul_reference`, dense Pegasos, dense
-//! BoW rows, the reconstructed DOM reader, the exact scan) against the
-//! shipped code on identical inputs, and the entry reports the speedup.
-//! Unpaired entries pin the absolute cost of code with no older version
-//! to time. The results are written to `BENCH_kernels.json` at the
-//! repository root so the perf trajectory is tracked in-tree.
+//! Most entries are *before/after pairs*: the baseline runs the
+//! dense/naive or reference code (`Tensor::matmul_reference`, dense
+//! Pegasos, dense BoW rows, the DOM ingestion front door, a never-run
+//! network, the exact scan) against the faster path on identical
+//! inputs, and the entry reports the speedup. Both sides of every pair
+//! are code the workspace ships. Unpaired entries pin the absolute cost
+//! of code with no second version to time. The results are written to
+//! `BENCH_kernels.json` at the repository root so the perf trajectory
+//! is tracked in-tree.
 //!
 //! Run with `cargo bench -p bench --bench kernels`; set `BENCH_QUICK=1`
 //! for a fast smoke (fewer samples, same shapes, written under the
@@ -129,16 +131,15 @@ fn main() {
     let mut report = BenchReport::from_env("kernels", 9, 3);
     let (quick, samples) = (report.quick, report.samples);
 
-    // --- GPX ingestion: the pre-streaming DOM front-end (byte-at-a-time
-    // tokenizer, one owned `String` per name/attribute/text run, full
-    // `Gpx` tree) vs the shipped streaming path (one reused
-    // `StreamingIngest`: borrowed events straight into the flat point
-    // buffer, zero steady-state allocations). Both sides feed the same
-    // repair pipeline, whose outputs are pinned bit-identical by the
-    // parity fuzz campaign and the `ingest.stream` golden; the pair
-    // measures the parse/flatten layer this change replaced. The old
-    // reader no longer ships, so — like `matmul_reference` — the bench
-    // carries a faithful reconstruction (`dom_baseline` below).
+    // --- GPX ingestion: the DOM front door (`Gpx::parse_bytes` builds
+    // the whole tree, then `ingest_one` flattens and repairs it, which
+    // is what `ingest_one` does with raw bytes) vs the streaming front
+    // door the server runs (one reused `StreamingIngest`: borrowed
+    // events straight into the flat point buffer, no allocation per
+    // point). Both sides ship, share one tokenizer and feed the same
+    // repair passes, whose outputs the stream-parity tests, fuzz
+    // campaign and `ingest.stream` golden pin bit-identical; the pair
+    // measures what building the DOM costs over the flat walk.
     for (name, docs) in [
         ("ingest_throughput_corpus_48x400", gpx_corpus(48, 400)),
         ("ingest_throughput_long_track_4000pts", gpx_corpus(1, 4000)),
@@ -152,7 +153,7 @@ fn main() {
             "",
             || {
                 for doc in &docs {
-                    let gpx = dom_baseline::parse_bytes(doc).expect("corpus is well-formed");
+                    let gpx = gpxfile::Gpx::parse_bytes(doc).expect("corpus is well-formed");
                     black_box(ingest_one(&TrackSource::Parsed(gpx), &cfg));
                 }
             },
@@ -166,10 +167,10 @@ fn main() {
         let tracks = docs.len() as f64;
         let dom_s = b.baseline_s.expect("ingest pair always has a baseline");
         b.note = format!(
-            "{} timed GPX doc(s), {:.2} MiB per pass; pre-streaming DOM reader \
-             (reconstructed) {:.1} MiB/s / {:.0} tracks/s, streaming {:.1} MiB/s / \
-             {:.0} tracks/s; identical dispositions and bit-identical profiles on \
-             both paths",
+            "{} timed GPX doc(s), {:.2} MiB per pass; DOM front door \
+             (Gpx::parse_bytes + ingest_one) {:.1} MiB/s / {:.0} tracks/s, streaming \
+             (StreamingIngest::ingest_bytes) {:.1} MiB/s / {:.0} tracks/s; both sides \
+             ship, with identical dispositions and bit-identical profiles",
             docs.len(),
             mib,
             mib / dom_s,
@@ -236,27 +237,27 @@ fn main() {
     ));
 
     // --- Conv forward / forward+backward at the Fig. 7 architecture.
-    // Baselines emulate the pre-arena path: `reset_scratch` drops the
-    // persistent im2col columns / weight-matrix views / argmax buffers
-    // so every call reallocates them, exactly as the old code did. Both
-    // sides run the same kernels on the same inputs; only the scratch
-    // lifetime differs. `shards: Some(1)` keeps the step serial so the
-    // pair isolates allocation behavior, not data parallelism.
+    // The cold side runs a never-run copy of the network per call, built
+    // before timing (one per harness call: a warm-up plus `samples`), so
+    // every call allocates the im2col columns, weight-matrix views and
+    // argmax buffers afresh, as the pre-arena code did; the warm side
+    // reuses one network's layer scratch. Both sides run the same
+    // kernels on the same inputs; only the scratch lifetime differs.
+    // `shards: Some(1)` keeps the step serial so the pair isolates
+    // allocation behavior, not data parallelism.
     let batch = 16;
     let x = deterministic_tensor(&[batch, 3, 32, 32], 7);
     let y: Vec<u32> = (0..batch).map(|i| (i % 4) as u32).collect();
-    let mut fwd_base = models::paper_cnn(4, 1);
+    let mut fwd_cold = vec![models::paper_cnn(4, 1); samples + 1];
     let mut fwd_net = models::paper_cnn(4, 1);
     report.benches.push(pair(
         "conv_forward_16imgs",
         samples,
         "paper CNN forward on 16 images (blocked im2col matmuls); \
-         baseline reallocates im2col/weight-view scratch per call, \
-         optimized reuses the layer arenas",
-        || {
-            fwd_base.reset_scratch();
-            fwd_base.forward(&x, false)
-        },
+         baseline runs a never-run copy of the network per call, so it \
+         allocates im2col/weight-view scratch every call, optimized \
+         reuses the layer arenas",
+        || fwd_cold.pop().expect("one cold network per call").forward(&x, false),
         || fwd_net.forward(&x, false),
     ));
     let train_cfg = TrainConfig {
@@ -265,7 +266,7 @@ fn main() {
         shards: Some(1),
         ..Default::default()
     };
-    let mut bwd_base = models::paper_cnn(4, 1);
+    let mut bwd_cold = vec![models::paper_cnn(4, 1); samples + 1];
     let mut bwd_net = models::paper_cnn(4, 1);
     let mut bwd_adam = Adam::new(train_cfg.lr);
     let mut bwd_arena = TrainArena::new();
@@ -274,12 +275,9 @@ fn main() {
         samples,
         "one training step on 16 images; backward uses the fused \
          matmul_at/matmul_bt kernels instead of allocating transposes; \
-         baseline drops layer scratch and the training arena every \
-         step, optimized keeps both warm",
-        || {
-            bwd_base.reset_scratch();
-            train(&mut bwd_base, &x, &y, &train_cfg)
-        },
+         baseline trains a never-run copy of the network with a fresh \
+         training arena every step, optimized keeps both warm",
+        || train(&mut bwd_cold.pop().expect("one cold network per call"), &x, &y, &train_cfg),
         || train_in_arena(&mut bwd_net, &x, &y, &train_cfg, &mut bwd_adam, &mut bwd_arena),
     ));
 
@@ -574,9 +572,9 @@ fn main() {
             gpxfile::Gpx::parse(black_box(&xml)).expect("simulated activity parses")
         });
         b.note = format!(
-            "the shipped DOM reader (Gpx::parse) on one simulated activity \
-             ({} bytes): {:.1} MiB/s; ingest_throughput_* times the \
-             reconstructed pre-streaming reader and the streaming path instead",
+            "the DOM reader (Gpx::parse) on one simulated activity ({} bytes): \
+             {:.1} MiB/s; ingest_throughput_* times the DOM and streaming front \
+             doors on timed documents, repair included",
             xml.len(),
             xml.len() as f64 / (1024.0 * 1024.0) / b.optimized_s,
         );
@@ -608,307 +606,4 @@ fn main() {
     }
 
     report.write(Path::new(env!("CARGO_TARGET_TMPDIR")));
-}
-
-/// The GPX front-end as it existed before the zero-copy streaming
-/// reader: a byte-at-a-time tokenizer materializing one owned `String`
-/// per element name, attribute, and text run (entity decode copied even
-/// when there was nothing to decode), building the full `Gpx` tree.
-/// Reconstructed here verbatim-modulo-error-detail so the
-/// `ingest_throughput_*` baselines time the code this change replaced;
-/// error *construction* is coarsened to `()` because the bench corpus
-/// is well-formed and never exercises those paths.
-mod dom_baseline {
-    use geoprim::LatLon;
-    use gpxfile::{Gpx, Track, TrackPoint, TrackSegment};
-
-    enum XmlEvent {
-        Start { name: String, attributes: Vec<(String, String)> },
-        End { name: String },
-        Text(String),
-    }
-
-    struct XmlReader<'a> {
-        src: &'a [u8],
-        pos: usize,
-        stack: Vec<String>,
-        pending_end: Option<String>,
-    }
-
-    impl<'a> XmlReader<'a> {
-        fn new(src: &'a str) -> Self {
-            Self { src: src.as_bytes(), pos: 0, stack: Vec::new(), pending_end: None }
-        }
-
-        fn next_event(&mut self) -> Result<Option<XmlEvent>, ()> {
-            if let Some(name) = self.pending_end.take() {
-                self.stack.pop();
-                return Ok(Some(XmlEvent::End { name }));
-            }
-            loop {
-                if self.pos >= self.src.len() {
-                    if self.stack.pop().is_some() {
-                        return Err(());
-                    }
-                    return Ok(None);
-                }
-                if self.src[self.pos] == b'<' {
-                    if self.starts_with("<?") {
-                        self.skip_until("?>")?;
-                        continue;
-                    }
-                    if self.starts_with("<!--") {
-                        self.skip_until("-->")?;
-                        continue;
-                    }
-                    if self.starts_with("<!") {
-                        self.skip_until(">")?;
-                        continue;
-                    }
-                    if self.starts_with("</") {
-                        return self.parse_end_tag().map(Some);
-                    }
-                    return self.parse_start_tag().map(Some);
-                }
-                let start = self.pos;
-                while self.pos < self.src.len() && self.src[self.pos] != b'<' {
-                    self.pos += 1;
-                }
-                let raw = std::str::from_utf8(&self.src[start..self.pos]).map_err(|_| ())?;
-                if self.stack.is_empty() && raw.trim().is_empty() {
-                    continue;
-                }
-                return Ok(Some(XmlEvent::Text(decode_entities(raw)?)));
-            }
-        }
-
-        fn starts_with(&self, s: &str) -> bool {
-            self.src[self.pos..].starts_with(s.as_bytes())
-        }
-
-        fn skip_until(&mut self, end: &str) -> Result<(), ()> {
-            let hay = &self.src[self.pos..];
-            match hay.windows(end.len()).position(|w| w == end.as_bytes()) {
-                Some(i) => {
-                    self.pos += i + end.len();
-                    Ok(())
-                }
-                None => Err(()),
-            }
-        }
-
-        fn parse_end_tag(&mut self) -> Result<XmlEvent, ()> {
-            self.pos += 2;
-            let name = self.read_name()?;
-            self.skip_ws();
-            if self.pos >= self.src.len() || self.src[self.pos] != b'>' {
-                return Err(());
-            }
-            self.pos += 1;
-            match self.stack.pop() {
-                Some(open) if open == name => Ok(XmlEvent::End { name }),
-                _ => Err(()),
-            }
-        }
-
-        fn parse_start_tag(&mut self) -> Result<XmlEvent, ()> {
-            self.pos += 1;
-            let name = self.read_name()?;
-            let mut attributes = Vec::new();
-            loop {
-                self.skip_ws();
-                let Some(&b) = self.src.get(self.pos) else {
-                    return Err(());
-                };
-                match b {
-                    b'>' => {
-                        self.pos += 1;
-                        self.stack.push(name.clone());
-                        return Ok(XmlEvent::Start { name, attributes });
-                    }
-                    b'/' => {
-                        if !self.starts_with("/>") {
-                            return Err(());
-                        }
-                        self.pos += 2;
-                        self.stack.push(name.clone());
-                        self.pending_end = Some(name.clone());
-                        return Ok(XmlEvent::Start { name, attributes });
-                    }
-                    _ => {
-                        let key = self.read_name()?;
-                        self.skip_ws();
-                        if self.src.get(self.pos) != Some(&b'=') {
-                            return Err(());
-                        }
-                        self.pos += 1;
-                        self.skip_ws();
-                        let quote = match self.src.get(self.pos) {
-                            Some(&q @ (b'"' | b'\'')) => q,
-                            _ => return Err(()),
-                        };
-                        self.pos += 1;
-                        let start = self.pos;
-                        while self.pos < self.src.len() && self.src[self.pos] != quote {
-                            self.pos += 1;
-                        }
-                        if self.pos >= self.src.len() {
-                            return Err(());
-                        }
-                        let raw =
-                            std::str::from_utf8(&self.src[start..self.pos]).map_err(|_| ())?;
-                        self.pos += 1;
-                        attributes.push((key, decode_entities(raw)?));
-                    }
-                }
-            }
-        }
-
-        fn read_name(&mut self) -> Result<String, ()> {
-            let start = self.pos;
-            while self.pos < self.src.len() && is_name_byte(self.src[self.pos]) {
-                self.pos += 1;
-            }
-            if self.pos == start {
-                return Err(());
-            }
-            Ok(std::str::from_utf8(&self.src[start..self.pos]).map_err(|_| ())?.to_owned())
-        }
-
-        fn skip_ws(&mut self) {
-            while self.pos < self.src.len() && self.src[self.pos].is_ascii_whitespace() {
-                self.pos += 1;
-            }
-        }
-    }
-
-    fn is_name_byte(b: u8) -> bool {
-        b.is_ascii_alphanumeric() || matches!(b, b':' | b'_' | b'-' | b'.')
-    }
-
-    fn decode_entities(s: &str) -> Result<String, ()> {
-        if !s.contains('&') {
-            return Ok(s.to_owned());
-        }
-        let mut out = String::with_capacity(s.len());
-        let mut rest = s;
-        while let Some(i) = rest.find('&') {
-            out.push_str(&rest[..i]);
-            rest = &rest[i + 1..];
-            let j = rest.find(';').ok_or(())?;
-            match &rest[..j] {
-                "amp" => out.push('&'),
-                "lt" => out.push('<'),
-                "gt" => out.push('>'),
-                "quot" => out.push('"'),
-                "apos" => out.push('\''),
-                _ => return Err(()),
-            }
-            rest = &rest[j + 1..];
-        }
-        out.push_str(rest);
-        Ok(out)
-    }
-
-    pub fn parse_bytes(src: &[u8]) -> Result<Gpx, ()> {
-        let text = std::str::from_utf8(src).map_err(|_| ())?;
-        parse(text)
-    }
-
-    fn parse(src: &str) -> Result<Gpx, ()> {
-        let mut reader = XmlReader::new(src);
-        let mut gpx: Option<Gpx> = None;
-        let mut path: Vec<String> = Vec::new();
-        let mut cur_track: Option<Track> = None;
-        let mut cur_segment: Option<TrackSegment> = None;
-        let mut cur_point: Option<TrackPoint> = None;
-        let mut text = String::new();
-
-        while let Some(event) = reader.next_event()? {
-            match event {
-                XmlEvent::Start { name, attributes } => {
-                    if path.is_empty() {
-                        if name != "gpx" {
-                            return Err(());
-                        }
-                        let creator = attributes
-                            .iter()
-                            .find(|(k, _)| k == "creator")
-                            .map(|(_, v)| v.clone())
-                            .unwrap_or_default();
-                        gpx = Some(Gpx::new(creator));
-                    } else {
-                        match (path.last().map(String::as_str).unwrap_or(""), name.as_str()) {
-                            ("gpx", "trk") => cur_track = Some(Track::default()),
-                            ("trk", "trkseg") => cur_segment = Some(TrackSegment::default()),
-                            ("trkseg", "trkpt") => {
-                                cur_point = Some(parse_trkpt(&attributes)?);
-                            }
-                            _ => {}
-                        }
-                    }
-                    path.push(name);
-                    text.clear();
-                }
-                XmlEvent::Text(t) => text.push_str(&t),
-                XmlEvent::End { name } => {
-                    let parent =
-                        if path.len() >= 2 { path[path.len() - 2].as_str() } else { "" };
-                    match name.as_str() {
-                        "ele" if parent == "trkpt" => {
-                            if let Some(p) = cur_point.as_mut() {
-                                let v: f64 = text.trim().parse().map_err(|_| ())?;
-                                if !v.is_finite() {
-                                    return Err(());
-                                }
-                                p.elevation_m = Some(v);
-                            }
-                        }
-                        "time" if parent == "trkpt" => {
-                            if let Some(p) = cur_point.as_mut() {
-                                p.time = Some(text.trim().to_owned());
-                            }
-                        }
-                        "name" if parent == "trk" => {
-                            if let Some(t) = cur_track.as_mut() {
-                                t.name = Some(text.trim().to_owned());
-                            }
-                        }
-                        "trkpt" => {
-                            if let (Some(seg), Some(p)) = (cur_segment.as_mut(), cur_point.take())
-                            {
-                                seg.points.push(p);
-                            }
-                        }
-                        "trkseg" => {
-                            if let (Some(trk), Some(seg)) =
-                                (cur_track.as_mut(), cur_segment.take())
-                            {
-                                trk.segments.push(seg);
-                            }
-                        }
-                        "trk" => {
-                            if let (Some(g), Some(trk)) = (gpx.as_mut(), cur_track.take()) {
-                                g.tracks.push(trk);
-                            }
-                        }
-                        _ => {}
-                    }
-                    path.pop();
-                    text.clear();
-                }
-            }
-        }
-        gpx.ok_or(())
-    }
-
-    fn parse_trkpt(attributes: &[(String, String)]) -> Result<TrackPoint, ()> {
-        let get = |key: &str| {
-            attributes.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str()).ok_or(())
-        };
-        let lat: f64 = get("lat")?.parse().map_err(|_| ())?;
-        let lon: f64 = get("lon")?.parse().map_err(|_| ())?;
-        let coord = LatLon::validated(lat, lon).map_err(|_| ())?;
-        Ok(TrackPoint::new(coord))
-    }
 }

@@ -385,7 +385,7 @@ const HTTP_TOKENS: &[&[u8]] = &[
 
 /// Deterministically mutates the seed request for one iteration of the
 /// HTTP campaign — the same stacked operators as [`mutate`], splicing
-/// from [`HTTP_TOKENS`].
+/// from `HTTP_TOKENS`.
 pub fn mutate_http(seed: u64, iter: u64) -> Vec<u8> {
     let mut rng = StdRng::seed_from_u64(exec::mix_seed(seed, iter));
     let mut doc = http_seed_request();

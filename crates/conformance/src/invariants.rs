@@ -350,7 +350,7 @@ struct TrainShardInvariance;
 /// A digest over every trained parameter's exact bit pattern.
 fn weight_digest(net: &mut neuralnet::Sequential) -> u64 {
     use neuralnet::Layer;
-    let mut d = crate::digest::Digest::new();
+    let mut d = durable::Digest::new();
     net.visit_params(&mut |p, _| {
         d.f32s(p.data());
     });

@@ -26,13 +26,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod digest;
 pub mod fuzz;
 pub mod invariants;
 pub mod registry;
 pub mod stages;
 
-pub use digest::{digest_bytes, Digest};
+pub use durable::{digest_bytes, Digest};
 pub use fuzz::{run_campaign, seed_doc, FuzzConfig, FuzzReport};
 pub use invariants::{all_invariants, run_all, Invariant, InvariantCtx};
 pub use registry::{check_or_update, goldens_path};

@@ -11,7 +11,7 @@
 //! no thread-count dependence (the executor layers are order-free by
 //! construction), no environment reads.
 
-use crate::digest::Digest;
+use durable::Digest;
 use elev_core::experiments::{table4_tm1, Corpora, ExperimentScale};
 use elev_core::ingest::{ingest_batch, IngestConfig, TrackSource};
 use elev_core::robustness::robustness_sweep;

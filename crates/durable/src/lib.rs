@@ -4,6 +4,9 @@
 //!
 //! - [`fnv1a64`] / [`fnv1a64_continue`] — the integrity checksum
 //!   (corruption detection, not tampering);
+//! - [`Digest`] / [`digest_bytes`] — the same hash over length-prefixed
+//!   fields, for content fingerprints (the conformance goldens,
+//!   population shards and their configurations);
 //! - [`Enc`] / [`Dec`] — little-endian field encoding;
 //! - [`FramedWriter`] / [`FramedReader`] — the framed file format below,
 //!   read through a page-sized window ([`READ_WINDOW`]);
@@ -84,6 +87,10 @@
 #![warn(missing_docs)]
 
 pub mod ladder;
+
+mod digest;
+
+pub use digest::{digest_bytes, Digest};
 
 use std::fs::File;
 use std::io::Write;

@@ -150,48 +150,7 @@ impl Executor {
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
-        let n = items.len();
-        let workers = self.threads.min(n);
-        if workers <= 1 {
-            return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-        }
-
-        let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-            .map(|w| Mutex::new((w..n).step_by(workers).collect()))
-            .collect();
-        let (tx, rx) = mpsc::channel::<(usize, R)>();
-        // Each worker is one of `workers` siblings at this level, times
-        // however many siblings the *calling* thread already had — the
-        // figure `inner_threads` divides the budget by.
-        let child_fanout = current_fanout().saturating_mul(workers);
-
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let tx = tx.clone();
-                let queues = &queues;
-                let f = &f;
-                scope.spawn(move || {
-                    FANOUT.with(|c| c.set(child_fanout));
-                    while let Some(i) = next_task(queues, w) {
-                        // Send failure means the collector is gone,
-                        // i.e. a sibling panicked; stop quietly and
-                        // let the scope propagate that panic.
-                        if tx.send((i, f(i, &items[i]))).is_err() {
-                            return;
-                        }
-                    }
-                });
-            }
-            drop(tx);
-
-            let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-            for (i, r) in rx {
-                out[i] = Some(r);
-            }
-            out.into_iter()
-                .map(|slot| slot.expect("every index produced exactly one result"))
-                .collect()
-        })
+        self.map_with(items, || (), |_, i, t| f(i, t))
     }
 
     /// Like [`map`](Self::map), but threads a per-worker scratch state
@@ -228,6 +187,9 @@ impl Executor {
             .map(|w| Mutex::new((w..n).step_by(workers).collect()))
             .collect();
         let (tx, rx) = mpsc::channel::<(usize, R)>();
+        // Each worker is one of `workers` siblings at this level, times
+        // however many siblings the *calling* thread already had — the
+        // figure `inner_threads` divides the budget by.
         let child_fanout = current_fanout().saturating_mul(workers);
 
         std::thread::scope(|scope| {
@@ -240,6 +202,9 @@ impl Executor {
                     FANOUT.with(|c| c.set(child_fanout));
                     let mut state = init();
                     while let Some(i) = next_task(queues, w) {
+                        // Send failure means the collector is gone,
+                        // i.e. a sibling panicked; stop quietly and
+                        // let the scope propagate that panic.
                         if tx.send((i, f(&mut state, i, &items[i]))).is_err() {
                             return;
                         }

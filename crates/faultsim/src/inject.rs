@@ -37,7 +37,7 @@ const MIN_CORRUPTIBLE_POINTS: usize = 8;
 /// `(plan.seed, index)`.
 ///
 /// A track escaping corruption (rate 0, losing the coin flip, or all
-/// segments shorter than [`MIN_CORRUPTIBLE_POINTS`]) is returned as a
+/// segments shorter than `MIN_CORRUPTIBLE_POINTS`) is returned as a
 /// byte-identical [`Payload::Parsed`] clone with no injected faults.
 pub fn corrupt_track(plan: &FaultPlan, index: u64, gpx: &Gpx) -> CorruptedTrack {
     let mut rng = StdRng::seed_from_u64(exec::mix_seed(plan.seed, index));

@@ -5,7 +5,7 @@
 //! the *delivery* of bytes over a connection — partial writes, injected
 //! delays, mid-body cuts and resets, and slowloris-style header drip.
 //! Every decision is a pure function of `(seed, conn_index, op_index)`
-//! through the same [`unit_hash`](crate::unit_hash) mixing, so a chaos
+//! through the same [`unit_hash`] mixing, so a chaos
 //! campaign's connection `i` misbehaves identically at any client
 //! thread count and on every re-run: a failing connection index is a
 //! complete bug report.

@@ -3,9 +3,12 @@
 //! The paper converts every collected activity "to our intermediate
 //! format, the GPS Exchange Format (GPX)" before labelling and feature
 //! extraction. This crate implements that intermediate format from
-//! scratch: a [`xml`] pull parser sized for the GPX subset, the
-//! [`Gpx`]/[`Track`]/[`TrackPoint`] document model, a writer, and the
-//! trajectory/elevation-profile extraction the pipeline consumes.
+//! scratch: a borrowing XML tokenizer sized for the GPX subset
+//! ([`stream::StreamReader`], with its errors and entity codec in
+//! [`xml`]), the [`Gpx`]/[`Track`]/[`TrackPoint`] document model built
+//! over it, the flat point walk the ingestion pipeline runs
+//! ([`stream::PointBuf`]), a writer, and the trajectory/elevation-profile
+//! extraction the pipeline consumes.
 //!
 //! # Examples
 //!

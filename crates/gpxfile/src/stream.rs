@@ -1,14 +1,14 @@
 //! Zero-copy streaming GPX reading.
 //!
-//! [`StreamReader`] is the borrowing twin of [`crate::xml::XmlReader`]:
-//! the same tokenizer over the same GPX subset, but every event borrows
-//! tag names, attribute slices, and character data straight from the
-//! input buffer — no `String` is allocated on the happy path. Entity
-//! references are *validated* in place as the tag is scanned (so the
-//! error lattice — variants, reasons, byte offsets, and ordering — is
-//! identical to the DOM reader's) and only decoded, via
-//! [`crate::xml::decode_entities`]'s copy-on-write path, when a caller
-//! actually consumes the value.
+//! [`StreamReader`] is the crate's one XML tokenizer, over the GPX
+//! subset [`crate::xml`] describes: every event borrows tag names,
+//! attribute slices, and character data straight from the input buffer
+//! — no `String` is allocated on the happy path. Entity references are
+//! *validated* in place as the tag is scanned (so the error lattice —
+//! variants, reasons, byte offsets, and ordering — is the same for the
+//! DOM builder and the point walk below, whichever values each decodes)
+//! and only decoded, via [`crate::xml::decode_entities`]'s
+//! copy-on-write path, when a caller actually consumes the value.
 //!
 //! On top of the reader sit the pieces the streaming ingestion pipeline
 //! consumes directly:
@@ -509,10 +509,11 @@ pub struct FlatPoint {
 /// The flattened trackpoint sequence of one document, with all
 /// timestamp text interned into a single reusable arena.
 ///
-/// This is the streaming pipeline's working set: filling it allocates
-/// nothing once `points` and `arena` have grown to corpus size, which
-/// is what lets [`elev_core`-style] ingest loops run per-upload with
-/// zero steady-state allocation on the parse side.
+/// This is the streaming pipeline's working set. Once `points` and
+/// `arena` have grown to corpus size, a fill allocates nothing per
+/// point: it makes a constant few allocations per document (the walk's
+/// element path and the reader's tag stack and attribute scratch start
+/// empty for every document), however many points the document holds.
 #[derive(Debug, Clone, Default)]
 pub struct PointBuf {
     points: Vec<FlatPoint>,

@@ -1,40 +1,22 @@
-//! A minimal, dependency-free XML pull parser.
+//! The XML layer under the GPX reader: the error type its tokenizer
+//! reports and the entity codec.
 //!
-//! Supports the subset of XML that GPX documents use: the XML
-//! declaration, comments, elements with attributes, self-closing tags,
-//! character data, and the five predefined entities. It does **not**
+//! The tokenizer, [`crate::stream::StreamReader`], supports the subset
+//! of XML that GPX documents use: the XML declaration, comments,
+//! elements with attributes, self-closing tags, character data, and the
+//! five predefined entities plus character references. It does **not**
 //! support DTDs, CDATA sections, processing instructions beyond the
 //! declaration, or namespaces beyond treating prefixed names opaquely —
 //! none of which occur in fitness-tracker GPX exports.
 //!
-//! The tokenizer itself lives in [`crate::stream`] and yields events
-//! borrowing from the input buffer; [`XmlReader`] is the owned-event
-//! convenience layer on top of it (decoded `String` names, attributes,
-//! and text), with an error lattice identical to the borrowing reader's.
+//! Its events carry attribute values and text raw: [`check_entities`]
+//! validates their references during the scan, [`decode_entities`]
+//! materializes a value when a caller reads it (copy-free when there
+//! is nothing to decode), and [`encode_entities`] escapes text for the
+//! writer.
 
-use crate::stream::{find_byte, StreamEvent, StreamReader};
+use crate::stream::find_byte;
 use std::borrow::Cow;
-
-/// One parsing event.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum XmlEvent {
-    /// `<name attr="v" ...>` — for self-closing tags, an [`XmlEvent::End`]
-    /// with the same name is synthesized immediately after.
-    Start {
-        /// The element name (namespace prefixes are kept verbatim).
-        name: String,
-        /// Attributes in document order.
-        attributes: Vec<(String, String)>,
-    },
-    /// `</name>`.
-    End {
-        /// The element name.
-        name: String,
-    },
-    /// Character data between tags, entity-decoded. Whitespace-only text
-    /// is *not* suppressed; callers decide.
-    Text(String),
-}
 
 /// Errors from the XML tokenizer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,65 +64,6 @@ impl std::fmt::Display for XmlError {
 }
 
 impl std::error::Error for XmlError {}
-
-/// A pull parser yielding owned [`XmlEvent`]s over a `&str`.
-///
-/// This is a thin decoding wrapper over [`StreamReader`]: every event
-/// the borrowing reader yields is materialized into owned `String`s
-/// with entities decoded. Use [`StreamReader`] directly when the
-/// allocations matter.
-///
-/// # Examples
-///
-/// ```
-/// use gpxfile::xml::{XmlEvent, XmlReader};
-///
-/// let mut r = XmlReader::new("<a x=\"1\"><b/>hi &amp; bye</a>");
-/// let mut names = Vec::new();
-/// while let Some(event) = r.next_event()? {
-///     if let XmlEvent::Start { name, .. } = event {
-///         names.push(name);
-///     }
-/// }
-/// assert_eq!(names, ["a", "b"]);
-/// # Ok::<(), gpxfile::xml::XmlError>(())
-/// ```
-#[derive(Debug)]
-pub struct XmlReader<'a> {
-    inner: StreamReader<'a>,
-}
-
-impl<'a> XmlReader<'a> {
-    /// Creates a reader over an XML document.
-    pub fn new(src: &'a str) -> Self {
-        Self { inner: StreamReader::new(src) }
-    }
-
-    /// Current byte offset (for diagnostics).
-    pub fn offset(&self) -> usize {
-        self.inner.offset()
-    }
-
-    /// Returns the next event, or `None` at end of a well-formed document.
-    ///
-    /// # Errors
-    ///
-    /// Any [`XmlError`]; after an error, the reader state is unspecified.
-    pub fn next_event(&mut self) -> Result<Option<XmlEvent>, XmlError> {
-        Ok(match self.inner.next_event()? {
-            None => None,
-            Some(StreamEvent::Start { name, attrs }) => {
-                let attributes = attrs
-                    .iter()
-                    .map(|&(k, v)| Ok((k.to_owned(), decode_entities(v)?.into_owned())))
-                    .collect::<Result<Vec<_>, XmlError>>()?;
-                Some(XmlEvent::Start { name: name.to_owned(), attributes })
-            }
-            Some(StreamEvent::End { name }) => Some(XmlEvent::End { name: name.to_owned() }),
-            Some(StreamEvent::Text(t)) => Some(XmlEvent::Text(decode_entities(t)?.into_owned())),
-        })
-    }
-}
 
 /// Resolves one entity body (the text between `&` and `;`) to its
 /// character, or `None` when the reference is unknown/invalid.
@@ -236,12 +159,18 @@ pub fn encode_entities(s: &str) -> Cow<'_, str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::{StreamEvent, StreamReader};
 
-    fn events(src: &str) -> Result<Vec<XmlEvent>, XmlError> {
-        let mut r = XmlReader::new(src);
+    /// The reader's events, one line each, values raw as it yields them.
+    fn events(src: &str) -> Result<Vec<String>, XmlError> {
+        let mut r = StreamReader::new(src);
         let mut out = Vec::new();
         while let Some(e) = r.next_event()? {
-            out.push(e);
+            out.push(match e {
+                StreamEvent::Start { name, attrs } => format!("<{name} {attrs:?}>"),
+                StreamEvent::End { name } => format!("</{name}>"),
+                StreamEvent::Text(t) => format!("#{t}"),
+            });
         }
         Ok(out)
     }
@@ -249,27 +178,29 @@ mod tests {
     #[test]
     fn parses_simple_document() {
         let ev = events(r#"<?xml version="1.0"?><a x="1"><b/>text</a>"#).unwrap();
-        assert_eq!(ev.len(), 5);
-        assert!(matches!(&ev[0], XmlEvent::Start { name, attributes }
-            if name == "a" && attributes == &[("x".to_owned(), "1".to_owned())]));
-        assert!(matches!(&ev[1], XmlEvent::Start { name, .. } if name == "b"));
-        assert!(matches!(&ev[2], XmlEvent::End { name } if name == "b"));
-        assert!(matches!(&ev[3], XmlEvent::Text(t) if t == "text"));
-        assert!(matches!(&ev[4], XmlEvent::End { name } if name == "a"));
+        assert_eq!(ev, [r#"<a [("x", "1")]>"#, "<b []>", "</b>", "#text", "</a>"]);
     }
 
     #[test]
     fn skips_comments_and_doctype() {
         let ev = events("<!DOCTYPE gpx><!-- hi --><a></a>").unwrap();
-        assert_eq!(ev.len(), 2);
+        assert_eq!(ev, ["<a []>", "</a>"]);
     }
 
     #[test]
     fn decodes_entities_in_text_and_attrs() {
-        let ev = events(r#"<a t="&lt;&amp;&gt;">x &#65;&#x42; y</a>"#).unwrap();
-        assert!(matches!(&ev[0], XmlEvent::Start { attributes, .. }
-            if attributes[0].1 == "<&>"));
-        assert!(matches!(&ev[1], XmlEvent::Text(t) if t == "x AB y"));
+        let mut r = StreamReader::new(r#"<a t="&lt;&amp;&gt;">x &#65;&#x42; y</a>"#);
+        let Some(StreamEvent::Start { attrs, .. }) = r.next_event().unwrap() else {
+            panic!("expected the start tag");
+        };
+        let raw = attrs[0].1;
+        assert_eq!(raw, "&lt;&amp;&gt;");
+        assert_eq!(decode_entities(raw).unwrap(), "<&>");
+        let Some(StreamEvent::Text(raw)) = r.next_event().unwrap() else {
+            panic!("expected the text run");
+        };
+        assert_eq!(raw, "x &#65;&#x42; y");
+        assert_eq!(decode_entities(raw).unwrap(), "x AB y");
     }
 
     #[test]
@@ -279,8 +210,11 @@ mod tests {
 
     #[test]
     fn rejects_truncated_document() {
-        assert!(matches!(events("<a><b>"), Err(XmlError::UnexpectedEof { .. })));
-        assert!(matches!(events("<a x="), Err(XmlError::UnexpectedEof { .. })));
+        let eof = |context| Err(XmlError::UnexpectedEof { context });
+        assert_eq!(events("<a><b>"), eof("unclosed element"));
+        assert_eq!(events("<a"), eof("start tag"));
+        assert_eq!(events("<a x="), eof("attribute value"));
+        assert_eq!(events("<a x='1"), eof("attribute value"));
     }
 
     #[test]
@@ -302,8 +236,7 @@ mod tests {
     #[test]
     fn attributes_allow_single_quotes() {
         let ev = events("<a x='1 2'/>").unwrap();
-        assert!(matches!(&ev[0], XmlEvent::Start { attributes, .. }
-            if attributes[0].1 == "1 2"));
+        assert_eq!(ev[0], r#"<a [("x", "1 2")]>"#);
     }
 
     #[test]

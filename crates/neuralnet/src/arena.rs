@@ -16,8 +16,7 @@ use std::ops::Range;
 use std::sync::Mutex;
 use tensorlite::Tensor;
 
-/// Reusable scratch state for [`train_in_arena`](crate::train_in_arena)
-/// and [`train_sparse_in_arena`](crate::train_sparse_in_arena).
+/// Reusable scratch state for [`train_in_arena`](crate::train_in_arena).
 ///
 /// An arena is tied to one network *shape*: lane replicas are cloned
 /// from the first network trained with it and rebuilt if a structurally

@@ -278,14 +278,6 @@ impl Layer for Conv2d {
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
     }
-
-    fn reset_scratch(&mut self) {
-        self.input = None;
-        self.col = None;
-        self.wmat = None;
-        self.go = None;
-        self.dw_acc = None;
-    }
 }
 
 /// 2-D max pooling over `[N, C, H, W]`.
@@ -378,11 +370,6 @@ impl Layer for MaxPool2d {
 
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
-    }
-
-    fn reset_scratch(&mut self) {
-        self.argmax = None;
-        self.input_shape = None;
     }
 }
 

@@ -1,12 +1,13 @@
 //! Allocation-free MLP inference over a flat weight image.
 //!
-//! [`Sequential::forward`] allocates one output tensor per layer per
-//! call — fine for training, fatal for a serving hot path that must not
-//! touch the heap per request. [`FlatMlp`] is the inference-side
-//! counterpart of the training arenas: the [`crate::models::mlp`]
-//! architecture reduced to its flat parameter image (the same
-//! `export_params` visit-order image the sharded trainer broadcasts),
-//! evaluated into caller-owned [`InferScratch`] buffers.
+//! [`Sequential`]'s [`Layer::forward`](crate::Layer::forward)
+//! allocates one output tensor per layer per call — fine for training,
+//! fatal for a serving hot path that must not touch the heap per
+//! request. [`FlatMlp`] is the inference-side counterpart of the
+//! training arenas: the [`crate::models::mlp`] architecture reduced to
+//! its flat parameter image (the same `export_params` visit-order image
+//! the sharded trainer broadcasts), evaluated into caller-owned
+//! [`InferScratch`] buffers.
 //!
 //! The arithmetic replays the training stack exactly: the sparse input
 //! layer accumulates in ascending-nonzero order with the bias added

@@ -41,12 +41,6 @@ pub trait Layer: Send {
     /// replica network per lane.
     fn clone_box(&self) -> Box<dyn Layer>;
 
-    /// Drops any persistent scratch buffers (im2col columns, argmax
-    /// maps, cached inputs) so the next forward pass re-allocates them.
-    /// Benchmarks call this to emulate the pre-arena allocation
-    /// behavior; it never changes computed values.
-    fn reset_scratch(&mut self) {}
-
     /// Whether running samples through this layer one at a time (with
     /// `train=true`) produces bit-identical activations and parameter
     /// gradients to running them as one batch. True for every stateless
@@ -212,11 +206,6 @@ impl Layer for Dense {
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
     }
-
-    fn reset_scratch(&mut self) {
-        self.input = None;
-        self.sparse_input = None;
-    }
 }
 
 /// Rectified linear unit.
@@ -257,10 +246,6 @@ impl Layer for Relu {
 
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
-    }
-
-    fn reset_scratch(&mut self) {
-        self.mask = None;
     }
 }
 
@@ -327,10 +312,6 @@ impl Layer for Dropout {
         Box::new(self.clone())
     }
 
-    fn reset_scratch(&mut self) {
-        self.mask = None;
-    }
-
     /// Dropout draws from its RNG once per forward call, so batch-split
     /// replays consume the stream differently than the whole batch.
     fn per_sample_deterministic(&self) -> bool {
@@ -370,10 +351,6 @@ impl Layer for Flatten {
 
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
-    }
-
-    fn reset_scratch(&mut self) {
-        self.input_shape = None;
     }
 }
 

@@ -52,8 +52,8 @@ pub use arena::TrainArena;
 pub use infer::{FlatMlp, InferScratch};
 pub use layer::{Dense, Dropout, Flatten, Layer, Relu};
 pub use net::{
-    gather_samples, shard_ranges, train, train_in_arena, train_sparse, train_sparse_in_arena,
-    train_sparse_with_optimizer, train_with_optimizer, Sequential, TrainConfig, TrainReport,
+    gather_samples, shard_ranges, train, train_in_arena, train_sparse, Sequential, TrainConfig,
+    TrainReport,
 };
 pub use optim::{Adam, Sgd};
 pub use snapshot::{ArchSpec, NetSnapshot};

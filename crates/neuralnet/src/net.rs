@@ -8,7 +8,6 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use sparsemat::CsrMatrix;
-use std::time::Instant;
 use tensorlite::Tensor;
 
 /// A stack of layers applied in order.
@@ -187,12 +186,6 @@ impl Layer for Sequential {
         Box::new(self.clone())
     }
 
-    fn reset_scratch(&mut self) {
-        for layer in &mut self.layers {
-            layer.reset_scratch();
-        }
-    }
-
     fn per_sample_deterministic(&self) -> bool {
         self.layers.iter().all(|l| l.per_sample_deterministic())
     }
@@ -226,33 +219,16 @@ impl Default for TrainConfig {
 }
 
 /// Per-epoch training record.
-///
-/// Equality compares only `epoch_losses`: wall-clock timings are
-/// machine-dependent and excluded so determinism tests can compare
-/// whole reports.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainReport {
     /// Mean loss of each epoch.
     pub epoch_losses: Vec<f32>,
-    /// Wall-clock seconds spent in each epoch.
-    pub epoch_seconds: Vec<f64>,
-}
-
-impl PartialEq for TrainReport {
-    fn eq(&self, other: &Self) -> bool {
-        self.epoch_losses == other.epoch_losses
-    }
 }
 
 impl TrainReport {
     /// Loss of the final epoch.
     pub fn final_loss(&self) -> f32 {
         *self.epoch_losses.last().unwrap_or(&f32::NAN)
-    }
-
-    /// Total wall-clock seconds across all epochs.
-    pub fn total_seconds(&self) -> f64 {
-        self.epoch_seconds.iter().sum()
     }
 }
 
@@ -266,20 +242,7 @@ impl TrainReport {
 /// Panics if `x` and `y` disagree on the sample count, the batch size
 /// is zero, or `x` is empty.
 pub fn train(net: &mut Sequential, x: &Tensor, y: &[u32], config: &TrainConfig) -> TrainReport {
-    train_with_optimizer(net, x, y, config, &mut Adam::new(config.lr))
-}
-
-/// [`train`] with an externally owned optimizer, so fine-tuning rounds
-/// can share Adam state across rounds while changing data and learning
-/// rate.
-pub fn train_with_optimizer(
-    net: &mut Sequential,
-    x: &Tensor,
-    y: &[u32],
-    config: &TrainConfig,
-    adam: &mut Adam,
-) -> TrainReport {
-    train_in_arena(net, x, y, config, adam, &mut TrainArena::new())
+    train_in_arena(net, x, y, config, &mut Adam::new(config.lr), &mut TrainArena::new())
 }
 
 /// Largest `n_params × batch_size` (in floats) the sharded trainer will
@@ -310,10 +273,11 @@ pub fn shard_ranges(n: usize, shards: usize) -> Vec<std::ops::Range<usize>> {
 /// so repeated fits (fine-tuning rounds, threat-model sweeps) reuse
 /// every scratch allocation.
 ///
-/// When the network is [per-sample deterministic]
-/// (crate::Layer::per_sample_deterministic), more than one lane is
-/// requested (`config.shards`, default [`exec::inner_threads_from_env`])
-/// and the staging buffers fit the [`MAX_STAGE_FLOATS`] cap, each
+/// When the network is [per-sample
+/// deterministic](crate::Layer::per_sample_deterministic), more than one
+/// lane is requested (`config.shards`, default
+/// [`exec::inner_threads_from_env`]) and the staging buffers fit the
+/// `MAX_STAGE_FLOATS` cap (2²⁴ floats), each
 /// mini-batch fans out across `Executor` lanes: every lane replays its
 /// contiguous shard of the batch one sample at a time into a per-sample
 /// gradient stage, and the main thread folds the stages in global
@@ -351,9 +315,7 @@ pub fn train_in_arena(
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut order: Vec<usize> = (0..n).collect();
     let mut epoch_losses = Vec::with_capacity(config.epochs);
-    let mut epoch_seconds = Vec::with_capacity(config.epochs);
     for _ in 0..config.epochs {
-        let t0 = Instant::now();
         order.shuffle(&mut rng);
         let mut total = 0.0f32;
         let mut batches = 0usize;
@@ -370,9 +332,8 @@ pub fn train_in_arena(
             batches += 1;
         }
         epoch_losses.push(total / batches.max(1) as f32);
-        epoch_seconds.push(t0.elapsed().as_secs_f64());
     }
-    TrainReport { epoch_losses, epoch_seconds }
+    TrainReport { epoch_losses }
 }
 
 /// One serial mini-batch step; returns the unnormalized batch loss.
@@ -443,32 +404,6 @@ fn staged_step(
 /// sparse forward/backward are bit-compatible with the dense ones, so a
 /// given seed yields the same report and the same trained weights.
 ///
-/// # Panics
-///
-/// Panics if `x` and `y` disagree on the sample count, the batch size
-/// is zero, `x` is empty, or the network has no layers.
-pub fn train_sparse(
-    net: &mut Sequential,
-    x: &CsrMatrix,
-    y: &[u32],
-    config: &TrainConfig,
-) -> TrainReport {
-    train_sparse_with_optimizer(net, x, y, config, &mut Adam::new(config.lr))
-}
-
-/// [`train_sparse`] with an externally owned optimizer.
-pub fn train_sparse_with_optimizer(
-    net: &mut Sequential,
-    x: &CsrMatrix,
-    y: &[u32],
-    config: &TrainConfig,
-    adam: &mut Adam,
-) -> TrainReport {
-    train_sparse_in_arena(net, x, y, config, adam, &mut TrainArena::new())
-}
-
-/// The sparse training loop against a caller-owned optimizer and arena.
-///
 /// Stays sample-serial regardless of `config.shards`: the sparse
 /// backward touches only the nonzero rows of `dW`, so staging a dense
 /// per-sample gradient image would cost orders of magnitude more than
@@ -480,27 +415,24 @@ pub fn train_sparse_with_optimizer(
 ///
 /// Panics if `x` and `y` disagree on the sample count, the batch size
 /// is zero, `x` is empty, or the network has no layers.
-pub fn train_sparse_in_arena(
+pub fn train_sparse(
     net: &mut Sequential,
     x: &CsrMatrix,
     y: &[u32],
     config: &TrainConfig,
-    adam: &mut Adam,
-    arena: &mut TrainArena,
 ) -> TrainReport {
     let n = x.n_rows();
     assert_eq!(n, y.len(), "one label per sample");
     assert!(config.batch_size > 0, "batch size must be positive");
     assert!(n > 0, "cannot train on an empty dataset");
-    adam.set_lr(config.lr);
+    let mut adam = Adam::new(config.lr);
+    let mut arena = TrainArena::new();
     let cw = config.class_weights.as_deref();
 
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut order: Vec<usize> = (0..n).collect();
     let mut epoch_losses = Vec::with_capacity(config.epochs);
-    let mut epoch_seconds = Vec::with_capacity(config.epochs);
     for _ in 0..config.epochs {
-        let t0 = Instant::now();
         order.shuffle(&mut rng);
         let mut total = 0.0f32;
         let mut batches = 0usize;
@@ -517,9 +449,8 @@ pub fn train_sparse_in_arena(
             batches += 1;
         }
         epoch_losses.push(total / batches.max(1) as f32);
-        epoch_seconds.push(t0.elapsed().as_secs_f64());
     }
-    TrainReport { epoch_losses, epoch_seconds }
+    TrainReport { epoch_losses }
 }
 
 /// Gathers samples along the leading axis.
@@ -763,7 +694,7 @@ mod tests {
         let cfg = TrainConfig { epochs: 3, batch_size: 4, shards: Some(2), ..Default::default() };
         // Fresh arena per fit vs one arena across two fits.
         let mut n1 = make();
-        train_with_optimizer(&mut n1, &x, &y, &cfg, &mut Adam::new(cfg.lr));
+        train(&mut n1, &x, &y, &cfg);
         let expect = weight_bits(&mut n1);
         let mut arena = TrainArena::new();
         let mut n2 = make();
@@ -772,17 +703,5 @@ mod tests {
         let mut n3 = make();
         train_in_arena(&mut n3, &x, &y, &cfg, &mut Adam::new(cfg.lr), &mut arena);
         assert_eq!(weight_bits(&mut n3), expect);
-    }
-
-    #[test]
-    fn train_report_timing_is_recorded_but_not_compared() {
-        let (x, y) = two_blob_data(5);
-        let mut net = Sequential::new(vec![Box::new(Dense::new(2, 2, 1)) as Box<dyn Layer>]);
-        let r = train(&mut net, &x, &y, &TrainConfig { epochs: 3, ..Default::default() });
-        assert_eq!(r.epoch_seconds.len(), 3);
-        assert!(r.total_seconds() >= 0.0);
-        let mut other = r.clone();
-        other.epoch_seconds = vec![999.0; 3];
-        assert_eq!(r, other, "equality ignores wall-clock");
     }
 }

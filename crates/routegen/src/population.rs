@@ -31,6 +31,7 @@
 //!   anyone else's.
 
 use crate::athlete::{Activity, AthleteConfig, AthleteSimulator};
+use durable::Digest;
 use terrain::{CityId, SyntheticTerrain};
 
 /// Domain separator for the home-city pick.
@@ -166,7 +167,7 @@ impl PopulationConfig {
     /// feature stores record it so a stale store is never silently
     /// reused for a different population.
     pub fn fingerprint(&self) -> u64 {
-        let mut f = Fnv::new();
+        let mut f = Digest::new();
         f.u64(self.athletes as u64).u64(self.shard_size as u64).u64(self.seed);
         f.u64(self.cities.len() as u64);
         for c in &self.cities {
@@ -188,7 +189,7 @@ impl PopulationConfig {
     /// a bit-identical prefix of the larger. Incremental shard appends
     /// key on this — growing a store must not invalidate it.
     pub fn prefix_fingerprint(&self) -> u64 {
-        let mut f = Fnv::new();
+        let mut f = Digest::new();
         f.u64(self.shard_size as u64).u64(self.seed);
         f.u64(self.cities.len() as u64);
         for c in &self.cities {
@@ -258,7 +259,7 @@ impl PopulationShard {
     /// bit-identical — this is what the order/thread-count invariance
     /// checks compare, and what the `corpus.shard` golden pins.
     pub fn fingerprint(&self) -> u64 {
-        let mut f = Fnv::new();
+        let mut f = Digest::new();
         f.u64(self.index as u64).u64(self.athletes.len() as u64);
         for a in &self.athletes {
             f.u64(a.habits.id).str(a.habits.city.abbrev()).u64(a.habits.weekly_cadence as u64);
@@ -275,36 +276,6 @@ impl PopulationShard {
             }
         }
         f.finish()
-    }
-}
-
-/// Minimal incremental FNV-1a-64 over length-prefixed fields (floats
-/// by bit pattern). Local on purpose: `routegen` sits below the
-/// conformance crate and must not depend on it.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn raw(&mut self, bytes: &[u8]) -> &mut Self {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self
-    }
-    fn u64(&mut self, v: u64) -> &mut Self {
-        self.raw(&v.to_le_bytes())
-    }
-    fn f64(&mut self, v: f64) -> &mut Self {
-        self.u64(v.to_bits())
-    }
-    fn str(&mut self, s: &str) -> &mut Self {
-        self.u64(s.len() as u64).raw(s.as_bytes())
-    }
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 

@@ -14,11 +14,11 @@
 //!   whose point buffer, timestamp arena, and repair scratch take
 //!   uploads from raw bytes to an elevation profile with no DOM.
 //!
-//! After [`warm`](InferenceArena::warm) (or one cold request), every
-//! classify call reuses these buffers: the classify path performs
-//! **zero heap allocations**, asserted under a counting global
-//! allocator in `crates/serve/tests/zero_alloc.rs` and reported by the
-//! serve bench.
+//! After [`ModelBundle::warm`](crate::ModelBundle::warm) (or one cold
+//! request), every classify call reuses these buffers: the classify
+//! path performs **zero heap allocations**, asserted under a counting
+//! global allocator in `crates/serve/tests/zero_alloc.rs` and reported
+//! by the serve bench.
 
 use elev_core::ingest::StreamingIngest;
 use neuralnet::InferScratch;

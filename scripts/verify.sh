@@ -7,13 +7,13 @@
 # invariant suite, and the deterministic fuzz driver.
 #
 # Usage: scripts/verify.sh [tier...]
-#   tiers: build clippy test conformance serve overload bench scale smoke
+#   tiers: build clippy doc test conformance serve overload bench scale smoke
 #   (default: all)
 set -eu
 
 cd "$(dirname "$0")/.."
 
-tiers="${*:-build clippy test conformance serve overload bench scale smoke}"
+tiers="${*:-build clippy doc test conformance serve overload bench scale smoke}"
 
 has() {
     case " $tiers " in *" $1 "*) return 0 ;; *) return 1 ;; esac
@@ -27,6 +27,13 @@ fi
 if has clippy; then
     echo "== clippy (deny warnings) =="
     cargo clippy --workspace --all-targets -- -D warnings
+fi
+
+if has doc; then
+    echo "== doc (rustdoc, deny warnings) =="
+    # A broken, ambiguous or private intra-doc link fails the build, so
+    # deleting an item cannot leave a dangling link in the public docs.
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 fi
 
 if has test; then

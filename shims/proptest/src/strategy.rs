@@ -349,7 +349,7 @@ pub mod collection {
     use std::fmt::Debug;
     use std::ops::{Range, RangeInclusive};
 
-    /// Length specification for [`vec`], mirroring proptest's
+    /// Length specification for [`vec()`], mirroring proptest's
     /// `SizeRange`: a bare `usize` means exactly that length.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct SizeRange {
@@ -383,7 +383,7 @@ pub mod collection {
         VecStrategy { elem, size: size.into() }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         elem: S,
