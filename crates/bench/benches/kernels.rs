@@ -319,8 +319,7 @@ fn main() {
             .flat_map(|a| &a.activities)
             .map(|act| act.elevation_profile())
             .collect();
-        let vocabulary = fit_vocabulary(&pop, &exec::Executor::from_env());
-        let store_pipeline = vocabulary.pipeline();
+        let store_pipeline = fit_vocabulary(&pop, &exec::Executor::from_env());
         let dir = std::env::temp_dir().join(format!("elev-bench-fst-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("mkdir");
@@ -399,11 +398,11 @@ fn main() {
         // shard-0-fitted vocabulary `build_store` used.
         let terrain = cfg.population.terrain();
         let vocabulary = fit_vocabulary(&cfg.population, &exec);
-        assert_eq!(vocabulary.pipeline().n_features(), build.n_cols, "probe space != store space");
+        assert_eq!(vocabulary.n_features(), build.n_cols, "probe space != store space");
 
         let n_probes = 32u64;
         let probes: Vec<Probe> = (0..n_probes)
-            .map(|id| Probe::held_out(&cfg.population, &terrain, id, vocabulary.pipeline()))
+            .map(|id| Probe::held_out(&cfg.population, &terrain, id, &vocabulary))
             .collect();
         let probe_sigs: Vec<OverlapSig> =
             probes.iter().map(|p| OverlapSig::new(p.features().indices())).collect();

@@ -3,9 +3,10 @@
 //! Written to `BENCH_serve.json` through `bench::harness` (the schema
 //! every suite shares):
 //!
-//! 1. the steady-state classify path (cached BoW → SVM + forest + MLP
-//!    for both tasks), with the zero-allocation claim asserted under a
-//!    counting allocator before the server ever starts;
+//! 1. the steady-state classify path (a featurized profile → SVM +
+//!    forest + MLP for both tasks), with the zero-allocation claim
+//!    asserted under a counting allocator before the server ever
+//!    starts;
 //! 2. the offline `report_json` path (ingest → featurize → classify →
 //!    render) as the in-process reference point;
 //! 3. request latency through the real server at 1, 4 and 16
@@ -113,15 +114,14 @@ fn main() {
     let profile = profile.expect("clean fixture ingests");
     let mut arena = InferenceArena::new();
     bundle.warm(&mut arena);
-    for task in bundle.tasks() {
-        let bow = task.bow(&profile);
-        black_box(task.classify_bow(&bow, &mut arena));
+    let bows: Vec<_> = bundle.tasks().iter().map(|t| t.bow(&profile)).collect();
+    for (task, bow) in bundle.tasks().iter().zip(&bows) {
+        black_box(task.classify_bow(bow, &mut arena));
     }
     let (classify_allocs, _) = common::count_allocs(|| {
         for _ in 0..100 {
-            for task in bundle.tasks() {
-                let bow = task.bow(&profile);
-                black_box(task.classify_bow(&bow, &mut arena));
+            for (task, bow) in bundle.tasks().iter().zip(&bows) {
+                black_box(task.classify_bow(bow, &mut arena));
             }
         }
     });
@@ -132,12 +132,12 @@ fn main() {
     report.benches.push(single(
         "classify_both_tasks_warm",
         samples,
-        "cached BoW + SVM + forest + MLP for TM-1 and TM-3; \
+        "SVM + forest + MLP for TM-1 and TM-3 on a profile featurized before timing \
+         (each request featurizes its own; offline_report_json includes it); \
          0 heap allocations asserted over 200 classifications",
         || {
-            for task in bundle.tasks() {
-                let bow = task.bow(&profile);
-                black_box(task.classify_bow(&bow, &mut arena));
+            for (task, bow) in bundle.tasks().iter().zip(&bows) {
+                black_box(task.classify_bow(bow, &mut arena));
             }
         },
     ));

@@ -440,8 +440,7 @@ pub fn compute_stages(seed: u64) -> Vec<StageArtifact> {
         let pop = conformance_population(seed);
         let terrain = pop.terrain();
         let exec = exec::Executor::from_env();
-        let vocabulary = fit_vocabulary(&pop, &exec);
-        let pipeline = vocabulary.pipeline();
+        let pipeline = fit_vocabulary(&pop, &exec);
 
         let mut rows: Vec<featstore::RowBuf> = Vec::new();
         let mut shard0_rows = 0usize;
@@ -487,7 +486,7 @@ pub fn compute_stages(seed: u64) -> Vec<StageArtifact> {
         let n_probes = 8u64;
         let (mut recall_sum, mut rescored) = (0.0f64, 0usize);
         for id in 0..n_probes {
-            let probe = Probe::held_out(&pop, &terrain, id, pipeline);
+            let probe = Probe::held_out(&pop, &terrain, id, &pipeline);
             let f = probe.features();
             let selected = codebook.top_centroids(f.indices(), f.values(), nprobe);
             let mut ann_top = Vec::new();

@@ -25,6 +25,13 @@
 //! All state is process-global behind mutexes, safe to use from the
 //! parallel executor's workers. Hit/miss counters feed the `run_all`
 //! summary.
+//!
+//! The cache memoizes the experiment suite (`text`, `image`, `run_all`);
+//! no production path uses it. Nothing is ever evicted, which suits a
+//! suite that re-reads a fixed set of corpora but not a process that
+//! sees new profiles without end, so the served request
+//! (`serve::bundle`) and the scale sweep ([`crate::scale`]) featurize
+//! through [`TextPipeline`] directly.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -133,16 +140,6 @@ impl SharedPipeline {
         c.bow.lock().expect("bow cache").insert(key, Arc::clone(&row));
         row
     }
-}
-
-/// Wraps an externally fitted pipeline — e.g. one deserialized from
-/// the model registry — so its BoW rows participate in the
-/// process-wide cache. Each adoption gets a fresh cache identity:
-/// rows are shared across repeated profiles hitting the *same* adopted
-/// pipeline (the serving steady state), never across distinct loads.
-pub fn adopt_pipeline(pipeline: Arc<TextPipeline>) -> SharedPipeline {
-    let c = caches();
-    SharedPipeline { id: c.next_pipeline_id.fetch_add(1, Ordering::Relaxed), pipeline }
 }
 
 /// The fitted pipeline for a corpus and text config, memoized.

@@ -466,8 +466,7 @@ struct IngestScratch {
 /// instance (one per server arena, one per batch loop) allocates
 /// nothing per point once warm: the parse walk's per-document stacks
 /// cost a constant few allocations per upload, and the returned
-/// profile, collected as it is filtered, a few more that grow with the
-/// logarithm of its length.
+/// profile, sized to the point count before it is filled, one more.
 ///
 /// # Examples
 ///
@@ -599,9 +598,10 @@ fn repair_flat(
         repairs.push(Repair { kind: RepairKind::FilledGap, points: filled });
     }
 
-    // The elevation series downstream of structural repair.
-    let mut profile: Vec<f64> =
-        points.iter().filter_map(|p| p.elevation_m).collect();
+    // The elevation series downstream of structural repair, sized once
+    // (`filter_map` gives `collect` no lower bound to reserve).
+    let mut profile: Vec<f64> = Vec::with_capacity(points.len());
+    profile.extend(points.iter().filter_map(|p| p.elevation_m));
     if profile.is_empty() {
         return (Disposition::Quarantined(QuarantineReason::EmptyProfile), None);
     }

@@ -42,12 +42,12 @@
 //! `ann_match` kernel bench call them; a served `POST /v1/identify`
 //! calls them too rather than carrying a copy.
 
-use crate::featcache::SharedPipeline;
 use annindex::{l2, AnnIndex};
 use exec::Executor;
 use featstore::{FeatureStore, RowBuf, ShardEntry, ShardWriter, StoreManifest, MANIFEST};
 use routegen::PopulationConfig;
 use sparsemat::SparseVec;
+use std::cell::OnceCell;
 use std::path::{Path, PathBuf};
 use terrain::SyntheticTerrain;
 use textrep::{Discretizer, FeatureSelection, TextPipeline};
@@ -180,13 +180,13 @@ pub fn population_ladder(max: usize) -> Vec<usize> {
 /// same at every population size. Shard 0 is regenerated on `exec`,
 /// athlete by athlete, keeping only each athlete's elevation profiles
 /// (never the shard's tracks) in id order, so the fit is the same at
-/// any thread count. Memoized through [`featcache`](crate::featcache).
-pub fn fit_vocabulary(pop: &PopulationConfig, exec: &Executor) -> SharedPipeline {
-    crate::featcache::pipeline_for(
-        &shard0_profiles(pop, exec),
+/// any thread count.
+pub fn fit_vocabulary(pop: &PopulationConfig, exec: &Executor) -> TextPipeline {
+    TextPipeline::fit(
         Discretizer::Floor,
         SCALE_NGRAM,
         FeatureSelection::standard(),
+        &shard0_profiles(pop, exec),
     )
 }
 
@@ -224,7 +224,7 @@ pub struct StoreBuildReport {
 /// writer, returning its publish metadata.
 fn featurize_shard(
     cfg: &ScaleConfig,
-    pipeline: &SharedPipeline,
+    pipeline: &TextPipeline,
     terrain: &terrain::SyntheticTerrain,
     n_cols: usize,
     fingerprint: u64,
@@ -234,7 +234,7 @@ fn featurize_shard(
     let mut w = ShardWriter::create(&cfg.store_dir, s, n_cols as u64, fingerprint)?;
     for athlete in &shard.athletes {
         for (ai, act) in athlete.activities.iter().enumerate() {
-            let sv = pipeline.pipeline().transform_sparse(&act.elevation_profile());
+            let sv = pipeline.transform_sparse(&act.elevation_profile());
             w.append_row(
                 athlete.habits.id,
                 athlete.habits.city_index as u32,
@@ -280,6 +280,18 @@ pub fn build_store(
     cfg: &ScaleConfig,
     exec: &Executor,
 ) -> Result<StoreBuildReport, durable::Error> {
+    build_store_with(cfg, exec, &OnceCell::new())
+}
+
+/// [`build_store`] with the vocabulary fitted into `vocabulary` on
+/// first need: reusing a store fits nothing, and a caller that needs
+/// the vocabulary afterwards fits it once whether the store was built,
+/// grown or reused.
+fn build_store_with(
+    cfg: &ScaleConfig,
+    exec: &Executor,
+    vocabulary: &OnceCell<TextPipeline>,
+) -> Result<StoreBuildReport, durable::Error> {
     let pop = &cfg.population;
     let fingerprint = cfg.store_fingerprint();
     if let Ok(mut store) = FeatureStore::open(&cfg.store_dir) {
@@ -296,13 +308,13 @@ pub fn build_store(
             && m.athletes % m.shard_size == 0
             && m.shards.len() * pop.shard_size == m.athletes as usize
         {
-            let pipeline = fit_vocabulary(pop, exec);
-            let n_cols = pipeline.pipeline().n_features();
+            let pipeline = vocabulary.get_or_init(|| fit_vocabulary(pop, exec));
+            let n_cols = pipeline.n_features();
             if n_cols as u64 == m.n_cols {
                 let terrain = pop.terrain();
                 let new_ids: Vec<usize> = (m.shards.len()..pop.n_shards()).collect();
                 let metas = exec.map(&new_ids, |_, &s| {
-                    featurize_shard(cfg, &pipeline, &terrain, n_cols, fingerprint, s)
+                    featurize_shard(cfg, pipeline, &terrain, n_cols, fingerprint, s)
                 });
                 let metas: Vec<featstore::ShardMeta> =
                     metas.into_iter().collect::<Result<_, _>>()?;
@@ -318,12 +330,12 @@ pub fn build_store(
     }
     std::fs::create_dir_all(&cfg.store_dir)?;
 
-    let pipeline = fit_vocabulary(pop, exec);
-    let n_cols = pipeline.pipeline().n_features();
+    let pipeline = vocabulary.get_or_init(|| fit_vocabulary(pop, exec));
+    let n_cols = pipeline.n_features();
     let terrain = pop.terrain();
     let shard_ids: Vec<usize> = (0..pop.n_shards()).collect();
     let metas = exec.map(&shard_ids, |_, &s| {
-        featurize_shard(cfg, &pipeline, &terrain, n_cols, fingerprint, s)
+        featurize_shard(cfg, pipeline, &terrain, n_cols, fingerprint, s)
     });
     let metas: Vec<featstore::ShardMeta> = metas.into_iter().collect::<Result<_, _>>()?;
 
@@ -627,7 +639,7 @@ impl ScaleReport {
 /// `probes_per_city` athletes (by global id) living there among ids
 /// below the smallest population size; each contributes their *next*
 /// activity beyond the stored history, generated on `exec`.
-fn build_probes(cfg: &ScaleConfig, vocabulary: &SharedPipeline, exec: &Executor) -> Vec<Probe> {
+fn build_probes(cfg: &ScaleConfig, vocabulary: &TextPipeline, exec: &Executor) -> Vec<Probe> {
     let pop = &cfg.population;
     let terrain = pop.terrain();
     let min_size = *cfg.pop_sizes.first().expect("at least one population size") as u64;
@@ -640,7 +652,7 @@ fn build_probes(cfg: &ScaleConfig, vocabulary: &SharedPipeline, exec: &Executor)
             picks.push(id);
         }
     }
-    exec.map(&picks, |_, &id| Probe::held_out(pop, &terrain, id, vocabulary.pipeline()))
+    exec.map(&picks, |_, &id| Probe::held_out(pop, &terrain, id, vocabulary))
 }
 
 /// Per-probe, per-population-size top-3 hit lists.
@@ -789,9 +801,10 @@ fn scan_shard_ann(
 /// Panics if `cfg.pop_sizes` is empty.
 pub fn scale_sweep(cfg: &ScaleConfig, exec: &Executor) -> Result<ScaleReport, durable::Error> {
     assert!(!cfg.pop_sizes.is_empty(), "sweep needs at least one population size");
-    let vocabulary = fit_vocabulary(&cfg.population, exec);
-    let build = build_store(cfg, exec)?;
-    let width = vocabulary.pipeline().n_features();
+    let vocabulary = OnceCell::new();
+    let build = build_store_with(cfg, exec, &vocabulary)?;
+    let vocabulary = vocabulary.get_or_init(|| fit_vocabulary(&cfg.population, exec));
+    let width = vocabulary.n_features();
     if build.n_cols != width {
         return Err(durable::Error::Malformed(format!(
             "{} holds a store {} features wide, but the vocabulary fitted now is {width} wide; \
@@ -801,7 +814,7 @@ pub fn scale_sweep(cfg: &ScaleConfig, exec: &Executor) -> Result<ScaleReport, du
         )));
     }
     let store = FeatureStore::open(&cfg.store_dir)?;
-    let probes = build_probes(cfg, &vocabulary, exec);
+    let probes = build_probes(cfg, vocabulary, exec);
     let sizes = &cfg.pop_sizes;
 
     let sigs: Vec<OverlapSig> =
@@ -1340,9 +1353,9 @@ mod tests {
 
         let a = fit_vocabulary(&cfg.population, &one);
         let b = fit_vocabulary(&cfg.population, &four);
-        assert_eq!(a.pipeline().n_features(), b.pipeline().n_features());
-        assert_eq!(a.pipeline().vectorizer().features(), b.pipeline().vectorizer().features());
-        assert_eq!(a.pipeline().codebook(), b.pipeline().codebook());
+        assert_eq!(a.n_features(), b.n_features());
+        assert_eq!(a.vectorizer().features(), b.vectorizer().features());
+        assert_eq!(a.codebook(), b.codebook());
 
         let key = |p: &Probe| {
             let dense: Vec<u32> = p.dense.iter().map(|v| v.to_bits()).collect();

@@ -9,22 +9,21 @@
 //! suite rather than trusted.
 //!
 //! Classification after featurization is allocation-free: model scores
-//! land in a per-worker [`InferenceArena`] (see [`crate::arena`]), and
-//! BoW featurization hits the process-wide `featcache` for repeated
-//! profiles.
+//! land in a per-worker [`InferenceArena`] (see [`crate::arena`]).
+//! Each request featurizes its profile through the task's own
+//! [`TextPipeline`], with no cache and no process-global state, so a
+//! long-running server's heap does not grow with the uploads it sees.
 
 use crate::arena::InferenceArena;
 use crate::registry::{GenerationLoad, ModelPayload, ModelRecord};
 use classicml::{ForestConfig, RandomForest, SvmClassifier, SvmConfig};
 use datasets::Dataset;
 use elev_core::experiments::{Corpora, ExperimentScale};
-use elev_core::featcache::{adopt_pipeline, pipeline_for, SharedPipeline};
 use elev_core::report::{IngestSummary, LeakageReport, ModelVote, TaskReport};
 use exec::mix_seed;
 use neuralnet::{models, train_sparse, FlatMlp, TrainConfig};
 use sparsemat::{FeatureMatrix, SparseVec};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use textrep::{Discretizer, FeatureSelection, TextPipeline};
 
 /// Training recipe for a bundle (scale + per-model hyperparameters).
@@ -110,7 +109,7 @@ pub struct TaskModels {
     pub task: String,
     /// Class-index → label-name mapping.
     pub labels: Vec<String>,
-    shared: SharedPipeline,
+    pipeline: TextPipeline,
     svm: SvmClassifier,
     rfc: RandomForest,
     mlp: FlatMlp,
@@ -132,9 +131,9 @@ impl TaskModels {
     fn fit(task: &str, ds: &Dataset, discretizer: Discretizer, cfg: &BundleConfig, seed: u64) -> Self {
         let signals: Vec<Vec<f64>> =
             ds.samples().iter().map(|s| s.elevation.clone()).collect();
-        let shared =
-            pipeline_for(&signals, discretizer, cfg.ngram, FeatureSelection::standard());
-        let x = shared.pipeline().transform_all_csr(&signals);
+        let pipeline =
+            TextPipeline::fit(discretizer, cfg.ngram, FeatureSelection::standard(), &signals);
+        let x = pipeline.transform_all_csr(&signals);
         let y = ds.labels();
         let n_classes = ds.n_classes().max(2);
 
@@ -168,7 +167,7 @@ impl TaskModels {
         Self {
             task: task.to_owned(),
             labels: ds.label_names().to_vec(),
-            shared,
+            pipeline,
             svm,
             rfc,
             mlp,
@@ -177,12 +176,13 @@ impl TaskModels {
 
     /// Feature width of the task's pipeline.
     pub fn n_features(&self) -> usize {
-        self.shared.pipeline().n_features()
+        self.pipeline.n_features()
     }
 
-    /// The cached (or computed) BoW row for a profile.
-    pub fn bow(&self, signal: &[f64]) -> Arc<SparseVec> {
-        self.shared.bow(signal)
+    /// The sparse BoW row for a profile, featurized through the task's
+    /// pipeline.
+    pub fn bow(&self, signal: &[f64]) -> SparseVec {
+        self.pipeline.transform_sparse(signal)
     }
 
     /// Classifies one featurized profile — **the zero-alloc hot path**:
@@ -229,13 +229,12 @@ impl TaskModels {
     }
 
     fn to_records(&self, version: u32) -> Vec<ModelRecord> {
-        let pipeline: TextPipeline = self.shared.pipeline().clone();
         let record = |suffix: &str, payload: ModelPayload| ModelRecord {
             name: format!("{}-{suffix}", self.task),
             version,
             task: self.task.clone(),
             labels: self.labels.clone(),
-            pipeline: Some(pipeline.clone()),
+            pipeline: Some(self.pipeline.clone()),
             payload,
         };
         vec![
@@ -336,11 +335,10 @@ impl ModelBundle {
             let pipeline = partial
                 .pipeline
                 .ok_or_else(|| format!("task {task}: no record carries the pipeline"))?;
-            let shared = adopt_pipeline(Arc::new(pipeline));
             tasks.push(TaskModels {
                 task: task.clone(),
                 labels: partial.labels,
-                shared,
+                pipeline,
                 svm: partial.svm.ok_or_else(|| format!("task {task}: missing svm"))?,
                 rfc: partial.rfc.ok_or_else(|| format!("task {task}: missing rfc"))?,
                 mlp: partial.mlp.ok_or_else(|| format!("task {task}: missing mlp"))?,

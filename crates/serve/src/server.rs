@@ -369,7 +369,10 @@ impl Server {
         let reloader = cfg.model_dir.clone().map(|dir| {
             let shared = Arc::clone(&shared);
             let poll = cfg.reload_poll;
-            std::thread::spawn(move || reload_loop(&dir, poll, &shared))
+            // Read before `start` returns: a publish made after it must
+            // count as a change, however late the thread first runs.
+            let last = registry::manifest_mtime(&dir);
+            std::thread::spawn(move || reload_loop(&dir, poll, last, &shared))
         });
 
         Ok(Self { addr, shared, acceptor: Some(acceptor), supervisor: Some(supervisor), reloader })
@@ -563,8 +566,12 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-fn reload_loop(dir: &std::path::Path, poll: Duration, shared: &Shared) {
-    let mut last = registry::manifest_mtime(dir);
+fn reload_loop(
+    dir: &std::path::Path,
+    poll: Duration,
+    mut last: Option<std::time::SystemTime>,
+    shared: &Shared,
+) {
     let slice = Duration::from_millis(25).min(poll.max(Duration::from_millis(1)));
     let mut elapsed = Duration::ZERO;
     let mut consecutive_bad = 0u32;

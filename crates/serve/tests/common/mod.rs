@@ -5,7 +5,8 @@
 //! Each integration-test binary uses a different subset of these.
 #![allow(dead_code)]
 
-use routegen::AthleteSimulator;
+use gpxfile::Gpx;
+use routegen::{AthleteConfig, AthleteSimulator};
 use serve::bundle::{BundleConfig, ModelBundle};
 use std::sync::OnceLock;
 use terrain::{CityId, SyntheticTerrain};
@@ -18,6 +19,20 @@ pub fn clean_gpx() -> Vec<u8> {
     let mut sim = AthleteSimulator::new(SyntheticTerrain::new(SEED), SEED);
     let activity = sim.generate(CityId::WashingtonDc, 1).remove(0);
     activity.gpx.to_xml().into_bytes()
+}
+
+/// The first `points` trackpoints of one long synthetic activity (a
+/// 60 km route in Washington DC, about 5 000 points), which ingests
+/// clean. Its relief is the terrain's, so both tasks' vocabularies
+/// match its features even at 40 points.
+pub fn clean_track(points: usize) -> Gpx {
+    let config = AthleteConfig { length_m_range: (60_000.0, 60_000.0), ..AthleteConfig::default() };
+    let mut sim = AthleteSimulator::with_config(SyntheticTerrain::new(SEED), SEED, config);
+    let mut gpx = sim.generate(CityId::WashingtonDc, 1).remove(0).gpx;
+    let route = &mut gpx.tracks[0].segments[0].points;
+    assert!(route.len() >= points, "the route has only {} points", route.len());
+    route.truncate(points);
+    gpx
 }
 
 /// Duplicates every `stride`-th track-point line `copies` times —

@@ -1,16 +1,18 @@
-//! Pins the tentpole's zero-allocation claim: once a worker's arena
-//! and the feature cache are warm, the per-request classify path
-//! (cached BoW lookup + SVM + forest + MLP for both tasks) performs
-//! exactly zero heap allocations.
+//! Pins the served request's allocation profile: once a worker's arena
+//! is warm, classifying a featurized profile (SVM + forest + MLP for
+//! both tasks) performs exactly zero heap allocations, and a whole
+//! warm `report_json` makes the same number of allocations for a short
+//! upload as for a long one (none per point, featurization included).
 //!
 //! Lives in its own integration-test binary with a single test
 //! function so the process-wide allocation counter sees only this
-//! thread's work during the measured window.
+//! thread's work during the measured windows.
 
 mod common;
 
 use elev_core::ingest::{ingest_one, IngestConfig, TrackSource};
 use serve::InferenceArena;
+use sparsemat::SparseVec;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,25 +47,47 @@ fn steady_state_classify_path_allocates_nothing() {
     let (_, profile) = ingest_one(&TrackSource::Raw(raw), &IngestConfig::default());
     let profile = profile.expect("clean fixture ingests");
 
-    // Warm-up: grow the arena, populate the BoW cache, run one full
-    // classify per task so every reusable buffer reaches steady state.
+    // Warm-up: grow the arena and run one full classify per task so
+    // every reusable buffer reaches steady state. Each request
+    // featurizes its own profile, so the rows are made here, outside
+    // the window; the second check below covers featurization.
     let mut arena = InferenceArena::new();
     bundle.warm(&mut arena);
-    for task in bundle.tasks() {
-        let bow = task.bow(&profile);
-        black_box(task.classify_bow(&bow, &mut arena));
+    let bows: Vec<SparseVec> = bundle.tasks().iter().map(|t| t.bow(&profile)).collect();
+    for (task, bow) in bundle.tasks().iter().zip(&bows) {
+        black_box(task.classify_bow(bow, &mut arena));
     }
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for _ in 0..100 {
-        for task in bundle.tasks() {
-            let bow = task.bow(&profile);
-            black_box(task.classify_bow(&bow, &mut arena));
+        for (task, bow) in bundle.tasks().iter().zip(&bows) {
+            black_box(task.classify_bow(bow, &mut arena));
         }
     }
     let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
     assert_eq!(
         allocs, 0,
         "steady-state classify path allocated {allocs} times over 200 task classifications"
+    );
+
+    // A warm full request (ingest -> featurize -> classify -> render)
+    // allocates a constant count, whatever the upload's length.
+    let short = common::clean_track(40).to_xml().into_bytes();
+    let long = common::clean_track(4_000).to_xml().into_bytes();
+    for upload in [&long, &short] {
+        let (status, body) = bundle.report_json(upload, &mut arena);
+        assert_eq!(status, 200, "{body}");
+        assert!(body.contains("\"disposition\": \"clean\""), "fixture must ingest clean: {body}");
+    }
+    let mut count = |upload: &[u8]| {
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        black_box(bundle.report_json(upload, &mut arena));
+        ALLOCATIONS.load(Ordering::Relaxed) - before
+    };
+    let (short_allocs, long_allocs) = (count(&short), count(&long));
+    assert_eq!(
+        short_allocs, long_allocs,
+        "a warm report_json allocated {short_allocs} times for a 40-point upload \
+         and {long_allocs} times for a 4000-point one"
     );
 }

@@ -184,8 +184,14 @@ impl BowVectorizer {
     /// dense path computes for that coordinate (counts are exact small
     /// integers in `f32`, and the division is the identical operation),
     /// so densifying reproduces the dense transform bit for bit.
+    ///
+    /// Every buffer is sized before it is filled (the match list to the
+    /// tile count, the row to the distinct matches), so a call makes the
+    /// same few allocations at any signal length.
     pub fn transform_sparse(&self, encoded: &str) -> SparseVec {
-        let mut matched: Vec<u32> = Vec::new();
+        let words = encoded.len() / self.word_size;
+        let tiles: usize = (1..=self.max_n).map(|n| words / n).sum();
+        let mut matched: Vec<u32> = Vec::with_capacity(tiles);
         count_tiled(encoded, self.word_size, self.max_n, |gram| {
             if let Some(&i) = self.index.get(gram) {
                 matched.push(i as u32);
@@ -196,8 +202,9 @@ impl BowVectorizer {
         }
         let total = matched.len() as f32;
         matched.sort_unstable();
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
+        let distinct = 1 + matched.windows(2).filter(|w| w[0] != w[1]).count();
+        let mut indices = Vec::with_capacity(distinct);
+        let mut values = Vec::with_capacity(distinct);
         let mut pos = 0;
         while pos < matched.len() {
             let idx = matched[pos];
