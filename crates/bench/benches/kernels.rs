@@ -24,7 +24,7 @@ use elev_core::ingest::{ingest_one, IngestConfig, StreamingIngest, TrackSource};
 use elev_core::scale::{fit_vocabulary, push_topk, recall_at3, OverlapSig, Probe};
 use geoprim::{polyline, BoundingBox, LatLon};
 use imgrep::{render, ImageConfig};
-use neuralnet::{models, train, train_in_arena, Adam, Layer, TrainArena, TrainConfig};
+use neuralnet::{models, train, Layer, TrainConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use routegen::{generate_route, AthleteSimulator, RouteKind, RouteParams};
@@ -240,11 +240,11 @@ fn main() {
     // The cold side runs a never-run copy of the network per call, built
     // before timing (one per harness call: a warm-up plus `samples`), so
     // every call allocates the im2col columns, weight-matrix views and
-    // argmax buffers afresh, as the pre-arena code did; the warm side
-    // reuses one network's layer scratch. Both sides run the same
-    // kernels on the same inputs; only the scratch lifetime differs.
-    // `shards: Some(1)` keeps the step serial so the pair isolates
-    // allocation behavior, not data parallelism.
+    // argmax buffers afresh; the warm side reuses one network's layer
+    // scratch. Both sides run the same kernels on the same inputs; only
+    // the layer scratch's lifetime differs (training keeps no other
+    // state between calls). `shards: Some(1)` keeps the step serial so
+    // the pair isolates allocation behavior, not data parallelism.
     let batch = 16;
     let x = deterministic_tensor(&[batch, 3, 32, 32], 7);
     let y: Vec<u32> = (0..batch).map(|i| (i % 4) as u32).collect();
@@ -268,17 +268,16 @@ fn main() {
     };
     let mut bwd_cold = vec![models::paper_cnn(4, 1); samples + 1];
     let mut bwd_net = models::paper_cnn(4, 1);
-    let mut bwd_adam = Adam::new(train_cfg.lr);
-    let mut bwd_arena = TrainArena::new();
     report.benches.push(pair(
         "conv_fwd_bwd_16imgs",
         samples,
         "one training step on 16 images; backward uses the fused \
          matmul_at/matmul_bt kernels instead of allocating transposes; \
-         baseline trains a never-run copy of the network with a fresh \
-         training arena every step, optimized keeps both warm",
+         baseline trains a never-run copy of the network every step, \
+         optimized trains one kept network, so the pair times layer \
+         scratch reuse only",
         || train(&mut bwd_cold.pop().expect("one cold network per call"), &x, &y, &train_cfg),
-        || train_in_arena(&mut bwd_net, &x, &y, &train_cfg, &mut bwd_adam, &mut bwd_arena),
+        || train(&mut bwd_net, &x, &y, &train_cfg),
     ));
 
     // --- Population corpus generation: one 64-athlete shard of the

@@ -1,16 +1,19 @@
 //! Training-path benchmarks for the deterministic data-parallel CNN
-//! step and the zero-alloc training arenas.
+//! step and the layer scratch it reuses.
 //!
 //! Three before/after pairs, written to `BENCH_train.json` through
 //! `bench::harness` (the schema every suite shares):
 //!
 //! 1. the single mini-batch step, serial vs 4-lane staged — trained
 //!    weights are bit-identical either way (asserted here), so the
-//!    pair measures pure scheduling;
+//!    pair measures pure scheduling; each call builds its lanes afresh,
+//!    as every `train` call does;
 //! 2. the same step cold vs warm — the cold side trains a never-run
-//!    copy of the network with a fresh training arena every call (the
-//!    pre-arena behavior), and a counting allocator reports allocations
-//!    per step for both;
+//!    copy of the network every call, the warm side trains one kept
+//!    network; training keeps no state between calls, so the pair
+//!    measures the layer scratch (im2col columns, argmax and ReLU
+//!    masks) only, and a counting allocator reports allocations per
+//!    step for both;
 //! 3. end-to-end Table VII (TM-1, weighted loss) at quick scale,
 //!    serial vs budget-sized lanes, with identical confusions asserted.
 //!
@@ -25,7 +28,7 @@ mod common;
 use bench::harness::{deterministic_tensor, pair, BenchReport};
 use elev_core::experiments::{Corpora, ExperimentScale};
 use elev_core::image::{evaluate_image, ImageAttackConfig, ImageMethod};
-use neuralnet::{models, train, train_in_arena, Adam, Layer, TrainArena, TrainConfig};
+use neuralnet::{models, train, Layer, TrainConfig};
 use std::hint::black_box;
 use std::path::Path;
 
@@ -70,11 +73,7 @@ fn main() {
     );
 
     let mut serial_net = models::paper_cnn(4, 1);
-    let mut serial_adam = Adam::new(serial_cfg.lr);
-    let mut serial_arena = TrainArena::new();
     let mut lane_net = models::paper_cnn(4, 1);
-    let mut lane_adam = Adam::new(lane_cfg.lr);
-    let mut lane_arena = TrainArena::new();
     report.benches.push(pair(
         "cnn_epoch_64imgs_serial_vs_4lane",
         samples,
@@ -84,74 +83,44 @@ fn main() {
              core count ({cores} available here)"
         ),
         || {
-            black_box(train_in_arena(
-                &mut serial_net,
-                &x,
-                &y,
-                &serial_cfg,
-                &mut serial_adam,
-                &mut serial_arena,
-            ));
+            black_box(train(&mut serial_net, &x, &y, &serial_cfg));
         },
         || {
-            black_box(train_in_arena(
-                &mut lane_net,
-                &x,
-                &y,
-                &lane_cfg,
-                &mut lane_adam,
-                &mut lane_arena,
-            ));
+            black_box(train(&mut lane_net, &x, &y, &lane_cfg));
         },
     ));
 
-    // --- The same serial epoch, cold vs warm arenas, with alloc counts.
-    // Every cold call trains its own never-run copy of the network, so
-    // its layer scratch starts empty; the copies are built before
-    // timing, one for the count and one per harness call (a warm-up
-    // plus `samples`).
+    // --- The same serial epoch, cold vs warm layer scratch, with alloc
+    // counts. Every cold call trains its own never-run copy of the
+    // network, so its layer scratch starts empty; the copies are built
+    // before timing, one for the count and one per harness call (a
+    // warm-up plus `samples`).
     let mut cold_nets = vec![models::paper_cnn(4, 1); samples + 2];
     let mut cold = || {
         let mut net = cold_nets.pop().expect("one cold network per call");
         black_box(train(&mut net, &x, &y, &serial_cfg));
     };
     let mut warm_net = models::paper_cnn(4, 1);
-    let mut warm_adam = Adam::new(serial_cfg.lr);
-    let mut warm_arena = TrainArena::new();
-    // Warm the reused network and arena, then count one call per side.
-    train_in_arena(&mut warm_net, &x, &y, &serial_cfg, &mut warm_adam, &mut warm_arena);
+    // Warm the kept network, then count one call per side.
+    train(&mut warm_net, &x, &y, &serial_cfg);
     let (cold_allocs, cold_bytes) = common::count_allocs(&mut cold);
     let (warm_allocs, warm_bytes) = common::count_allocs(|| {
-        black_box(train_in_arena(
-            &mut warm_net,
-            &x,
-            &y,
-            &serial_cfg,
-            &mut warm_adam,
-            &mut warm_arena,
-        ));
+        black_box(train(&mut warm_net, &x, &y, &serial_cfg));
     });
     report.benches.push(pair(
         "cnn_epoch_64imgs_cold_vs_warm_arena",
         samples,
         format!(
-            "cold trains a never-run network with a fresh arena every \
-             call (pre-arena behavior): {cold_allocs} allocations / {:.2} \
-             MiB per epoch vs {warm_allocs} / {:.2} MiB with persistent \
-             arenas",
+            "cold trains a never-run network every call: {cold_allocs} \
+             allocations / {:.2} MiB per epoch vs {warm_allocs} / {:.2} MiB \
+             for one kept network, whose layer scratch is the only state \
+             that outlives a call",
             cold_bytes as f64 / (1 << 20) as f64,
             warm_bytes as f64 / (1 << 20) as f64
         ),
         cold,
         || {
-            black_box(train_in_arena(
-                &mut warm_net,
-                &x,
-                &y,
-                &serial_cfg,
-                &mut warm_adam,
-                &mut warm_arena,
-            ));
+            black_box(train(&mut warm_net, &x, &y, &serial_cfg));
         },
     ));
 

@@ -18,7 +18,12 @@ use elev_core::robustness::robustness_sweep;
 use elev_core::scale::{fit_vocabulary, push_topk, recall_at3, Probe};
 use faultsim::{corrupt_track, FaultPlan, Payload};
 use imgrep::{render, ImageConfig};
+use neuralnet::finetune::{fine_tune, make_rounds, FineTuneConfig};
+use neuralnet::loss::inverse_frequency_weights;
+use neuralnet::models::paper_cnn;
+use neuralnet::{train, Sequential, TrainConfig, TrainReport};
 use routegen::{Activity, AthleteSimulator};
+use tensorlite::Tensor;
 use terrain::{CityId, SyntheticTerrain};
 use textrep::{Discretizer, FeatureSelection, TextPipeline};
 
@@ -35,7 +40,7 @@ pub struct StageArtifact {
 }
 
 /// Every registered stage name, in pipeline order.
-pub const STAGE_NAMES: [&str; 12] = [
+pub const STAGE_NAMES: [&str; 13] = [
     "routegen.tracks",
     "gpx.bytes",
     "ingest.clean",
@@ -48,6 +53,7 @@ pub const STAGE_NAMES: [&str; 12] = [
     "ingest.stream",
     "corpus.shard",
     "ann.sweep",
+    "cnn.train",
 ];
 
 /// The scale every conformance artifact is computed at: small enough
@@ -215,15 +221,16 @@ pub fn compute_stages(seed: u64) -> Vec<StageArtifact> {
     }
 
     // Stage 6: image-side rasters over the clean profiles.
+    let raster_cfg = ImageConfig::default();
+    let rasters: Vec<Vec<f32>> =
+        clean_profiles.iter().map(|p| render(p, &raster_cfg).pixels).collect();
     {
-        let cfg = ImageConfig::default();
         let mut d = Digest::new();
         d.usize(clean_profiles.len());
         let mut lit = 0usize;
-        for p in &clean_profiles {
-            let img = render(p, &cfg);
-            lit += img.pixels.iter().filter(|&&v| v > 0.0).count();
-            d.f32s(&img.pixels);
+        for pixels in &rasters {
+            lit += pixels.iter().filter(|&&v| v > 0.0).count();
+            d.f32s(pixels);
         }
         out.push(StageArtifact {
             name: "imgrep.raster",
@@ -231,8 +238,8 @@ pub fn compute_stages(seed: u64) -> Vec<StageArtifact> {
             summary: format!(
                 "{} rasters {}x{}, {} lit channel values",
                 clean_profiles.len(),
-                cfg.width,
-                cfg.height,
+                raster_cfg.width,
+                raster_cfg.height,
                 lit
             ),
         });
@@ -530,6 +537,65 @@ pub fn compute_stages(seed: u64) -> Vec<StageArtifact> {
         });
     }
 
+    // Stage 13: the Fig. 7 CNN trained on the stage-6 rasters, once
+    // with the weighted loss through `train` on two gradient lanes and
+    // once through two fine-tuning rounds, digested by the bit pattern
+    // of every trained weight plus the epoch losses. The labels are
+    // synthetic: three classes in render order (3/3/2 of 8 rasters), so
+    // the class weights differ and one of the two rounds drops a class.
+    {
+        let n = rasters.len();
+        let (h, w) = (raster_cfg.height, raster_cfg.width);
+        let x = Tensor::from_vec(rasters.concat(), &[n, 3, h, w]);
+        let y: Vec<u32> = (0..n).map(|i| (i * 3 / n) as u32).collect();
+        let mut d = Digest::new();
+        d.usize(n);
+
+        let mut weighted = paper_cnn(3, seed);
+        let report = train(
+            &mut weighted,
+            &x,
+            &y,
+            &TrainConfig {
+                epochs: 2,
+                batch_size: 3,
+                lr: 2e-3,
+                seed,
+                class_weights: Some(inverse_frequency_weights(&y, 3)),
+                shards: Some(2),
+            },
+        );
+        let n_params = digest_training(&mut d, &mut weighted, std::slice::from_ref(&report));
+
+        let rounds = make_rounds(&y, 3, &[1], seed);
+        let mut tuned = paper_cnn(3, seed);
+        let reports = fine_tune(
+            &mut tuned,
+            &x,
+            &y,
+            &rounds,
+            &FineTuneConfig {
+                epochs_per_round: 2,
+                batch_size: 3,
+                lr: 2e-3,
+                final_lr: 1e-3,
+                seed,
+                shards: Some(1),
+            },
+        );
+        digest_training(&mut d, &mut tuned, &reports);
+        out.push(StageArtifact {
+            name: "cnn.train",
+            digest: d.finish(),
+            summary: format!(
+                "paper CNN ({n_params} params) on {n} rasters: weighted loss at 2 lanes, final loss {:.4}; {} fine-tuning rounds, final loss {:.4}",
+                report.final_loss(),
+                reports.len(),
+                reports.last().map_or(f32::NAN, |r| r.final_loss())
+            ),
+        });
+    }
+
     debug_assert_eq!(out.len(), STAGE_NAMES.len());
     out
 }
@@ -563,6 +629,19 @@ fn duplicate_every_other_point(doc: &[u8]) -> Vec<u8> {
         }
     }
     out.into_bytes()
+}
+
+/// Digests a trained network's epoch losses and the bit pattern of
+/// every parameter; returns the parameter count.
+fn digest_training(d: &mut Digest, net: &mut Sequential, reports: &[TrainReport]) -> usize {
+    d.usize(reports.len());
+    for r in reports {
+        d.f32s(&r.epoch_losses);
+    }
+    let mut params = Vec::new();
+    net.export_params(&mut params);
+    d.f32s(&params);
+    params.len()
 }
 
 fn digest_outcome(d: &mut Digest, o: &evalkit::FoldOutcome) {

@@ -8,8 +8,7 @@
 //! classes first, all classes last), carrying parameters across rounds
 //! and optionally lowering the learning rate for the final round.
 
-use crate::arena::TrainArena;
-use crate::net::{gather_samples, train_in_arena, Sequential, TrainConfig, TrainReport};
+use crate::net::{gather_samples, run_epochs, Sequential, TrainConfig, TrainReport, TrainSet};
 use crate::optim::Adam;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -133,10 +132,6 @@ pub fn fine_tune(
     config: &FineTuneConfig,
 ) -> Vec<TrainReport> {
     let mut adam = Adam::new(config.lr);
-    // One arena across all rounds: the lane replicas and staging
-    // buffers are sized by the (fixed) network, so every round after
-    // the first trains allocation-free in steady state.
-    let mut arena = TrainArena::new();
     let mut reports = Vec::with_capacity(rounds.len());
     for (step, round) in rounds.iter().rev().enumerate() {
         let is_last = step + 1 == rounds.len();
@@ -150,7 +145,7 @@ pub fn fine_tune(
             class_weights: None,
             shards: config.shards,
         };
-        reports.push(train_in_arena(net, &xb, &yb, &cfg, &mut adam, &mut arena));
+        reports.push(run_epochs(net, TrainSet::Dense(&xb), &yb, &cfg, &mut adam));
     }
     reports
 }

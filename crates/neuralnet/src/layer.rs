@@ -40,16 +40,6 @@ pub trait Layer: Send {
     /// boxed trait object. The sharded trainer uses this to build one
     /// replica network per lane.
     fn clone_box(&self) -> Box<dyn Layer>;
-
-    /// Whether running samples through this layer one at a time (with
-    /// `train=true`) produces bit-identical activations and parameter
-    /// gradients to running them as one batch. True for every stateless
-    /// or per-row layer; false for layers that consume an RNG stream
-    /// per forward call (dropout), which the sharded trainer must not
-    /// split.
-    fn per_sample_deterministic(&self) -> bool {
-        true
-    }
 }
 
 /// Stores `src` in `slot`, reusing the existing allocation when the
@@ -249,76 +239,6 @@ impl Layer for Relu {
     }
 }
 
-/// Inverted dropout: during training, zeroes each activation with
-/// probability `p` and rescales survivors by `1/(1-p)`; identity at
-/// inference. An extension over the paper's architecture for users who
-/// train the CNN on larger corpora.
-#[derive(Debug, Clone)]
-pub struct Dropout {
-    p: f32,
-    rng: StdRng,
-    mask: Option<Vec<bool>>,
-}
-
-impl Dropout {
-    /// Creates a dropout layer with drop probability `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 <= p < 1`.
-    pub fn new(p: f32, seed: u64) -> Self {
-        assert!((0.0..1.0).contains(&p), "drop probability must be in [0, 1)");
-        Self { p, rng: StdRng::seed_from_u64(seed), mask: None }
-    }
-}
-
-impl Layer for Dropout {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if !train || self.p == 0.0 {
-            self.mask = None;
-            return input.clone();
-        }
-        let mask: Vec<bool> = (0..input.len()).map(|_| self.rng.gen::<f32>() >= self.p).collect();
-        let scale = 1.0 / (1.0 - self.p);
-        let data = input
-            .data()
-            .iter()
-            .zip(&mask)
-            .map(|(&x, &keep)| if keep { x * scale } else { 0.0 })
-            .collect();
-        self.mask = Some(mask);
-        Tensor::from_vec(data, input.shape())
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        match &self.mask {
-            None => grad_output.clone(),
-            Some(mask) => {
-                let scale = 1.0 / (1.0 - self.p);
-                let data = grad_output
-                    .data()
-                    .iter()
-                    .zip(mask)
-                    .map(|(&g, &keep)| if keep { g * scale } else { 0.0 })
-                    .collect();
-                Tensor::from_vec(data, grad_output.shape())
-            }
-        }
-    }
-
-    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {}
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-
-    /// Dropout draws from its RNG once per forward call, so batch-split
-    /// replays consume the stream differently than the whole batch.
-    fn per_sample_deterministic(&self) -> bool {
-        self.p == 0.0
-    }
-}
-
 /// Flattens `[N, ...]` to `[N, prod]`.
 #[derive(Debug, Clone, Default)]
 pub struct Flatten {
@@ -386,44 +306,6 @@ mod tests {
         assert_eq!(y.shape(), &[2, 48]);
         let g = f.backward(&y);
         assert_eq!(g.shape(), &[2, 3, 4, 4]);
-    }
-
-    #[test]
-    fn dropout_is_identity_at_inference() {
-        let mut d = Dropout::new(0.5, 1);
-        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[1, 3]);
-        assert_eq!(d.forward(&x, false), x);
-        // Backward after inference forward passes gradients through.
-        assert_eq!(d.backward(&x), x);
-    }
-
-    #[test]
-    fn dropout_preserves_expected_activation() {
-        let mut d = Dropout::new(0.3, 2);
-        let x = Tensor::full(&[1, 10_000], 1.0);
-        let y = d.forward(&x, true);
-        let mean = y.sum() / 10_000.0;
-        assert!((mean - 1.0).abs() < 0.05, "mean {mean}");
-        // Roughly p of activations are zeroed.
-        let zeros = y.data().iter().filter(|&&v| v == 0.0).count();
-        assert!((zeros as f32 / 10_000.0 - 0.3).abs() < 0.03);
-    }
-
-    #[test]
-    fn dropout_backward_uses_forward_mask() {
-        let mut d = Dropout::new(0.5, 3);
-        let x = Tensor::full(&[1, 100], 1.0);
-        let y = d.forward(&x, true);
-        let g = d.backward(&Tensor::full(&[1, 100], 1.0));
-        for (yo, go) in y.data().iter().zip(g.data()) {
-            assert_eq!(*yo == 0.0, *go == 0.0, "mask mismatch");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "drop probability")]
-    fn dropout_rejects_p_one() {
-        Dropout::new(1.0, 0);
     }
 
     #[test]

@@ -36,7 +36,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arena;
 pub mod conv;
 pub mod finetune;
 pub mod infer;
@@ -48,12 +47,10 @@ pub mod snapshot;
 
 mod net;
 
-pub use arena::TrainArena;
 pub use infer::{FlatMlp, InferScratch};
-pub use layer::{Dense, Dropout, Flatten, Layer, Relu};
+pub use layer::{Dense, Flatten, Layer, Relu};
 pub use net::{
-    gather_samples, shard_ranges, train, train_in_arena, train_sparse, Sequential, TrainConfig,
-    TrainReport,
+    gather_samples, shard_ranges, train, train_sparse, Sequential, TrainConfig, TrainReport,
 };
 pub use optim::{Adam, Sgd};
 pub use snapshot::{ArchSpec, NetSnapshot};

@@ -1,13 +1,14 @@
 //! Sequential networks and the mini-batch training loop.
 
-use crate::arena::TrainArena;
-use crate::loss::{cross_entropy_with_norm, weight_norm};
 use crate::layer::Layer;
+use crate::loss::{cross_entropy_with_norm, weight_norm};
 use crate::optim::Adam;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use sparsemat::CsrMatrix;
+use std::ops::Range;
+use std::sync::Mutex;
 use tensorlite::Tensor;
 
 /// A stack of layers applied in order.
@@ -185,10 +186,6 @@ impl Layer for Sequential {
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
     }
-
-    fn per_sample_deterministic(&self) -> bool {
-        self.layers.iter().all(|l| l.per_sample_deterministic())
-    }
 }
 
 /// Training hyper-parameters.
@@ -237,12 +234,23 @@ impl TrainReport {
 /// `x` is `[N, ...]` with one leading sample axis; `y` holds one label
 /// per sample.
 ///
+/// When more than one lane is requested (`config.shards`, default
+/// [`exec::inner_threads_from_env`]) and the per-sample gradient stages
+/// fit the `MAX_STAGE_FLOATS` cap (2²⁴ floats), each mini-batch fans
+/// out across `Executor` lanes: every lane replays its contiguous shard
+/// of the batch one sample at a time into a per-sample gradient stage,
+/// and the main thread folds the stages in global sample order. Because
+/// every kernel accumulates ascending over the sample axis from +0.0,
+/// that fold reproduces the serial batch gradient bit for bit — the
+/// trained weights are identical at any
+/// `ELEV_THREADS`/`ELEV_INNER_THREADS`/shard setting.
+///
 /// # Panics
 ///
 /// Panics if `x` and `y` disagree on the sample count, the batch size
 /// is zero, or `x` is empty.
 pub fn train(net: &mut Sequential, x: &Tensor, y: &[u32], config: &TrainConfig) -> TrainReport {
-    train_in_arena(net, x, y, config, &mut Adam::new(config.lr), &mut TrainArena::new())
+    run_epochs(net, TrainSet::Dense(x), y, config, &mut Adam::new(config.lr))
 }
 
 /// Largest `n_params × batch_size` (in floats) the sharded trainer will
@@ -269,63 +277,70 @@ pub fn shard_ranges(n: usize, shards: usize) -> Vec<std::ops::Range<usize>> {
     out
 }
 
-/// The dense training loop against caller-owned optimizer *and* arena,
-/// so repeated fits (fine-tuning rounds, threat-model sweeps) reuse
-/// every scratch allocation.
-///
-/// When the network is [per-sample
-/// deterministic](crate::Layer::per_sample_deterministic), more than one
-/// lane is requested (`config.shards`, default
-/// [`exec::inner_threads_from_env`]) and the staging buffers fit the
-/// `MAX_STAGE_FLOATS` cap (2²⁴ floats), each
-/// mini-batch fans out across `Executor` lanes: every lane replays its
-/// contiguous shard of the batch one sample at a time into a per-sample
-/// gradient stage, and the main thread folds the stages in global
-/// sample order. Because every kernel accumulates ascending over the
-/// sample axis from +0.0, that fold reproduces the serial batch
-/// gradient bit for bit — the trained weights are identical at any
-/// `ELEV_THREADS`/`ELEV_INNER_THREADS`/shard setting.
-///
-/// # Panics
-///
-/// Panics if `x` and `y` disagree on the sample count, the batch size
-/// is zero, or `x` is empty.
-pub fn train_in_arena(
+/// The samples a training call runs over.
+#[derive(Clone, Copy)]
+pub(crate) enum TrainSet<'a> {
+    /// `[N, ...]` with one leading sample axis.
+    Dense(&'a Tensor),
+    /// One CSR row per sample, fed to the first layer's sparse path.
+    Sparse(&'a CsrMatrix),
+}
+
+/// The one epoch loop behind [`train`], [`train_sparse`] and
+/// [`fine_tune`](crate::finetune::fine_tune): shuffle, batch, weight
+/// the loss, step `adam`. A dense batch of more than one sample takes
+/// the staged lane step when the call has lanes; every other batch runs
+/// forward and backward whole. Nothing outlives the call but `net`'s
+/// weights and layer scratch and `adam`'s moments.
+pub(crate) fn run_epochs(
     net: &mut Sequential,
-    x: &Tensor,
+    x: TrainSet<'_>,
     y: &[u32],
     config: &TrainConfig,
     adam: &mut Adam,
-    arena: &mut TrainArena,
 ) -> TrainReport {
-    let n = x.shape()[0];
+    let n = match x {
+        TrainSet::Dense(x) => x.shape()[0],
+        TrainSet::Sparse(x) => x.n_rows(),
+    };
     assert_eq!(n, y.len(), "one label per sample");
     assert!(config.batch_size > 0, "batch size must be positive");
     assert!(n > 0, "cannot train on an empty dataset");
     adam.set_lr(config.lr);
-
-    let inner = exec::Executor::inner_from_env();
-    let lanes_req = config.shards.unwrap_or_else(|| inner.threads()).max(1);
-    let n_params = net.n_params();
-    let staged = lanes_req > 1
-        && net.per_sample_deterministic()
-        && n_params.saturating_mul(config.batch_size.min(n)) <= MAX_STAGE_FLOATS;
     let cw = config.class_weights.as_deref();
+    let mut lanes = match x {
+        TrainSet::Dense(_) => Lanes::new(net, config.shards, config.batch_size.min(n)),
+        TrainSet::Sparse(_) => None,
+    };
 
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut order: Vec<usize> = (0..n).collect();
+    let mut labels = Vec::with_capacity(config.batch_size.min(n));
     let mut epoch_losses = Vec::with_capacity(config.epochs);
     for _ in 0..config.epochs {
         order.shuffle(&mut rng);
         let mut total = 0.0f32;
         let mut batches = 0usize;
         for chunk in order.chunks(config.batch_size) {
-            arena.fill_labels(chunk, y);
-            let norm = weight_norm(arena.labels(), cw);
-            let raw = if staged && chunk.len() > 1 {
-                staged_step(net, x, chunk, cw, norm, lanes_req, inner, n_params, arena)
-            } else {
-                serial_step(net, x, chunk, cw, norm, arena)
+            labels.clear();
+            labels.extend(chunk.iter().map(|&i| y[i]));
+            let norm = weight_norm(&labels, cw);
+            let raw = match (x, lanes.as_mut()) {
+                (TrainSet::Dense(x), Some(lanes)) if chunk.len() > 1 => {
+                    lanes.step(net, x, chunk, &labels, cw, norm)
+                }
+                _ => {
+                    net.zero_grad();
+                    let logits = match x {
+                        TrainSet::Dense(x) => net.forward(&gather_samples(x, chunk), true),
+                        TrainSet::Sparse(x) => {
+                            net.forward_sparse(&x.gather(chunk), true).expect("empty network")
+                        }
+                    };
+                    let (raw, grad) = cross_entropy_with_norm(&logits, &labels, cw, norm);
+                    net.backward(&grad);
+                    raw
+                }
             };
             adam.step(net);
             total += raw / norm;
@@ -336,64 +351,118 @@ pub fn train_in_arena(
     TrainReport { epoch_losses }
 }
 
-/// One serial mini-batch step; returns the unnormalized batch loss.
-/// Identical arithmetic to the original training loop — the batch is
-/// gathered (into the arena's reused buffer), forwarded whole, and the
-/// backward pass accumulates gradients in place.
-fn serial_step(
-    net: &mut Sequential,
-    x: &Tensor,
-    chunk: &[usize],
-    cw: Option<&[f32]>,
-    norm: f32,
-    arena: &mut TrainArena,
-) -> f32 {
-    let xb = arena.gather(x, chunk);
-    net.zero_grad();
-    let logits = net.forward(&xb, true);
-    let (raw, grad) = cross_entropy_with_norm(&logits, arena.labels(), cw, norm);
-    net.backward(&grad);
-    arena.recycle(xb);
-    raw
+/// The staged step's state for one training call: a replica network
+/// and gradient stage per lane, the weight image broadcast to the
+/// replicas each step, and the accumulator the stages fold into.
+struct Lanes {
+    replicas: Vec<Mutex<Lane>>,
+    threads: usize,
+    n_params: usize,
+    weights: Vec<f32>,
+    grads: Vec<f32>,
 }
 
-/// One sharded mini-batch step; returns the unnormalized batch loss
-/// (folded in global sample order). Lanes replay disjoint contiguous
-/// shards of the batch per sample against a broadcast weight image;
-/// the main thread reduces the per-sample gradient stages ascending.
-#[allow(clippy::too_many_arguments)]
-fn staged_step(
-    net: &mut Sequential,
-    x: &Tensor,
-    chunk: &[usize],
-    cw: Option<&[f32]>,
-    norm: f32,
-    lanes_req: usize,
-    inner: exec::Executor,
-    n_params: usize,
-    arena: &mut TrainArena,
-) -> f32 {
-    let n_lanes = lanes_req.min(chunk.len());
-    arena.ensure_lanes(net, n_lanes);
-    net.export_params(arena.weight_stage_mut());
-    let ranges = shard_ranges(chunk.len(), n_lanes);
-
-    {
-        let (lanes, weights, labels) = arena.lane_view(n_lanes);
-        let exec = exec::Executor::new(inner.threads().min(n_lanes));
-        exec.map(&ranges, |j, range| {
-            let mut lane = lanes[j].lock().expect("lane lock");
-            lane.run(range.clone(), x, chunk, labels, cw, norm, weights, n_params);
-        });
+impl Lanes {
+    /// Lanes for batches of up to `batch` samples, or `None` when the
+    /// loop stays serial: fewer than two lanes requested or usable, or
+    /// per-sample stages past `MAX_STAGE_FLOATS`.
+    fn new(net: &mut Sequential, shards: Option<usize>, batch: usize) -> Option<Self> {
+        let threads = exec::inner_threads_from_env();
+        let n_lanes = shards.unwrap_or(threads).min(batch);
+        let n_params = net.n_params();
+        if n_lanes < 2 || n_params.saturating_mul(batch) > MAX_STAGE_FLOATS {
+            return None;
+        }
+        let replicas = (0..n_lanes)
+            .map(|_| Mutex::new(Lane { net: net.clone(), stage: Vec::new(), losses: Vec::new() }))
+            .collect();
+        Some(Self { replicas, threads, n_params, weights: Vec::new(), grads: Vec::new() })
     }
 
-    // Fixed-order reduction: lanes ascending, samples within each lane
-    // ascending — i.e. global sample order, independent of which worker
-    // thread ran which lane (or how many workers there were).
-    let raw = arena.reduce(n_lanes, n_params);
-    net.zero_grad();
-    net.add_grads(arena.grad_accum());
-    raw
+    /// One staged mini-batch step; returns the unnormalized batch loss.
+    /// Lanes replay disjoint contiguous shards of the batch per sample
+    /// against the broadcast weight image; the stages then fold into
+    /// `net`'s gradients lanes ascending and samples within each lane
+    /// ascending — global sample order, independent of which worker
+    /// thread ran which lane (or how many workers there were) — from
+    /// fresh `+0.0`s, exactly like the batch kernels' own sample-axis
+    /// accumulation.
+    fn step(
+        &mut self,
+        net: &mut Sequential,
+        x: &Tensor,
+        chunk: &[usize],
+        labels: &[u32],
+        cw: Option<&[f32]>,
+        norm: f32,
+    ) -> f32 {
+        let n_lanes = self.replicas.len().min(chunk.len());
+        net.export_params(&mut self.weights);
+        let ranges = shard_ranges(chunk.len(), n_lanes);
+        let weights = &self.weights;
+        exec::Executor::new(self.threads.min(n_lanes)).map(&self.replicas[..n_lanes], |j, lane| {
+            let mut lane = lane.lock().expect("lane lock");
+            lane.run(ranges[j].clone(), x, chunk, labels, cw, norm, weights);
+        });
+
+        self.grads.clear();
+        self.grads.resize(self.n_params, 0.0);
+        let mut raw = 0.0f32;
+        for lane in &self.replicas[..n_lanes] {
+            let lane = lane.lock().expect("lane lock");
+            for stage in lane.stage.chunks_exact(self.n_params) {
+                for (a, &v) in self.grads.iter_mut().zip(stage) {
+                    *a += v;
+                }
+            }
+            for &l in &lane.losses {
+                raw += l;
+            }
+        }
+        net.zero_grad();
+        net.add_grads(&self.grads);
+        raw
+    }
+}
+
+/// One gradient lane: a replica network plus the per-sample gradient
+/// images and raw losses of its shard of the current mini-batch.
+struct Lane {
+    net: Sequential,
+    /// `shard_len × n_params` per-sample gradient images, sample order.
+    stage: Vec<f32>,
+    /// Raw (unnormalized) per-sample losses, sample order.
+    losses: Vec<f32>,
+}
+
+impl Lane {
+    /// Replays batch positions `range` one sample at a time: sync
+    /// weights from the broadcast image, then per sample zero the
+    /// replica's gradients, forward, score against the *batch-wide*
+    /// `norm`, backward, and append the flat gradient image to `stage`.
+    #[allow(clippy::too_many_arguments)]
+    fn run(
+        &mut self,
+        range: Range<usize>,
+        x: &Tensor,
+        chunk: &[usize],
+        labels: &[u32],
+        cw: Option<&[f32]>,
+        norm: f32,
+        weights: &[f32],
+    ) {
+        self.net.import_params(weights);
+        self.stage.clear();
+        self.losses.clear();
+        for pos in range {
+            self.net.zero_grad();
+            let logits = self.net.forward(&gather_samples(x, &chunk[pos..=pos]), true);
+            let (loss, grad) = cross_entropy_with_norm(&logits, &labels[pos..=pos], cw, norm);
+            self.net.backward(&grad);
+            self.net.export_grads(&mut self.stage);
+            self.losses.push(loss);
+        }
+    }
 }
 
 /// [`train`] over CSR feature rows: mini-batches are gathered as CSR
@@ -421,36 +490,7 @@ pub fn train_sparse(
     y: &[u32],
     config: &TrainConfig,
 ) -> TrainReport {
-    let n = x.n_rows();
-    assert_eq!(n, y.len(), "one label per sample");
-    assert!(config.batch_size > 0, "batch size must be positive");
-    assert!(n > 0, "cannot train on an empty dataset");
-    let mut adam = Adam::new(config.lr);
-    let mut arena = TrainArena::new();
-    let cw = config.class_weights.as_deref();
-
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut order: Vec<usize> = (0..n).collect();
-    let mut epoch_losses = Vec::with_capacity(config.epochs);
-    for _ in 0..config.epochs {
-        order.shuffle(&mut rng);
-        let mut total = 0.0f32;
-        let mut batches = 0usize;
-        for chunk in order.chunks(config.batch_size) {
-            let xb = x.gather(chunk);
-            arena.fill_labels(chunk, y);
-            let norm = weight_norm(arena.labels(), cw);
-            net.zero_grad();
-            let logits = net.forward_sparse(&xb, true).expect("empty network");
-            let (raw, grad) = cross_entropy_with_norm(&logits, arena.labels(), cw, norm);
-            net.backward(&grad);
-            adam.step(net);
-            total += raw / norm;
-            batches += 1;
-        }
-        epoch_losses.push(total / batches.max(1) as f32);
-    }
-    TrainReport { epoch_losses }
+    run_epochs(net, TrainSet::Sparse(x), y, config, &mut Adam::new(config.lr))
 }
 
 /// Gathers samples along the leading axis.
@@ -656,52 +696,31 @@ mod tests {
         }
     }
 
+    /// A kept network carries its layer scratch into the next fit (and
+    /// its lanes are cloned from it, scratch included); that must not
+    /// move a bit of the result.
     #[test]
-    fn dropout_networks_fall_back_to_the_serial_path() {
-        use crate::layer::Dropout;
-        // A dropout net is not per-sample deterministic; the trainer
-        // must keep the whole-batch path so the RNG stream is consumed
-        // exactly as in the serial loop.
-        let (x, y) = two_blob_data(8);
-        let make = || {
-            Sequential::new(vec![
-                Box::new(Dense::new(2, 8, 3)) as Box<dyn Layer>,
-                Box::new(Dropout::new(0.4, 9)),
-                Box::new(Dense::new(8, 2, 4)),
-            ])
-        };
-        assert!(!make().per_sample_deterministic());
-        let mut a = make();
-        let mut b = make();
-        let ra = train(&mut a, &x, &y, &TrainConfig { epochs: 3, shards: Some(1), ..Default::default() });
-        let rb = train(&mut b, &x, &y, &TrainConfig { epochs: 3, shards: Some(4), ..Default::default() });
-        assert_eq!(ra, rb);
-        assert_eq!(weight_bits(&mut a), weight_bits(&mut b));
-    }
+    fn layer_scratch_reuse_across_fits_changes_nothing() {
+        use crate::models::paper_cnn;
+        let n = 6usize;
+        let x = Tensor::from_vec(
+            (0..n * 3 * 32 * 32).map(|i| ((i * 53 % 89) as f32 - 44.0) * 0.02).collect(),
+            &[n, 3, 32, 32],
+        );
+        let y = [0u32, 1, 0, 1, 1, 0];
+        let cfg = TrainConfig { epochs: 1, batch_size: 3, shards: Some(2), ..Default::default() };
+        let mut fresh = paper_cnn(2, 4);
+        let mut start = Vec::new();
+        fresh.export_params(&mut start);
+        train(&mut fresh, &x, &y, &cfg);
+        let expect = weight_bits(&mut fresh);
 
-    #[test]
-    fn arena_reuse_across_fits_changes_nothing() {
-        use crate::arena::TrainArena;
-        use crate::optim::Adam;
-        let (x, y) = two_blob_data(10);
-        let make = || {
-            Sequential::new(vec![
-                Box::new(Dense::new(2, 4, 5)) as Box<dyn Layer>,
-                Box::new(Relu::new()),
-                Box::new(Dense::new(4, 2, 6)),
-            ])
-        };
-        let cfg = TrainConfig { epochs: 3, batch_size: 4, shards: Some(2), ..Default::default() };
-        // Fresh arena per fit vs one arena across two fits.
-        let mut n1 = make();
-        train(&mut n1, &x, &y, &cfg);
-        let expect = weight_bits(&mut n1);
-        let mut arena = TrainArena::new();
-        let mut n2 = make();
-        train_in_arena(&mut n2, &x, &y, &cfg, &mut Adam::new(cfg.lr), &mut arena);
-        assert_eq!(weight_bits(&mut n2), expect);
-        let mut n3 = make();
-        train_in_arena(&mut n3, &x, &y, &cfg, &mut Adam::new(cfg.lr), &mut arena);
-        assert_eq!(weight_bits(&mut n3), expect);
+        let mut kept = paper_cnn(2, 4);
+        train(&mut kept, &x, &y, &TrainConfig { shards: Some(1), ..cfg.clone() });
+        for shards in [Some(2), Some(1)] {
+            kept.import_params(&start);
+            train(&mut kept, &x, &y, &TrainConfig { shards, ..cfg.clone() });
+            assert_eq!(weight_bits(&mut kept), expect, "shards={shards:?}");
+        }
     }
 }

@@ -1,9 +1,8 @@
 //! Per-worker zero-alloc inference arenas.
 //!
-//! `neuralnet::TrainArena` made the training loop's steady state
-//! allocation-free by owning every reusable buffer; this is the same
-//! idea repurposed for the serving hot path. One [`InferenceArena`]
-//! per connection worker owns:
+//! The serving hot path owns every reusable buffer up front, so a warm
+//! request allocates nothing. One [`InferenceArena`] per connection
+//! worker owns:
 //!
 //! - the SVM margin buffer,
 //! - the forest vote histogram,

@@ -10,14 +10,13 @@
 //!   conformance fuzz driver's target),
 //! - [`registry`]: the versioned `.elevmdl` model registry —
 //!   length-prefixed, checksummed binary weight files plus a manifest,
-//!   with load-on-start and poll-mtime hot reload,
+//!   with load-on-start and polled-manifest hot reload,
 //! - [`bundle`]: the TM-1/TM-3 model bundle (SVM + random forest +
 //!   MLP per task, sharing one fitted text pipeline) and the pure
 //!   request → [`elev_core::report::LeakageReport`] function both the
 //!   server and the offline path call,
-//! - [`arena`]: per-worker inference arenas — the serving counterpart
-//!   of `neuralnet::TrainArena` — so the steady-state classify path
-//!   performs zero heap allocations,
+//! - [`arena`]: per-worker inference arenas, so the steady-state
+//!   classify path performs zero heap allocations,
 //! - [`server`]: the blocking-accept + worker-pool server,
 //! - [`client`]: the minimal in-tree HTTP client the test harness,
 //!   smoke tier, and load generator drive the server with.

@@ -18,20 +18,22 @@
 //!
 //! A directory of records is published as a [`durable::Generation`]:
 //! [`save_dir`] writes the record files, then `manifest.txt` (header
-//! `elevmdl v2`) listing each with its stamp, last. Its mtime is the
-//! hot-reload signal: the server polls it and swaps the bundle when it
-//! changes. Publishes are crash-safe: generation numbers never repeat,
-//! the outgoing manifest is kept as [`MANIFEST_PREV`] when it parses,
-//! and [`load_generation`] requires each record's header stamp to
-//! equal its manifest entry — so a file another publish wrote under
-//! the same name with other content never loads as part of this
-//! generation — falling back to the previous generation, with the
-//! failed files' errors, when anything about the current one fails.
+//! `elevmdl v2`) listing each with its stamp, last. It is the
+//! hot-reload signal: the server polls it and swaps the bundle when its
+//! bytes or mtime change. Publishes are crash-safe: generation numbers
+//! never repeat, the outgoing manifest is kept as [`MANIFEST_PREV`]
+//! when it parses, and [`load_generation`] requires each record's
+//! header stamp to equal its manifest entry — so a file another
+//! publish wrote under the same name with other content never loads as
+//! part of this generation — falling back to the previous generation,
+//! with the failed files' errors, when anything about the current one
+//! fails.
 
 use classicml::{RandomForest, SvmClassifier};
 use durable::{fnv1a64, Dec, Enc, Error, FramedReader, FramedWriter, Generation, Manifest};
 use neuralnet::FlatMlp;
 use std::fs;
+use std::io::Read;
 use std::path::Path;
 use textrep::TextPipeline;
 
@@ -290,7 +292,7 @@ pub const REGISTRY: Manifest = Manifest { file: MANIFEST, prev: MANIFEST_PREV, h
 
 /// Writes `records` into `dir` (created if missing), then publishes
 /// them as the directory's next [`Generation`]: `manifest.txt`, written
-/// last so its mtime bump is the hot-reload signal, lists the record
+/// last so that its change is the hot-reload signal, lists the record
 /// files by name with their stamps.
 ///
 /// # Errors
@@ -330,10 +332,21 @@ pub fn load_generation(dir: &Path) -> Result<GenerationLoad, Error> {
     Generation::load(dir, &REGISTRY, read_record)
 }
 
-/// The manifest's mtime, the hot-reload poll signal. `None` when the
-/// manifest does not exist (nothing to reload yet).
-pub fn manifest_mtime(dir: &Path) -> Option<std::time::SystemTime> {
-    fs::metadata(dir.join(MANIFEST)).and_then(|m| m.modified()).ok()
+/// The manifest's mtime and bytes, the hot-reload poll signal: a
+/// change in either is a publish. `None` when the manifest does not
+/// exist (nothing to reload yet). Both are read from one open file, so
+/// they describe the same manifest even when a publish renames another
+/// over it meanwhile.
+///
+/// The bytes catch a publish stamped with the previous manifest's mtime
+/// (a coarse filesystem clock gives back-to-back writes one mtime); the
+/// mtime catches a rewrite of identical bytes.
+pub fn manifest_stamp(dir: &Path) -> Option<(std::time::SystemTime, Vec<u8>)> {
+    let mut file = fs::File::open(dir.join(MANIFEST)).ok()?;
+    let mtime = file.metadata().and_then(|m| m.modified()).ok()?;
+    let mut bytes = Vec::new();
+    file.read_to_end(&mut bytes).ok()?;
+    Some((mtime, bytes))
 }
 
 /// Captures a CNN's registry payload from a trained network.

@@ -10,8 +10,8 @@
 //! The loaded [`ModelBundle`] sits behind an `RwLock<Arc<_>>`: request
 //! handlers clone the `Arc` (cheap, wait-free in the common case) and
 //! the optional hot-reload thread swaps a new bundle in when the
-//! registry manifest's mtime changes — in-flight requests finish on
-//! the bundle they started with.
+//! registry manifest's bytes or mtime change — in-flight requests
+//! finish on the bundle they started with.
 //!
 //! # Overload safety
 //!
@@ -86,7 +86,7 @@ pub struct ServeConfig {
     pub port: u16,
     /// Worker-pool size.
     pub workers: usize,
-    /// Registry directory to hot-reload from (manifest mtime polled);
+    /// Registry directory to hot-reload from (manifest polled);
     /// `None` disables reloading.
     pub model_dir: Option<PathBuf>,
     /// Manifest poll interval.
@@ -371,7 +371,7 @@ impl Server {
             let poll = cfg.reload_poll;
             // Read before `start` returns: a publish made after it must
             // count as a change, however late the thread first runs.
-            let last = registry::manifest_mtime(&dir);
+            let last = registry::manifest_stamp(&dir);
             std::thread::spawn(move || reload_loop(&dir, poll, last, &shared))
         });
 
@@ -569,7 +569,7 @@ fn worker_loop(shared: &Shared) {
 fn reload_loop(
     dir: &std::path::Path,
     poll: Duration,
-    mut last: Option<std::time::SystemTime>,
+    mut last: Option<(std::time::SystemTime, Vec<u8>)>,
     shared: &Shared,
 ) {
     let slice = Duration::from_millis(25).min(poll.max(Duration::from_millis(1)));
@@ -589,7 +589,7 @@ fn reload_loop(
             continue;
         }
         elapsed = Duration::ZERO;
-        let now = registry::manifest_mtime(dir);
+        let now = registry::manifest_stamp(dir);
         if now == last || now.is_none() {
             continue;
         }

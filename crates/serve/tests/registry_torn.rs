@@ -314,6 +314,50 @@ fn live_server_keeps_serving_through_a_torn_publish() {
 }
 
 #[test]
+fn a_publish_stamped_with_the_previous_mtime_still_reloads() {
+    let dir = TempDir::new("torn-same-mtime");
+    registry::save_dir(&dir.0, &records_v(1)).expect("publish gen1");
+    let load = registry::load_generation(&dir.0).expect("clean");
+    let served = ModelBundle::from_generation(load).expect("rebuilds");
+    let cfg = ServeConfig {
+        port: 0,
+        workers: 1,
+        model_dir: Some(dir.0.clone()),
+        reload_poll: Duration::from_millis(50),
+        ..ServeConfig::from_env()
+    };
+    let server = Server::start(served, &cfg).expect("bind");
+    assert_eq!(server.health().generation, 1);
+
+    // Land a good generation 2 whose manifest carries generation 1's
+    // mtime, as a filesystem clock too coarse to tell two back-to-back
+    // publishes apart stamps it. The mtime is set before the rename, so
+    // no poll can see any other.
+    let manifest_path = dir.0.join(registry::MANIFEST);
+    let gen1_mtime = std::fs::metadata(&manifest_path).and_then(|m| m.modified()).expect("mtime");
+    let staging = TempDir::new("torn-same-mtime-staging");
+    for (file, _) in two_generations(&staging.0) {
+        std::fs::copy(staging.0.join(&file), dir.0.join(&file)).expect("land record");
+    }
+    let staged = dir.0.join(".manifest.txt.staged");
+    std::fs::copy(staging.0.join(registry::MANIFEST), &staged).expect("stage manifest");
+    std::fs::File::options()
+        .write(true)
+        .open(&staged)
+        .and_then(|f| f.set_modified(gen1_mtime))
+        .expect("stamp");
+    std::fs::rename(&staged, &manifest_path).expect("publish");
+    assert_eq!(std::fs::metadata(&manifest_path).and_then(|m| m.modified()).ok(), Some(gen1_mtime));
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.health().generation < 2 {
+        assert!(Instant::now() < deadline, "the publish never reloaded: {:?}", server.health());
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    server.shutdown();
+}
+
+#[test]
 fn repeated_bad_reloads_open_the_circuit_breaker() {
     let dir = TempDir::new("torn-breaker");
     registry::save_dir(&dir.0, &records_v(1)).expect("publish gen1");

@@ -91,11 +91,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its data.
-    pub fn into_data(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Reinterprets the tensor with a new shape of equal element count.
     ///
     /// # Panics

@@ -248,6 +248,14 @@ if os.environ["suite"] == "kernels":
            and b["baseline_s"] is not None and b["speedup"] is not None
            and "recall@3" in b["note"] and "candidate pairs" in b["note"]]
     assert len(ann) == 1, "missing ann_match exact-vs-IVF pair"
+if os.environ["suite"] == "train":
+    # The lane pairs are the evidence that the one training loop kept
+    # the staged path'"'"'s speed: both must be present and paired.
+    for name in ("cnn_epoch_64imgs_serial_vs_4lane",
+                 "table7_tm1_wl_quick_serial_vs_lanes"):
+        lanes = [b for b in r["benches"] if b["name"] == name
+                 and b["baseline_s"] is not None and b["speedup"] is not None]
+        assert len(lanes) == 1, "missing " + name + " pair"
 if os.environ["suite"] == "serve":
     # The overload entries are part of the CI artifact: a bounded
     # accepted-p99 and a nonzero shed rate.
