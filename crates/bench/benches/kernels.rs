@@ -20,8 +20,9 @@
 
 use bench::harness::{deterministic_tensor, pair, single, BenchEntry, BenchReport};
 use classicml::{ForestConfig, RandomForest, SvmClassifier, SvmConfig};
-use elev_core::ingest::{ingest_one, IngestConfig, StreamingIngest, TrackSource};
+use elev_core::ingest::{ingest_one, StreamingIngest};
 use elev_core::scale::{fit_vocabulary, push_topk, recall_at3, OverlapSig, Probe};
+use faultsim::Payload;
 use geoprim::{polyline, BoundingBox, LatLon};
 use imgrep::{render, ImageConfig};
 use neuralnet::{models, train, Layer, TrainConfig};
@@ -145,7 +146,6 @@ fn main() {
         ("ingest_throughput_long_track_4000pts", gpx_corpus(1, 4000)),
     ] {
         let bytes: usize = docs.iter().map(Vec::len).sum();
-        let cfg = IngestConfig::default();
         let mut ing = StreamingIngest::default();
         let mut b = pair(
             name,
@@ -154,7 +154,7 @@ fn main() {
             || {
                 for doc in &docs {
                     let gpx = gpxfile::Gpx::parse_bytes(doc).expect("corpus is well-formed");
-                    black_box(ingest_one(&TrackSource::Parsed(gpx), &cfg));
+                    black_box(ingest_one(&Payload::Parsed(gpx)));
                 }
             },
             || {

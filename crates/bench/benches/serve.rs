@@ -22,7 +22,8 @@
 mod common;
 
 use bench::harness::{single, BenchEntry, BenchReport, Samples};
-use elev_core::ingest::{ingest_one, IngestConfig, TrackSource};
+use elev_core::ingest::ingest_one;
+use faultsim::Payload;
 use routegen::AthleteSimulator;
 use serve::client::HttpClient;
 use serve::{BundleConfig, InferenceArena, ModelBundle, ServeConfig, Server};
@@ -110,7 +111,7 @@ fn main() {
 
     // --- 1. Steady-state classify: timed, and asserted allocation-free
     //        while this is still the only running thread.
-    let (_, profile) = ingest_one(&TrackSource::Raw(docs[0].clone()), &IngestConfig::default());
+    let (_, profile) = ingest_one(&Payload::Raw(docs[0].clone()));
     let profile = profile.expect("clean fixture ingests");
     let mut arena = InferenceArena::new();
     bundle.warm(&mut arena);

@@ -7,7 +7,6 @@
 //! occurrence-probability vectors of `textrep` are.
 
 use serde::{Deserialize, Serialize};
-use sparsemat::{CsrMatrix, SparseVec};
 
 /// Multinomial naive Bayes with Laplace (add-α) smoothing.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -100,89 +99,6 @@ impl NaiveBayes {
     /// Predictions for many rows.
     pub fn predict(&self, rows: &[Vec<f32>]) -> Vec<u32> {
         rows.iter().map(|r| self.predict_one(r)).collect()
-    }
-
-    /// Fits from CSR rows, accumulating per-class feature sums over
-    /// nonzeros only.
-    ///
-    /// Feature values are non-negative, so every per-class running sum
-    /// stays non-negative and skipping `+= 0.0` terms is an exact no-op:
-    /// the fitted model is bit-identical to [`NaiveBayes::fit`] on the
-    /// densified rows.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`NaiveBayes::fit`].
-    pub fn fit_sparse(x: &CsrMatrix, y: &[u32], alpha: f64) -> Self {
-        assert!(x.n_rows() > 0, "cannot fit on an empty dataset");
-        assert_eq!(x.n_rows(), y.len(), "one label per row");
-        assert!(alpha > 0.0 && alpha.is_finite(), "alpha must be positive");
-        let dim = x.n_cols();
-        let n_classes = y.iter().copied().max().expect("non-empty") as usize + 1;
-
-        let mut class_counts = vec![0usize; n_classes];
-        let mut feature_sums = vec![vec![0.0f64; dim]; n_classes];
-        for (i, &label) in y.iter().enumerate() {
-            class_counts[label as usize] += 1;
-            let (idx, val) = x.row(i);
-            let sums = &mut feature_sums[label as usize];
-            for (&j, &v) in idx.iter().zip(val) {
-                assert!(v >= 0.0, "multinomial NB needs non-negative counts");
-                sums[j as usize] += v as f64;
-            }
-        }
-        let log_priors = class_counts
-            .iter()
-            .map(|&c| ((c.max(1)) as f64 / x.n_rows() as f64).ln())
-            .collect();
-        let log_likelihoods = feature_sums
-            .into_iter()
-            .map(|sums| {
-                let total: f64 = sums.iter().sum::<f64>() + alpha * dim as f64;
-                sums.into_iter().map(|s| ((s + alpha) / total).ln()).collect()
-            })
-            .collect();
-        Self { log_priors, log_likelihoods, dim }
-    }
-
-    /// Per-class log-posterior scores for one sparse row, summing
-    /// `log P(feature|class) · value` over the row's nonzeros only (a
-    /// zero feature contributes exactly `±0.0`, which never moves the
-    /// accumulator, so scores match [`NaiveBayes::log_scores`] bitwise).
-    ///
-    /// # Panics
-    ///
-    /// Panics on feature-width mismatch.
-    pub fn log_scores_sparse(&self, row: &SparseVec) -> Vec<f64> {
-        assert_eq!(row.dim(), self.dim, "feature width mismatch");
-        self.log_priors
-            .iter()
-            .zip(&self.log_likelihoods)
-            .map(|(&prior, ll)| {
-                prior
-                    + row
-                        .iter()
-                        .map(|(j, v)| ll[j] * v as f64)
-                        .sum::<f64>()
-            })
-            .collect()
-    }
-
-    /// Predicted class for one sparse row (ties to the lower index).
-    pub fn predict_one_sparse(&self, row: &SparseVec) -> u32 {
-        let scores = self.log_scores_sparse(row);
-        let mut best = 0usize;
-        for i in 1..scores.len() {
-            if scores[i] > scores[best] {
-                best = i;
-            }
-        }
-        best as u32
-    }
-
-    /// Predictions for every row of a CSR matrix.
-    pub fn predict_sparse(&self, rows: &CsrMatrix) -> Vec<u32> {
-        (0..rows.n_rows()).map(|i| self.predict_one_sparse(&rows.row_vec(i))).collect()
     }
 }
 

@@ -7,7 +7,6 @@
 //! generalized" (see the `ablation_spectral_baseline` family).
 
 use serde::{Deserialize, Serialize};
-use sparsemat::{CsrMatrix, SparseVec};
 
 /// Distance metric for [`KnnClassifier`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -34,30 +33,13 @@ impl KnnMetric {
             KnnMetric::Manhattan => a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum(),
         }
     }
-
-    /// Ranking distance between a stored CSR row and a sparse probe
-    /// (two-pointer merge over nonzeros; same accumulation order as the
-    /// dense scan, so the same value bit for bit).
-    fn rank_distance_sparse(&self, rows: &CsrMatrix, i: usize, probe: &SparseVec) -> f32 {
-        match self {
-            KnnMetric::Euclidean => rows.row_sq_euclidean(i, probe),
-            KnnMetric::Manhattan => rows.row_manhattan(i, probe),
-        }
-    }
-}
-
-/// Training rows in whichever layout they arrived.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-enum TrainRows {
-    Dense(Vec<Vec<f32>>),
-    Sparse(CsrMatrix),
 }
 
 /// A brute-force k-NN classifier with majority voting (distance ties
 /// and vote ties resolve to the smaller index/class, deterministically).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KnnClassifier {
-    x: TrainRows,
+    x: Vec<Vec<f32>>,
     y: Vec<u32>,
     k: usize,
     dim: usize,
@@ -78,22 +60,7 @@ impl KnnClassifier {
         let dim = x[0].len();
         assert!(x.iter().all(|r| r.len() == dim), "ragged feature rows");
         let n_classes = y.iter().copied().max().unwrap() as usize + 1;
-        Self { x: TrainRows::Dense(x.to_vec()), y: y.to_vec(), k, dim, metric, n_classes }
-    }
-
-    /// Stores a CSR training set; neighbour scans then use merged
-    /// sparse distances instead of dense row sweeps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is empty, lengths mismatch, or `k == 0`.
-    pub fn fit_sparse(x: &CsrMatrix, y: &[u32], k: usize, metric: KnnMetric) -> Self {
-        assert!(k > 0, "k must be positive");
-        assert!(x.n_rows() > 0, "cannot fit on an empty dataset");
-        assert_eq!(x.n_rows(), y.len(), "one label per row");
-        let dim = x.n_cols();
-        let n_classes = y.iter().copied().max().unwrap() as usize + 1;
-        Self { x: TrainRows::Sparse(x.clone()), y: y.to_vec(), k, dim, metric, n_classes }
+        Self { x: x.to_vec(), y: y.to_vec(), k, dim, metric, n_classes }
     }
 
     /// Number of neighbours consulted.
@@ -124,52 +91,18 @@ impl KnnClassifier {
     /// Panics on feature-width mismatch.
     pub fn predict_one(&self, row: &[f32]) -> u32 {
         assert_eq!(row.len(), self.dim, "feature width mismatch");
-        let dists: Vec<(f32, usize)> = match &self.x {
-            TrainRows::Dense(x) => x
-                .iter()
-                .enumerate()
-                .map(|(i, t)| (self.metric.rank_distance(row, t), i))
-                .collect(),
-            TrainRows::Sparse(x) => {
-                let probe = SparseVec::from_dense(row);
-                (0..x.n_rows())
-                    .map(|i| (self.metric.rank_distance_sparse(x, i, &probe), i))
-                    .collect()
-            }
-        };
-        self.vote(dists)
-    }
-
-    /// Predicts one sparse row.
-    ///
-    /// # Panics
-    ///
-    /// Panics on feature-width mismatch.
-    pub fn predict_one_sparse(&self, row: &SparseVec) -> u32 {
-        assert_eq!(row.dim(), self.dim, "feature width mismatch");
-        let dists: Vec<(f32, usize)> = match &self.x {
-            TrainRows::Dense(x) => {
-                let dense = row.to_dense();
-                x.iter()
-                    .enumerate()
-                    .map(|(i, t)| (self.metric.rank_distance(&dense, t), i))
-                    .collect()
-            }
-            TrainRows::Sparse(x) => (0..x.n_rows())
-                .map(|i| (self.metric.rank_distance_sparse(x, i, row), i))
-                .collect(),
-        };
+        let dists: Vec<(f32, usize)> = self
+            .x
+            .iter()
+            .enumerate()
+            .map(|(i, t)| (self.metric.rank_distance(row, t), i))
+            .collect();
         self.vote(dists)
     }
 
     /// Predicts many dense rows.
     pub fn predict(&self, rows: &[Vec<f32>]) -> Vec<u32> {
         rows.iter().map(|r| self.predict_one(r)).collect()
-    }
-
-    /// Predicts every row of a CSR matrix.
-    pub fn predict_sparse(&self, rows: &CsrMatrix) -> Vec<u32> {
-        (0..rows.n_rows()).map(|i| self.predict_one_sparse(&rows.row_vec(i))).collect()
     }
 }
 
@@ -223,22 +156,6 @@ mod tests {
         assert_eq!(m.rank_distance(&[0.0, 0.0], &[3.0, 4.0]), 7.0);
         // No sqrt: the Euclidean ranking distance is the squared value.
         assert_eq!(e.rank_distance(&[0.0, 0.0], &[3.0, 4.0]), 25.0);
-    }
-
-    #[test]
-    fn sparse_fit_matches_dense_predictions() {
-        let (x, y) = toy();
-        for metric in [KnnMetric::Euclidean, KnnMetric::Manhattan] {
-            let dense = KnnClassifier::fit(&x, &y, 3, metric);
-            let csr = CsrMatrix::from_dense_rows(&x);
-            let sparse = KnnClassifier::fit_sparse(&csr, &y, 3, metric);
-            for row in &x {
-                assert_eq!(dense.predict_one(row), sparse.predict_one(row));
-                let sv = SparseVec::from_dense(row);
-                assert_eq!(dense.predict_one(row), sparse.predict_one_sparse(&sv));
-            }
-            assert_eq!(dense.predict(&x), sparse.predict_sparse(&csr));
-        }
     }
 
     #[test]

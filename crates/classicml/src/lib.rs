@@ -12,15 +12,16 @@
 //!   paper's overlap-leakage mechanism explicit (a repeated route's
 //!   near-twin sits in the training set).
 //!
-//! Models consume either dense `Vec<f32>` feature rows or the sparse
-//! CSR layout of `sparsemat` (the BoW vectors of `textrep` are >95%
-//! zeros at realistic vocabulary sizes): the SVM, naive Bayes, and k-NN
-//! walk nonzeros directly (`fit_sparse`/`predict_sparse`), while the
+//! Models consume dense `Vec<f32>` feature rows; the SVM and the forest
+//! also take the sparse CSR layout of `sparsemat` (the BoW vectors of
+//! `textrep` are >95% zeros at realistic vocabulary sizes). The SVM
+//! walks nonzeros directly (`fit_sparse`/`predict_sparse`), while the
 //! forest densifies once per fit via `sparsemat::FeatureMatrix`. The
-//! sparse paths are bit-compatible with the dense ones — same
+//! SVM's sparse path is bit-compatible with its dense one — same
 //! accumulation order, only exact-zero terms skipped — so a given seed
-//! produces the same model and predictions in either layout. All models
-//! are deterministic given a seed.
+//! produces the same model and predictions in either layout. Naive Bayes
+//! and k-NN take dense rows only. All models are deterministic given a
+//! seed.
 //!
 //! # Examples
 //!

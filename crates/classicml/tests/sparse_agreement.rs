@@ -6,9 +6,7 @@
 //! rows with ~90% zeros), comparing fitted parameters with `==` and
 //! predictions exactly.
 
-use classicml::{
-    KnnClassifier, KnnMetric, NaiveBayes, RandomForest, SvmClassifier, SvmConfig,
-};
+use classicml::{RandomForest, SvmClassifier, SvmConfig};
 use sparsemat::{CsrMatrix, FeatureMatrix, SparseVec};
 
 /// Deterministic sparse "BoW" rows: `n` rows over `dim` features, a few
@@ -57,46 +55,6 @@ fn svm_sparse_fit_matches_dense_exactly() {
         let dd = dense.decision_function(row);
         let sd = sparse.decision_function_sparse(&sv);
         assert_eq!(dd, sd);
-    }
-}
-
-#[test]
-fn naive_bayes_sparse_fit_is_bit_identical() {
-    let (x, y) = bow_like(50, 32, 4);
-    let csr = CsrMatrix::from_dense_rows(&x);
-    let dense = NaiveBayes::fit(&x, &y, 1.0);
-    let sparse = NaiveBayes::fit_sparse(&csr, &y, 1.0);
-    assert_eq!(dense, sparse);
-    assert_eq!(dense.predict(&x), sparse.predict_sparse(&csr));
-    for row in &x {
-        let sv = SparseVec::from_dense(row);
-        let ds = dense.log_scores(row);
-        let ss = sparse.log_scores_sparse(&sv);
-        for (a, b) in ds.iter().zip(&ss) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-}
-
-#[test]
-fn knn_sparse_distances_are_bit_identical() {
-    let (x, y) = bow_like(40, 24, 2);
-    let csr = CsrMatrix::from_dense_rows(&x);
-    for metric in [KnnMetric::Euclidean, KnnMetric::Manhattan] {
-        let dense = KnnClassifier::fit(&x, &y, 3, metric);
-        let sparse = KnnClassifier::fit_sparse(&csr, &y, 3, metric);
-        assert_eq!(dense.predict(&x), sparse.predict_sparse(&csr));
-    }
-    // The underlying sparse distances match the dense formula bitwise.
-    for a in x.iter().take(10) {
-        for b in x.iter().take(10) {
-            let (sa, sb) = (SparseVec::from_dense(a), SparseVec::from_dense(b));
-            let dense_sq: f32 =
-                a.iter().zip(b).map(|(u, v)| (u - v) * (u - v)).sum();
-            assert_eq!(dense_sq.to_bits(), sa.sq_euclidean(&sb).to_bits());
-            let dense_l1: f32 = a.iter().zip(b).map(|(u, v)| (u - v).abs()).sum();
-            assert_eq!(dense_l1.to_bits(), sa.manhattan(&sb).to_bits());
-        }
     }
 }
 

@@ -27,8 +27,8 @@
 //! slowloris drip — through a **live** server and checks the observed
 //! transport outcome against the script's pure prediction.
 
-use elev_core::ingest::{ingest_one, Disposition, IngestConfig, StreamingIngest, TrackSource};
-use faultsim::{ConnScript, FlakyConn, NetFaultKind, NetFaultPlan, SendOutcome, Teardown};
+use elev_core::ingest::{ingest_one, Disposition, StreamingIngest};
+use faultsim::{ConnScript, FlakyConn, NetFaultKind, NetFaultPlan, Payload, SendOutcome, Teardown};
 use gpxfile::xml::XmlError;
 use gpxfile::{Gpx, GpxError};
 use rand::rngs::StdRng;
@@ -257,7 +257,7 @@ pub fn classify(doc: &[u8]) -> String {
     match Gpx::parse_bytes(doc) {
         Err(e) => gpx_error_class(&e),
         Ok(gpx) => {
-            let (disposition, _) = ingest_one(&TrackSource::Parsed(gpx), &IngestConfig::default());
+            let (disposition, _) = ingest_one(&Payload::Parsed(gpx));
             disposition_class(&disposition)
         }
     }

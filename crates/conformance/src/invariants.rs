@@ -11,10 +11,11 @@
 //! run them all through `cargo test -p conformance`.
 
 use elev_core::experiments::{balanced_top_classes, table4_tm1, Corpora};
-use elev_core::ingest::{ingest_one, Disposition, IngestConfig, TrackSource};
+use elev_core::ingest::{ingest_one, Disposition};
 use elev_core::robustness::zero_rate_is_identity;
 use elev_core::text::{evaluate_text, TextAttackConfig, TextModel};
 use evalkit::ConfusionMatrix;
+use faultsim::Payload;
 use geoprim::LatLon;
 use gpxfile::{Gpx, Track, TrackPoint, TrackSegment};
 use routegen::{Activity, AthleteSimulator};
@@ -155,7 +156,6 @@ impl Invariant for RigidMotion {
         "translating/rotating a track's coordinates leaves its elevation profile bit-identical"
     }
     fn check(&self, ctx: &InvariantCtx) -> Result<String, String> {
-        let cfg = IngestConfig::default();
         for (i, a) in ctx.activities.iter().enumerate() {
             let moved = rigid_transform(&a.gpx, 0.7, 0.5, -0.25);
             let p0 = a.gpx.elevation_profile();
@@ -165,8 +165,8 @@ impl Invariant for RigidMotion {
                     "activity {i}: raw elevation profile changed under rigid motion"
                 ));
             }
-            let (_, q0) = ingest_one(&TrackSource::Parsed(a.gpx.clone()), &cfg);
-            let (_, q1) = ingest_one(&TrackSource::Parsed(moved), &cfg);
+            let (_, q0) = ingest_one(&Payload::Parsed(a.gpx.clone()));
+            let (_, q1) = ingest_one(&Payload::Parsed(moved));
             match (q0, q1) {
                 (Some(q0), Some(q1)) if bits_equal(&q0, &q1) => {}
                 _ => {
@@ -555,9 +555,8 @@ impl Invariant for DespikeOffsetEquivariance {
     }
     fn check(&self, _ctx: &InvariantCtx) -> Result<String, String> {
         const OFFSET: f64 = 512.0;
-        let cfg = IngestConfig::default();
-        let (d0, p0) = ingest_one(&TrackSource::Parsed(spike_track(0.0)), &cfg);
-        let (d1, p1) = ingest_one(&TrackSource::Parsed(spike_track(OFFSET)), &cfg);
+        let (d0, p0) = ingest_one(&Payload::Parsed(spike_track(0.0)));
+        let (d1, p1) = ingest_one(&Payload::Parsed(spike_track(OFFSET)));
         let (p0, p1) = match (p0, p1) {
             (Some(a), Some(b)) => (a, b),
             _ => return Err("spike track was quarantined instead of repaired".into()),

@@ -31,7 +31,7 @@ pub mod invariants;
 pub mod registry;
 pub mod stages;
 
-pub use durable::{digest_bytes, Digest};
+pub use durable::Digest;
 pub use fuzz::{run_campaign, seed_doc, FuzzConfig, FuzzReport};
 pub use invariants::{all_invariants, run_all, Invariant, InvariantCtx};
 pub use registry::{check_or_update, goldens_path};

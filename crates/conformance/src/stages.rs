@@ -13,7 +13,7 @@
 
 use durable::Digest;
 use elev_core::experiments::{table4_tm1, Corpora, ExperimentScale};
-use elev_core::ingest::{ingest_batch, IngestConfig, TrackSource};
+use elev_core::ingest::ingest_batch;
 use elev_core::robustness::robustness_sweep;
 use elev_core::scale::{fit_vocabulary, push_topk, recall_at3, Probe};
 use faultsim::{corrupt_track, FaultPlan, Payload};
@@ -133,10 +133,8 @@ pub fn compute_stages(seed: u64) -> Vec<StageArtifact> {
 
     // Stage 3: clean ingestion (parse + validate; everything must pass
     // through untouched).
-    let sources: Vec<TrackSource> =
-        gpx_bytes.iter().map(|b| TrackSource::Raw(b.clone())).collect();
-    let (profiles, report) =
-        ingest_batch(&sources, &IngestConfig::default(), &exec::Executor::from_env());
+    let sources: Vec<Payload> = gpx_bytes.iter().map(|b| Payload::Raw(b.clone())).collect();
+    let (profiles, report) = ingest_batch(&sources, &exec::Executor::from_env());
     let clean_profiles: Vec<Vec<f64>> = profiles.into_iter().flatten().collect();
     {
         let mut d = Digest::new();
@@ -163,16 +161,12 @@ pub fn compute_stages(seed: u64) -> Vec<StageArtifact> {
     // corruption plan and the repair/quarantine pipeline.
     {
         let plan = FaultPlan::uniform(0.35, exec::mix_seed(seed, 0xFA17));
-        let corrupted: Vec<TrackSource> = activities
+        let corrupted: Vec<Payload> = activities
             .iter()
             .enumerate()
-            .map(|(i, a)| match corrupt_track(&plan, i as u64, &a.gpx).payload {
-                Payload::Parsed(g) => TrackSource::Parsed(g),
-                Payload::Raw(b) => TrackSource::Raw(b),
-            })
+            .map(|(i, a)| corrupt_track(&plan, i as u64, &a.gpx).payload)
             .collect();
-        let (profiles, report) =
-            ingest_batch(&corrupted, &IngestConfig::default(), &exec::Executor::from_env());
+        let (profiles, report) = ingest_batch(&corrupted, &exec::Executor::from_env());
         let mut d = Digest::new();
         d.usize(profiles.len());
         for p in profiles.iter() {
@@ -370,13 +364,10 @@ pub fn compute_stages(seed: u64) -> Vec<StageArtifact> {
         let clean_digest = dc.finish();
 
         let plan = FaultPlan::uniform(0.35, exec::mix_seed(seed, 0xFA17));
-        let corrupted: Vec<TrackSource> = activities
+        let corrupted: Vec<Payload> = activities
             .iter()
             .enumerate()
-            .map(|(i, a)| match corrupt_track(&plan, i as u64, &a.gpx).payload {
-                Payload::Parsed(g) => TrackSource::Parsed(g),
-                Payload::Raw(b) => TrackSource::Raw(b),
-            })
+            .map(|(i, a)| corrupt_track(&plan, i as u64, &a.gpx).payload)
             .collect();
         let (profiles, report) = ing.ingest_batch(&corrupted);
         let mut df = Digest::new();

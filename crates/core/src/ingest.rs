@@ -43,53 +43,28 @@
 //! track completes.
 
 use exec::Executor;
+use faultsim::Payload;
 use gpxfile::stream::{FlatPoint, PointBuf};
 use gpxfile::Gpx;
 
-/// Ingestion thresholds. The defaults are tuned so that the clean
-/// synthetic corpora pass through 100% untouched (no false repairs)
-/// while every fault `faultsim` injects is either repaired or
-/// quarantined.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IngestConfig {
-    /// Quarantine profiles shorter than this after repair.
-    pub min_profile_len: usize,
-    /// Rolling-median window for despiking (odd, ≥ 3).
-    pub spike_window: usize,
-    /// A point deviating from its window median by more than this many
-    /// metres is a spike.
-    pub spike_threshold_m: f64,
-    /// A timestamp delta larger than `factor × median Δt` is a gap.
-    pub max_time_gap_factor: f64,
-    /// Never synthesize more than this many points for one gap.
-    pub max_gap_fill_points: usize,
-    /// Quarantine when repairs touched more than this fraction of the
-    /// track's points (the signal is no longer trustworthy).
-    pub max_repaired_fraction: f64,
-}
+// Ingestion thresholds, tuned so that the clean synthetic corpora pass
+// through 100% untouched (no false repairs) while every fault
+// `faultsim` injects is either repaired or quarantined.
 
-impl Default for IngestConfig {
-    fn default() -> Self {
-        Self {
-            min_profile_len: 24,
-            spike_window: 5,
-            spike_threshold_m: 40.0,
-            max_time_gap_factor: 4.0,
-            max_gap_fill_points: 64,
-            max_repaired_fraction: 0.35,
-        }
-    }
-}
-
-/// One incoming track.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TrackSource {
-    /// An already-parsed document (possibly with model-level damage).
-    Parsed(Gpx),
-    /// Raw serialized bytes (possibly truncated, mangled, or invalid
-    /// UTF-8).
-    Raw(Vec<u8>),
-}
+/// Quarantine profiles shorter than this after repair.
+const MIN_PROFILE_LEN: usize = 24;
+/// Rolling-median window for despiking (odd, ≥ 3).
+const SPIKE_WINDOW: usize = 5;
+/// A point deviating from its window median by more than this many
+/// metres is a spike.
+const SPIKE_THRESHOLD_M: f64 = 40.0;
+/// A timestamp delta larger than `factor × median Δt` is a gap.
+const MAX_TIME_GAP_FACTOR: f64 = 4.0;
+/// Never synthesize more than this many points for one gap.
+const MAX_GAP_FILL_POINTS: usize = 64;
+/// Quarantine when repairs touched more than this fraction of the
+/// track's points (the signal is no longer trustworthy).
+const MAX_REPAIRED_FRACTION: f64 = 0.35;
 
 /// One category of applied repair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -145,13 +120,12 @@ pub enum QuarantineReason {
     ParseFailed(String),
     /// No usable elevation values at all.
     EmptyProfile,
-    /// Fewer points than [`IngestConfig::min_profile_len`] after repair.
+    /// Fewer than 24 points after repair.
     TooShort {
         /// Final profile length.
         points: usize,
     },
-    /// Repairs touched more of the track than
-    /// [`IngestConfig::max_repaired_fraction`] allows.
+    /// Repairs touched more than 35% of the track's points.
     TooCorrupt {
         /// Fraction of points touched by repairs.
         repaired_fraction: f64,
@@ -385,11 +359,10 @@ impl IngestReport {
 /// panic-isolated, so the output is bit-identical at any thread count
 /// and a poisoned track can never take down the batch.
 pub fn ingest_batch(
-    sources: &[TrackSource],
-    cfg: &IngestConfig,
+    sources: &[Payload],
     executor: &Executor,
 ) -> (Vec<Option<Vec<f64>>>, IngestReport) {
-    let outcomes = executor.try_map(sources, |_, src| ingest_one(src, cfg));
+    let outcomes = executor.try_map(sources, |_, src| ingest_one(src));
     let mut profiles = Vec::with_capacity(sources.len());
     let mut tracks = Vec::with_capacity(sources.len());
     for (index, slot) in outcomes.into_iter().enumerate() {
@@ -415,15 +388,12 @@ pub fn ingest_batch(
 /// Raw bytes are parsed into a full [`Gpx`] document and flattened —
 /// this is the reference implementation the streaming path
 /// ([`StreamingIngest`]) is pinned against.
-pub fn ingest_one(
-    src: &TrackSource,
-    cfg: &IngestConfig,
-) -> (Disposition, Option<Vec<f64>>) {
+pub fn ingest_one(src: &Payload) -> (Disposition, Option<Vec<f64>>) {
     let mut buf = PointBuf::default();
     let mut scratch = IngestScratch::default();
     match src {
-        TrackSource::Parsed(g) => buf.fill_from_gpx(g),
-        TrackSource::Raw(bytes) => match Gpx::parse_bytes(bytes) {
+        Payload::Parsed(g) => buf.fill_from_gpx(g),
+        Payload::Raw(bytes) => match Gpx::parse_bytes(bytes) {
             Ok(g) => buf.fill_from_gpx(&g),
             Err(e) => {
                 return (
@@ -433,7 +403,7 @@ pub fn ingest_one(
             }
         },
     }
-    repair_flat(&mut buf, cfg, &mut scratch)
+    repair_flat(&mut buf, &mut scratch)
 }
 
 /// Reusable working memory for the repair passes: once grown to corpus
@@ -480,27 +450,16 @@ struct IngestScratch {
 /// ```
 #[derive(Debug, Default)]
 pub struct StreamingIngest {
-    cfg: IngestConfig,
     buf: PointBuf,
     scratch: IngestScratch,
 }
 
 impl StreamingIngest {
-    /// Creates a streaming ingester with the given thresholds.
-    pub fn new(cfg: IngestConfig) -> Self {
-        Self { cfg, buf: PointBuf::default(), scratch: IngestScratch::default() }
-    }
-
-    /// The active thresholds.
-    pub fn config(&self) -> &IngestConfig {
-        &self.cfg
-    }
-
     /// Ingests one track from raw bytes, DOM-free.
     ///
     /// Parse failures are folded into the disposition
     /// ([`QuarantineReason::ParseFailed`]), exactly like
-    /// [`ingest_one`] on a [`TrackSource::Raw`].
+    /// [`ingest_one`] on a [`Payload::Raw`].
     pub fn ingest_bytes(&mut self, raw: &[u8]) -> (Disposition, Option<Vec<f64>>) {
         match self.try_ingest_bytes(raw) {
             Ok(out) => out,
@@ -523,28 +482,25 @@ impl StreamingIngest {
         raw: &[u8],
     ) -> Result<(Disposition, Option<Vec<f64>>), gpxfile::GpxError> {
         self.buf.fill_from_bytes(raw)?;
-        Ok(repair_flat(&mut self.buf, &self.cfg, &mut self.scratch))
+        Ok(repair_flat(&mut self.buf, &mut self.scratch))
     }
 
-    /// Ingests one [`TrackSource`]: raw bytes take the streaming path,
+    /// Ingests one [`Payload`]: raw bytes take the streaming path,
     /// already-parsed documents are flattened directly.
-    pub fn ingest_source(&mut self, src: &TrackSource) -> (Disposition, Option<Vec<f64>>) {
+    pub fn ingest_source(&mut self, src: &Payload) -> (Disposition, Option<Vec<f64>>) {
         match src {
-            TrackSource::Parsed(g) => {
+            Payload::Parsed(g) => {
                 self.buf.fill_from_gpx(g);
-                repair_flat(&mut self.buf, &self.cfg, &mut self.scratch)
+                repair_flat(&mut self.buf, &mut self.scratch)
             }
-            TrackSource::Raw(bytes) => self.ingest_bytes(bytes),
+            Payload::Raw(bytes) => self.ingest_bytes(bytes),
         }
     }
 
     /// Ingests a batch serially on this instance's reusable buffers,
     /// producing the same `(profiles, report)` shape — and the same
     /// values — as [`ingest_batch`] on an executor.
-    pub fn ingest_batch(
-        &mut self,
-        sources: &[TrackSource],
-    ) -> (Vec<Option<Vec<f64>>>, IngestReport) {
+    pub fn ingest_batch(&mut self, sources: &[Payload]) -> (Vec<Option<Vec<f64>>>, IngestReport) {
         let mut profiles = Vec::with_capacity(sources.len());
         let mut tracks = Vec::with_capacity(sources.len());
         for (index, src) in sources.iter().enumerate() {
@@ -567,11 +523,7 @@ fn time_of<'a>(arena: &'a str, p: &FlatPoint) -> Option<&'a str> {
 
 /// Runs the five repair passes and acceptance checks over the flattened
 /// points in `buf`. The shared body of both ingestion paths.
-fn repair_flat(
-    buf: &mut PointBuf,
-    cfg: &IngestConfig,
-    scratch: &mut IngestScratch,
-) -> (Disposition, Option<Vec<f64>>) {
+fn repair_flat(buf: &mut PointBuf, scratch: &mut IngestScratch) -> (Disposition, Option<Vec<f64>>) {
     let (points, arena) = buf.parts_mut();
     let mut repairs: Vec<Repair> = Vec::new();
 
@@ -593,7 +545,7 @@ fn repair_flat(
     }
 
     // 3. Timestamp gaps → synthetic interpolated points.
-    let filled = fill_time_gaps(points, arena, cfg, scratch);
+    let filled = fill_time_gaps(points, arena, scratch);
     if filled > 0 {
         repairs.push(Repair { kind: RepairKind::FilledGap, points: filled });
     }
@@ -617,13 +569,13 @@ fn repair_flat(
     }
 
     // 5. Spikes → rolling median.
-    let despiked = despike(&mut profile, cfg, scratch);
+    let despiked = despike(&mut profile, scratch);
     if despiked > 0 {
         repairs.push(Repair { kind: RepairKind::DespikedElevation, points: despiked });
     }
 
     // Acceptance checks.
-    if profile.len() < cfg.min_profile_len {
+    if profile.len() < MIN_PROFILE_LEN {
         return (
             Disposition::Quarantined(QuarantineReason::TooShort { points: profile.len() }),
             None,
@@ -631,7 +583,7 @@ fn repair_flat(
     }
     let touched: usize = repairs.iter().map(|r| r.points).sum();
     let fraction = touched as f64 / profile.len() as f64;
-    if fraction > cfg.max_repaired_fraction {
+    if fraction > MAX_REPAIRED_FRACTION {
         return (
             Disposition::Quarantined(QuarantineReason::TooCorrupt {
                 repaired_fraction: fraction,
@@ -708,12 +660,7 @@ fn time_seconds(t: &str) -> Option<i64> {
 /// Detects sampling gaps (Δt > `factor ×` median Δt) and inserts
 /// linearly interpolated points. Returns the number of synthesized
 /// points.
-fn fill_time_gaps(
-    points: &mut Vec<FlatPoint>,
-    arena: &str,
-    cfg: &IngestConfig,
-    scratch: &mut IngestScratch,
-) -> usize {
+fn fill_time_gaps(points: &mut Vec<FlatPoint>, arena: &str, scratch: &mut IngestScratch) -> usize {
     if points.len() < 3 || points.iter().any(|p| p.time.is_none()) {
         return 0;
     }
@@ -729,7 +676,7 @@ fn fill_time_gaps(
     scratch.dts.extend(secs.windows(2).map(|w| (w[1] - w[0]).max(0)));
     scratch.dts.sort_unstable();
     let median_dt = scratch.dts[scratch.dts.len() / 2].max(1);
-    let threshold = (median_dt as f64 * cfg.max_time_gap_factor).ceil() as i64;
+    let threshold = (median_dt as f64 * MAX_TIME_GAP_FACTOR).ceil() as i64;
 
     scratch.out.clear();
     let mut inserted = 0usize;
@@ -737,9 +684,8 @@ fn fill_time_gaps(
         if i > 0 {
             let dt = secs[i] - secs[i - 1];
             if dt > threshold {
-                let missing =
-                    (((dt as f64) / (median_dt as f64)).round() as usize - 1)
-                        .min(cfg.max_gap_fill_points);
+                let missing = (((dt as f64) / (median_dt as f64)).round() as usize - 1)
+                    .min(MAX_GAP_FILL_POINTS);
                 let a = points[i - 1];
                 let b = points[i];
                 for k in 1..=missing {
@@ -814,15 +760,14 @@ fn interpolate_nans(profile: &mut [f64]) -> usize {
 /// window by more than the threshold is replaced by that median.
 /// Detection runs on the original series (replacements do not cascade),
 /// which keeps the pass order-independent and idempotent on clean data.
-fn despike(profile: &mut [f64], cfg: &IngestConfig, scratch: &mut IngestScratch) -> usize {
+fn despike(profile: &mut [f64], scratch: &mut IngestScratch) -> usize {
     let n = profile.len();
-    let w = cfg.spike_window.max(3) | 1; // force odd
-    if n < w {
+    if n < SPIKE_WINDOW {
         return 0;
     }
     scratch.original.clear();
     scratch.original.extend_from_slice(profile);
-    let half = w / 2;
+    let half = SPIKE_WINDOW / 2;
     let mut fixed = 0usize;
     for (i, slot) in profile.iter_mut().enumerate() {
         let lo = i.saturating_sub(half);
@@ -831,7 +776,7 @@ fn despike(profile: &mut [f64], cfg: &IngestConfig, scratch: &mut IngestScratch)
         scratch.window.extend_from_slice(&scratch.original[lo..hi]);
         scratch.window.sort_by(f64::total_cmp);
         let med = scratch.window[scratch.window.len() / 2];
-        if (scratch.original[i] - med).abs() > cfg.spike_threshold_m {
+        if (scratch.original[i] - med).abs() > SPIKE_THRESHOLD_M {
             *slot = med;
             fixed += 1;
         }
@@ -842,7 +787,7 @@ fn despike(profile: &mut [f64], cfg: &IngestConfig, scratch: &mut IngestScratch)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faultsim::{corrupt_track, FaultKind, FaultPlan, Payload};
+    use faultsim::{corrupt_track, FaultKind, FaultPlan};
     use geoprim::LatLon;
     use gpxfile::{Track, TrackPoint, TrackSegment};
     use proptest::prelude::*;
@@ -862,17 +807,10 @@ mod tests {
         }
     }
 
-    fn to_source(payload: Payload) -> TrackSource {
-        match payload {
-            Payload::Parsed(g) => TrackSource::Parsed(g),
-            Payload::Raw(b) => TrackSource::Raw(b),
-        }
-    }
-
     #[test]
     fn clean_track_passes_through_byte_identical() {
         let gpx = sample_gpx(120);
-        let (d, profile) = ingest_one(&TrackSource::Parsed(gpx.clone()), &IngestConfig::default());
+        let (d, profile) = ingest_one(&Payload::Parsed(gpx.clone()));
         assert_eq!(d, Disposition::Clean);
         let clean = gpx.elevation_profile();
         let got = profile.unwrap();
@@ -896,7 +834,6 @@ mod tests {
     #[test]
     fn every_model_fault_kind_is_repaired_or_quarantined() {
         let gpx = sample_gpx(200);
-        let cfg = IngestConfig::default();
         for kind in [
             FaultKind::GpsGap,
             FaultKind::ElevationSpike,
@@ -908,7 +845,7 @@ mod tests {
                 let plan = FaultPlan { kinds: vec![kind], ..FaultPlan::uniform(1.0, seed) };
                 let out = corrupt_track(&plan, 0, &gpx);
                 assert_eq!(out.injected, vec![kind]);
-                let (d, _) = ingest_one(&to_source(out.payload), &cfg);
+                let (d, _) = ingest_one(&out.payload);
                 assert!(
                     !matches!(d, Disposition::Clean),
                     "{kind} (seed {seed}) slipped through as clean"
@@ -924,7 +861,7 @@ mod tests {
         let plan =
             FaultPlan { kinds: vec![FaultKind::ElevationSpike], ..FaultPlan::uniform(1.0, 3) };
         let out = corrupt_track(&plan, 0, &gpx);
-        let (d, profile) = ingest_one(&to_source(out.payload), &IngestConfig::default());
+        let (d, profile) = ingest_one(&out.payload);
         assert!(matches!(d, Disposition::Repaired(_)));
         let got = profile.unwrap();
         assert_eq!(got.len(), clean.len());
@@ -942,7 +879,7 @@ mod tests {
         let plan =
             FaultPlan { kinds: vec![FaultKind::OutOfOrderTime], ..FaultPlan::uniform(1.0, 5) };
         let out = corrupt_track(&plan, 0, &gpx);
-        let (d, profile) = ingest_one(&to_source(out.payload), &IngestConfig::default());
+        let (d, profile) = ingest_one(&out.payload);
         assert!(matches!(d, Disposition::Repaired(_)), "got {d:?}");
         assert_eq!(profile.unwrap(), gpx.elevation_profile());
     }
@@ -953,7 +890,7 @@ mod tests {
         let plan =
             FaultPlan { kinds: vec![FaultKind::DuplicatePoints], ..FaultPlan::uniform(1.0, 7) };
         let out = corrupt_track(&plan, 0, &gpx);
-        let (d, profile) = ingest_one(&to_source(out.payload), &IngestConfig::default());
+        let (d, profile) = ingest_one(&out.payload);
         assert!(matches!(d, Disposition::Repaired(_)), "got {d:?}");
         assert_eq!(profile.unwrap(), gpx.elevation_profile());
     }
@@ -964,7 +901,7 @@ mod tests {
         let plan =
             FaultPlan { kinds: vec![FaultKind::TruncateBytes], ..FaultPlan::uniform(1.0, 9) };
         let out = corrupt_track(&plan, 0, &gpx);
-        let (d, profile) = ingest_one(&to_source(out.payload), &IngestConfig::default());
+        let (d, profile) = ingest_one(&out.payload);
         assert!(
             matches!(d, Disposition::Quarantined(QuarantineReason::ParseFailed(_))),
             "got {d:?}"
@@ -975,8 +912,106 @@ mod tests {
     #[test]
     fn too_short_tracks_are_quarantined() {
         let gpx = sample_gpx(10);
-        let (d, _) = ingest_one(&TrackSource::Parsed(gpx), &IngestConfig::default());
+        let (d, _) = ingest_one(&Payload::Parsed(gpx));
         assert!(matches!(d, Disposition::Quarantined(QuarantineReason::TooShort { .. })));
+    }
+
+    /// A one-segment track with one point per elevation, optionally
+    /// stamped at the given second offsets.
+    fn built_track(elevations: &[f64], secs: Option<&[i64]>) -> Payload {
+        let points = elevations
+            .iter()
+            .enumerate()
+            .map(|(i, &e)| TrackPoint {
+                coord: LatLon::new(38.0 + i as f64 * 1e-4, -77.0),
+                elevation_m: Some(e),
+                time: secs.map(|s| format!("2020-01-11T08:{:02}:{:02}Z", s[i] / 60, s[i] % 60)),
+            })
+            .collect();
+        Payload::Parsed(Gpx {
+            creator: "ingest boundary test".into(),
+            tracks: vec![Track { name: None, segments: vec![TrackSegment { points }] }],
+        })
+    }
+
+    fn flat(n: usize) -> Vec<f64> {
+        vec![100.0; n]
+    }
+
+    /// Second offsets sampled every second, except that the step into
+    /// point `at` lasts `jump` seconds.
+    fn one_hz_with_jump(n: usize, at: usize, jump: i64) -> Vec<i64> {
+        (0..n as i64).map(|i| if i < at as i64 { i } else { i + jump - 1 }).collect()
+    }
+
+    fn repaired(kind: RepairKind, points: usize) -> Disposition {
+        Disposition::Repaired(vec![Repair { kind, points }])
+    }
+
+    #[test]
+    fn profile_length_boundary_is_24_points() {
+        let (d, profile) = ingest_one(&built_track(&flat(24), None));
+        assert_eq!(d, Disposition::Clean);
+        assert_eq!(profile.map(|p| p.len()), Some(24));
+        assert_eq!(
+            ingest_one(&built_track(&flat(23), None)).0,
+            Disposition::Quarantined(QuarantineReason::TooShort { points: 23 })
+        );
+    }
+
+    #[test]
+    fn spike_threshold_is_40_m() {
+        let mut ele = flat(60);
+        ele[30] += 40.0;
+        assert_eq!(ingest_one(&built_track(&ele, None)).0, Disposition::Clean);
+        ele[30] += 0.5;
+        let (d, profile) = ingest_one(&built_track(&ele, None));
+        assert_eq!(d, repaired(RepairKind::DespikedElevation, 1));
+        assert_eq!(profile, Some(flat(60)));
+    }
+
+    #[test]
+    fn spike_window_is_5_points() {
+        // A 5-point window's median outvotes a 2-point plateau but not
+        // a 3-point one.
+        let mut ele = flat(60);
+        ele[30..32].fill(150.0);
+        let (d, _) = ingest_one(&built_track(&ele, None));
+        assert_eq!(d, repaired(RepairKind::DespikedElevation, 2));
+        ele[32] = 150.0;
+        assert_eq!(ingest_one(&built_track(&ele, None)).0, Disposition::Clean);
+    }
+
+    #[test]
+    fn gap_factor_is_4_median_intervals() {
+        let secs = one_hz_with_jump(60, 30, 4);
+        assert_eq!(ingest_one(&built_track(&flat(60), Some(&secs))).0, Disposition::Clean);
+        let secs = one_hz_with_jump(60, 30, 5);
+        let (d, profile) = ingest_one(&built_track(&flat(60), Some(&secs)));
+        assert_eq!(d, repaired(RepairKind::FilledGap, 4));
+        assert_eq!(profile.map(|p| p.len()), Some(64));
+    }
+
+    #[test]
+    fn gap_fill_is_capped_at_64_points() {
+        let secs = one_hz_with_jump(200, 100, 1000);
+        let (d, profile) = ingest_one(&built_track(&flat(200), Some(&secs)));
+        assert_eq!(d, repaired(RepairKind::FilledGap, 64));
+        assert_eq!(profile.map(|p| p.len()), Some(264));
+    }
+
+    #[test]
+    fn repaired_fraction_boundary_is_35_percent() {
+        let mut ele = flat(100);
+        ele[10..45].fill(f64::NAN);
+        let (d, profile) = ingest_one(&built_track(&ele, None));
+        assert_eq!(d, repaired(RepairKind::InterpolatedNan, 35));
+        assert_eq!(profile, Some(flat(100)));
+        ele[45] = f64::NAN;
+        assert_eq!(
+            ingest_one(&built_track(&ele, None)).0,
+            Disposition::Quarantined(QuarantineReason::TooCorrupt { repaired_fraction: 0.36 })
+        );
     }
 
     #[test]
@@ -985,7 +1020,7 @@ mod tests {
         for p in &mut gpx.tracks[0].segments[0].points {
             p.elevation_m = Some(f64::NAN);
         }
-        let (d, _) = ingest_one(&TrackSource::Parsed(gpx), &IngestConfig::default());
+        let (d, _) = ingest_one(&Payload::Parsed(gpx));
         assert!(matches!(d, Disposition::Quarantined(QuarantineReason::EmptyProfile)));
     }
 
@@ -993,13 +1028,11 @@ mod tests {
     fn batch_is_deterministic_across_thread_counts() {
         let gpx = sample_gpx(160);
         let plan = FaultPlan::uniform(0.5, 21);
-        let sources: Vec<TrackSource> = (0..24)
-            .map(|i| to_source(corrupt_track(&plan, i, &gpx).payload))
-            .collect();
-        let cfg = IngestConfig::default();
-        let base = ingest_batch(&sources, &cfg, &Executor::new(1));
+        let sources: Vec<Payload> =
+            (0..24).map(|i| corrupt_track(&plan, i, &gpx).payload).collect();
+        let base = ingest_batch(&sources, &Executor::new(1));
         for threads in [2, 4, 8] {
-            let got = ingest_batch(&sources, &cfg, &Executor::new(threads));
+            let got = ingest_batch(&sources, &Executor::new(threads));
             assert_eq!(got.1, base.1, "report differs at {threads} threads");
             assert_eq!(got.0.len(), base.0.len());
             for (a, b) in got.0.iter().zip(&base.0) {
@@ -1020,13 +1053,12 @@ mod tests {
         // per-call DOM path agree on disposition AND profile bits for
         // every faulted source, raw or parsed.
         let gpx = sample_gpx(160);
-        let cfg = IngestConfig::default();
-        let mut ing = StreamingIngest::new(cfg.clone());
+        let mut ing = StreamingIngest::default();
         for seed in [0u64, 21, 33, 77] {
             let plan = FaultPlan::uniform(0.6, seed);
             for i in 0..16 {
-                let src = to_source(corrupt_track(&plan, i, &gpx).payload);
-                let (dom_d, dom_p) = ingest_one(&src, &cfg);
+                let src = corrupt_track(&plan, i, &gpx).payload;
+                let (dom_d, dom_p) = ingest_one(&src);
                 let (str_d, str_p) = ing.ingest_source(&src);
                 assert_eq!(dom_d, str_d, "disposition diverged (seed {seed}, track {i})");
                 match (dom_p, str_p) {
@@ -1048,12 +1080,10 @@ mod tests {
     fn streaming_batch_matches_executor_batch() {
         let gpx = sample_gpx(160);
         let plan = FaultPlan::uniform(0.5, 21);
-        let sources: Vec<TrackSource> = (0..24)
-            .map(|i| to_source(corrupt_track(&plan, i, &gpx).payload))
-            .collect();
-        let cfg = IngestConfig::default();
-        let (dom_profiles, dom_report) = ingest_batch(&sources, &cfg, &Executor::new(4));
-        let (str_profiles, str_report) = StreamingIngest::new(cfg).ingest_batch(&sources);
+        let sources: Vec<Payload> =
+            (0..24).map(|i| corrupt_track(&plan, i, &gpx).payload).collect();
+        let (dom_profiles, dom_report) = ingest_batch(&sources, &Executor::new(4));
+        let (str_profiles, str_report) = StreamingIngest::default().ingest_batch(&sources);
         assert_eq!(dom_report, str_report);
         assert_eq!(dom_profiles.len(), str_profiles.len());
         for (a, b) in dom_profiles.iter().zip(&str_profiles) {
@@ -1071,11 +1101,9 @@ mod tests {
     fn report_accounts_for_every_track() {
         let gpx = sample_gpx(160);
         let plan = FaultPlan::uniform(0.6, 33);
-        let sources: Vec<TrackSource> = (0..40)
-            .map(|i| to_source(corrupt_track(&plan, i, &gpx).payload))
-            .collect();
-        let (profiles, report) =
-            ingest_batch(&sources, &IngestConfig::default(), &Executor::new(4));
+        let sources: Vec<Payload> =
+            (0..40).map(|i| corrupt_track(&plan, i, &gpx).payload).collect();
+        let (profiles, report) = ingest_batch(&sources, &Executor::new(4));
         assert_eq!(report.tracks.len(), 40);
         assert_eq!(report.clean() + report.repaired() + report.quarantined(), 40);
         for (i, t) in report.tracks.iter().enumerate() {
@@ -1097,13 +1125,9 @@ mod tests {
         // ingest_one itself is total, so simulate by checking try_map
         // integration: a Raw source with garbage is quarantined while
         // neighbours survive.
-        let good = TrackSource::Parsed(sample_gpx(100));
-        let bad = TrackSource::Raw(vec![0xFF, 0xFE, 0x00, 0x01]);
-        let (profiles, report) = ingest_batch(
-            &[good.clone(), bad, good],
-            &IngestConfig::default(),
-            &Executor::new(2),
-        );
+        let good = Payload::Parsed(sample_gpx(100));
+        let bad = Payload::Raw(vec![0xFF, 0xFE, 0x00, 0x01]);
+        let (profiles, report) = ingest_batch(&[good.clone(), bad, good], &Executor::new(2));
         assert!(profiles[0].is_some() && profiles[2].is_some());
         assert!(profiles[1].is_none());
         assert_eq!(report.quarantined(), 1);
@@ -1111,13 +1135,9 @@ mod tests {
 
     #[test]
     fn batch_reports_validate() {
-        let good = TrackSource::Parsed(sample_gpx(100));
-        let bad = TrackSource::Raw(vec![0xFF, 0xFE, 0x00, 0x01]);
-        let (_, report) = ingest_batch(
-            &[good.clone(), bad, good],
-            &IngestConfig::default(),
-            &Executor::new(2),
-        );
+        let good = Payload::Parsed(sample_gpx(100));
+        let bad = Payload::Raw(vec![0xFF, 0xFE, 0x00, 0x01]);
+        let (_, report) = ingest_batch(&[good.clone(), bad, good], &Executor::new(2));
         report.validate().expect("batch report invariants");
         assert!(IngestReport::default().validate().is_ok());
 
@@ -1149,7 +1169,7 @@ mod tests {
             bytes in prop::collection::vec(0u32..=255, 0..256),
         ) {
             let bytes: Vec<u8> = bytes.into_iter().map(|b| b as u8).collect();
-            let (d, p) = ingest_one(&TrackSource::Raw(bytes), &IngestConfig::default());
+            let (d, p) = ingest_one(&Payload::Raw(bytes));
             prop_assert_eq!(p.is_none(), matches!(d, Disposition::Quarantined(_)));
         }
 
@@ -1158,9 +1178,8 @@ mod tests {
             bytes in prop::collection::vec(0u32..=255, 0..256),
         ) {
             let bytes: Vec<u8> = bytes.into_iter().map(|b| b as u8).collect();
-            let cfg = IngestConfig::default();
-            let dom = ingest_one(&TrackSource::Raw(bytes.clone()), &cfg);
-            let stream = StreamingIngest::new(cfg).ingest_bytes(&bytes);
+            let dom = ingest_one(&Payload::Raw(bytes.clone()));
+            let stream = StreamingIngest::default().ingest_bytes(&bytes);
             prop_assert_eq!(dom.0, stream.0);
             prop_assert_eq!(dom.1.is_some(), stream.1.is_some());
         }

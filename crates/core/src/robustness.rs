@@ -16,7 +16,7 @@
 //! sweep is bit-identical across thread counts and re-runs.
 
 use crate::experiments::{balanced_top_classes, Corpora, ExperimentScale};
-use crate::ingest::{ingest_batch, Disposition, IngestConfig, IngestReport, TrackSource};
+use crate::ingest::{ingest_batch, Disposition, IngestReport};
 use crate::text::{evaluate_text, TextAttackConfig, TextModel};
 use datasets::{Dataset, Sample};
 use evalkit::FoldOutcome;
@@ -115,23 +115,17 @@ pub fn sample_to_gpx(sample: &Sample) -> Gpx {
 pub fn ingest_dataset(
     ds: &Dataset,
     plan: &FaultPlan,
-    cfg: &IngestConfig,
 ) -> (Dataset, IngestReport, Vec<KindAccount>) {
-    let corrupted: Vec<(TrackSource, Vec<FaultKind>)> = ds
+    let (sources, injected): (Vec<Payload>, Vec<Vec<FaultKind>>) = ds
         .samples()
         .iter()
         .enumerate()
         .map(|(i, s)| {
             let out = corrupt_track(plan, i as u64, &sample_to_gpx(s));
-            let src = match out.payload {
-                Payload::Parsed(g) => TrackSource::Parsed(g),
-                Payload::Raw(b) => TrackSource::Raw(b),
-            };
-            (src, out.injected)
+            (out.payload, out.injected)
         })
-        .collect();
-    let sources: Vec<TrackSource> = corrupted.iter().map(|(s, _)| s.clone()).collect();
-    let (profiles, report) = ingest_batch(&sources, cfg, &exec::Executor::from_env());
+        .unzip();
+    let (profiles, report) = ingest_batch(&sources, &exec::Executor::from_env());
 
     let mut survivors = Dataset::new(ds.label_names().to_vec());
     for (i, profile) in profiles.into_iter().enumerate() {
@@ -153,7 +147,7 @@ pub fn ingest_dataset(
                 quarantined: 0,
                 undetected: 0,
             };
-            for (track, (_, injected)) in report.tracks.iter().zip(&corrupted) {
+            for (track, injected) in report.tracks.iter().zip(&injected) {
                 if !injected.contains(&kind) {
                     continue;
                 }
@@ -193,8 +187,7 @@ pub fn robustness_sweep(
     for &rate in rates {
         let plan = FaultPlan::uniform(rate, plan_seed);
         for (name, ds, disc) in &settings {
-            let (survivors, report, accounting) =
-                ingest_dataset(ds, &plan, &IngestConfig::default());
+            let (survivors, report, accounting) = ingest_dataset(ds, &plan);
             // Quarantine thins classes; shrink folds so every fold keeps
             // at least one sample of each class.
             let min_class = survivors
@@ -282,8 +275,7 @@ pub fn substrate_sweep(rates: &[f64], plan_seed: u64) -> Vec<SubstrateStats> {
 /// Sanity invariant used by tests and `scripts/verify.sh`: at rate 0
 /// the surviving corpus must be the input corpus, exactly.
 pub fn zero_rate_is_identity(ds: &Dataset, plan_seed: u64) -> bool {
-    let (survivors, report, _) =
-        ingest_dataset(ds, &FaultPlan::uniform(0.0, plan_seed), &IngestConfig::default());
+    let (survivors, report, _) = ingest_dataset(ds, &FaultPlan::uniform(0.0, plan_seed));
     report.clean() == ds.len()
         && report.repaired() == 0
         && report.quarantined() == 0
@@ -382,11 +374,7 @@ mod tests {
     fn stripped_samples_still_corrupt_and_ingest() {
         let corpora = Corpora::generate(14, &tiny_scale());
         let stripped = corpora.user.stripped();
-        let (survivors, report, _) = ingest_dataset(
-            &stripped,
-            &FaultPlan::uniform(0.5, 6),
-            &IngestConfig::default(),
-        );
+        let (survivors, report, _) = ingest_dataset(&stripped, &FaultPlan::uniform(0.5, 6));
         assert_eq!(report.tracks.len(), stripped.len());
         assert!(!survivors.is_empty());
     }

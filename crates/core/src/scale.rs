@@ -44,7 +44,7 @@
 
 use annindex::{l2, AnnIndex};
 use exec::Executor;
-use featstore::{FeatureStore, RowBuf, ShardEntry, ShardWriter, StoreManifest, MANIFEST};
+use featstore::{FeatureStore, RowBuf, ShardEntry, ShardWriter, StoreManifest};
 use routegen::PopulationConfig;
 use sparsemat::SparseVec;
 use std::cell::OnceCell;
@@ -949,27 +949,6 @@ pub fn shard_fingerprints(pop: &PopulationConfig, exec: &Executor) -> Vec<u64> {
     exec.map(&shard_ids, |_, &s| pop.generate_shard(&terrain, s).fingerprint())
 }
 
-/// Removes a store directory if (and only if) it looks like one —
-/// refuses paths without a parseable manifest so a mistyped
-/// `ELEV_STORE_DIR` never deletes unrelated data.
-///
-/// # Errors
-///
-/// [`durable::Error::Malformed`] when the directory exists but has no
-/// valid manifest; [`durable::Error::Io`] on removal failure.
-pub fn remove_store(dir: &Path) -> Result<(), durable::Error> {
-    if !dir.exists() {
-        return Ok(());
-    }
-    if FeatureStore::open(dir).is_err() {
-        return Err(durable::Error::Malformed(format!(
-            "{} does not contain a feature-store manifest ({MANIFEST}); refusing to remove",
-            dir.display()
-        )));
-    }
-    Ok(std::fs::remove_dir_all(dir)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1075,18 +1054,6 @@ mod tests {
         let b = shard_fingerprints(&pop, &Executor::new(4));
         assert_eq!(a, b);
         assert_eq!(a.len(), 5);
-    }
-
-    #[test]
-    fn remove_store_refuses_foreign_directories() {
-        let dir = std::env::temp_dir().join(format!("elev-notastore-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        std::fs::write(dir.join("data.txt"), "precious").expect("write");
-        assert_eq!(remove_store(&dir).unwrap_err().name(), "malformed");
-        assert!(dir.join("data.txt").exists(), "foreign data must survive");
-        let _ = std::fs::remove_dir_all(&dir);
-        assert!(remove_store(&dir).is_ok(), "missing dir is a no-op");
     }
 
     /// The scan as it existed before the prefilters: linear size probe

@@ -20,7 +20,6 @@ pub mod borough_level;
 pub mod city_level;
 pub mod overlap;
 pub mod split;
-pub mod stats;
 pub mod user_specific;
 
 mod dataset;
@@ -28,4 +27,3 @@ mod mined;
 
 pub use dataset::{Dataset, DatasetError, Sample};
 pub use mined::mine_to_target;
-pub use stats::{DatasetStats, Summary};

@@ -88,11 +88,6 @@ impl Default for Digest {
     }
 }
 
-/// One-shot digest of a byte slice.
-pub fn digest_bytes(bytes: &[u8]) -> u64 {
-    Digest::new().bytes(bytes).finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -4,7 +4,7 @@
 //!
 //! - [`fnv1a64`] / [`fnv1a64_continue`] — the integrity checksum
 //!   (corruption detection, not tampering);
-//! - [`Digest`] / [`digest_bytes`] — the same hash over length-prefixed
+//! - [`Digest`] — the same hash over length-prefixed
 //!   fields, for content fingerprints (the conformance goldens,
 //!   population shards and their configurations);
 //! - [`Enc`] / [`Dec`] — little-endian field encoding;
@@ -90,7 +90,7 @@ pub mod ladder;
 
 mod digest;
 
-pub use digest::{digest_bytes, Digest};
+pub use digest::Digest;
 
 use std::fs::File;
 use std::io::Write;

@@ -116,15 +116,6 @@ impl Executor {
         Self::new(threads_from_env())
     }
 
-    /// An executor sized by [`inner_threads_from_env`] — the right
-    /// width for parallelism *nested inside* an outer `map` (e.g. the
-    /// per-shard workers of one model training inside an experiment
-    /// sweep), so the two levels together stay within the
-    /// `ELEV_THREADS` budget.
-    pub fn inner_from_env() -> Self {
-        Self::new(inner_threads_from_env())
-    }
-
     /// Configured worker count.
     pub fn threads(&self) -> usize {
         self.threads
@@ -193,29 +184,41 @@ impl Executor {
         let child_fanout = current_fanout().saturating_mul(workers);
 
         std::thread::scope(|scope| {
-            for w in 0..workers {
-                let tx = tx.clone();
-                let queues = &queues;
-                let init = &init;
-                let f = &f;
-                scope.spawn(move || {
-                    FANOUT.with(|c| c.set(child_fanout));
-                    let mut state = init();
-                    while let Some(i) = next_task(queues, w) {
-                        // Send failure means the collector is gone,
-                        // i.e. a sibling panicked; stop quietly and
-                        // let the scope propagate that panic.
-                        if tx.send((i, f(&mut state, i, &items[i]))).is_err() {
-                            return;
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    let tx = tx.clone();
+                    let queues = &queues;
+                    let init = &init;
+                    let f = &f;
+                    scope.spawn(move || {
+                        FANOUT.with(|c| c.set(child_fanout));
+                        let mut state = init();
+                        while let Some(i) = next_task(queues, w) {
+                            // Send failure means the collector is gone,
+                            // i.e. a sibling panicked; stop quietly and
+                            // let the scope propagate that panic.
+                            if tx.send((i, f(&mut state, i, &items[i]))).is_err() {
+                                return;
+                            }
                         }
-                    }
-                });
-            }
+                    })
+                })
+                .collect();
             drop(tx);
 
             let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
             for (i, r) in rx {
                 out[i] = Some(r);
+            }
+            // Join every worker thread before returning. The scope alone
+            // only waits for the closures to finish, so a worker can still
+            // be exiting, and still hold its malloc arena, when the next
+            // call spawns workers; those then open fresh arenas, and how
+            // much memory the process keeps would depend on thread timing.
+            for handle in handles {
+                if let Err(payload) = handle.join() {
+                    std::panic::resume_unwind(payload);
+                }
             }
             out.into_iter()
                 .map(|slot| slot.expect("every index produced exactly one result"))
@@ -398,6 +401,27 @@ mod tests {
         assert_eq!(out.len(), 256);
         assert!(inits.load(Ordering::Relaxed) <= 4, "more states than workers");
         assert!(inits.load(Ordering::Relaxed) >= 1);
+    }
+
+    #[test]
+    fn workers_have_exited_when_map_returns() {
+        static EXITED: AtomicUsize = AtomicUsize::new(0);
+        struct OnExit;
+        impl Drop for OnExit {
+            fn drop(&mut self) {
+                EXITED.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        thread_local! {
+            static GUARD: OnExit = const { OnExit };
+        }
+        // `init` runs once on each worker and arms its thread-local
+        // guard, whose destructor runs only as the thread exits.
+        let items: Vec<u32> = (0..64).collect();
+        for round in 1..=50 {
+            Executor::new(4).map_with(&items, || GUARD.with(|_| ()), |_, _, &x| x);
+            assert_eq!(EXITED.load(Ordering::SeqCst), 4 * round, "round {round}");
+        }
     }
 
     #[test]

@@ -37,12 +37,10 @@ mod latlon;
 mod rect;
 pub mod polyline;
 pub mod region;
-pub mod simplify;
 
 pub use latlon::{LatLon, LocalProjection, EARTH_RADIUS_M};
 pub use rect::{average_pairwise_iou, BoundingBox};
 pub use region::{RegionId, RegionIndex};
-pub use simplify::{bearing_rad, douglas_peucker, path_length_m};
 
 /// Errors produced by geometric operations in this crate.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -18,7 +18,6 @@
 //! [`Sequential::predict_sparse`] on the network the image came from —
 //! asserted by this module's tests, not just argued.
 
-use crate::models::mlp;
 use crate::net::Sequential;
 use sparsemat::SparseVec;
 
@@ -63,7 +62,7 @@ impl FlatMlp {
         Ok(Self { input_dim, hidden, n_classes, params })
     }
 
-    /// Captures the flat image of a trained [`mlp`] network.
+    /// Captures the flat image of a trained [`crate::models::mlp`] network.
     ///
     /// # Panics
     ///
@@ -77,14 +76,6 @@ impl FlatMlp {
             "network shape does not match the declared MLP dimensions"
         );
         Self { input_dim, hidden, n_classes, params }
-    }
-
-    /// Rebuilds a full [`Sequential`] carrying these weights (for
-    /// cross-checks and further training).
-    pub fn to_net(&self) -> Sequential {
-        let mut net = mlp(self.input_dim, self.hidden, self.n_classes, 0);
-        net.import_params(&self.params);
-        net
     }
 
     /// Input feature count.
@@ -197,6 +188,7 @@ impl InferScratch {
 mod tests {
     use super::*;
     use crate::layer::Layer;
+    use crate::models::mlp;
     use crate::net::{train_sparse, TrainConfig};
     use sparsemat::CsrMatrix;
 
@@ -239,19 +231,6 @@ mod tests {
             assert_eq!(logits.as_slice(), dense.data(), "row {i} logits diverged");
             assert_eq!(flat.predict_sparse(&row, &mut scratch), want_i);
         }
-    }
-
-    #[test]
-    fn roundtrips_through_net() {
-        let dim = 12;
-        let (x, y) = toy_rows(20, dim);
-        let mut net = mlp(dim, 8, 2, 3);
-        train_sparse(&mut net, &x, &y, &TrainConfig { epochs: 4, lr: 1e-2, ..Default::default() });
-        let flat = FlatMlp::capture(&mut net, dim, 8, 2);
-        let mut back = flat.to_net();
-        assert_eq!(back.predict_sparse(&x), net.predict_sparse(&x));
-        let again = FlatMlp::capture(&mut back, dim, 8, 2);
-        assert_eq!(again, flat);
     }
 
     #[test]

@@ -23,9 +23,6 @@ pub fn mlp(input_dim: usize, hidden: usize, n_classes: usize, seed: u64) -> Sequ
     ])
 }
 
-/// Image side length the CNN expects (32×32 inputs, paper Fig. 7).
-pub const CNN_INPUT_SIZE: usize = 32;
-
 /// Input channels (RGB line graphs).
 pub const CNN_INPUT_CHANNELS: usize = 3;
 

@@ -34,11 +34,6 @@ impl Sequential {
         Self { layers }
     }
 
-    /// Number of layers.
-    pub fn n_layers(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Total number of trainable parameters.
     pub fn n_params(&mut self) -> usize {
         let mut n = 0usize;

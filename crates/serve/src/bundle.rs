@@ -26,56 +26,40 @@ use sparsemat::{FeatureMatrix, SparseVec};
 use std::collections::BTreeMap;
 use textrep::{Discretizer, FeatureSelection, TextPipeline};
 
-/// Training recipe for a bundle (scale + per-model hyperparameters).
+/// Model version stamped on every record.
+const BUNDLE_VERSION: u32 = 1;
+/// Character n-gram order of the BoW featurizer.
+const BUNDLE_NGRAM: usize = 4;
+/// MLP learning rate.
+const BUNDLE_MLP_LR: f32 = 3e-3;
+
+/// Per-model training sizes for a bundle. Everything else about the
+/// recipe is fixed: the corpus scale (`bundle_scale`), the record
+/// version, the n-gram order, the SVM's regularization
+/// ([`SvmConfig`]'s default) and the MLP's learning rate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BundleConfig {
-    /// Corpus generation scale.
-    pub scale: ExperimentScale,
-    /// Model version stamped on every record.
-    pub version: u32,
-    /// Character n-gram order of the BoW featurizer.
-    pub ngram: usize,
     /// SVM Pegasos epochs.
     pub svm_epochs: usize,
-    /// SVM regularization.
-    pub svm_lambda: f32,
     /// Forest size.
     pub rfc_trees: usize,
     /// MLP hidden width.
     pub mlp_hidden: usize,
     /// MLP epochs.
     pub mlp_epochs: usize,
-    /// MLP learning rate.
-    pub mlp_lr: f32,
 }
 
 impl BundleConfig {
     /// The bootstrap recipe: conformance-sized corpora, models large
     /// enough to separate the regimes, training in seconds.
     pub fn quick() -> Self {
-        Self {
-            scale: bundle_scale(),
-            version: 1,
-            ngram: 4,
-            svm_epochs: 20,
-            svm_lambda: 1e-4,
-            rfc_trees: 25,
-            mlp_hidden: 32,
-            mlp_epochs: 10,
-            mlp_lr: 3e-3,
-        }
+        Self { svm_epochs: 20, rfc_trees: 25, mlp_hidden: 32, mlp_epochs: 10 }
     }
 
     /// The test-harness recipe: same corpora, minimal models — the
     /// fastest bundle that still exercises every classify code path.
     pub fn tiny() -> Self {
-        Self {
-            svm_epochs: 8,
-            rfc_trees: 10,
-            mlp_hidden: 16,
-            mlp_epochs: 4,
-            ..Self::quick()
-        }
+        Self { svm_epochs: 8, rfc_trees: 10, mlp_hidden: 16, mlp_epochs: 4 }
     }
 }
 
@@ -132,7 +116,7 @@ impl TaskModels {
         let signals: Vec<Vec<f64>> =
             ds.samples().iter().map(|s| s.elevation.clone()).collect();
         let pipeline =
-            TextPipeline::fit(discretizer, cfg.ngram, FeatureSelection::standard(), &signals);
+            TextPipeline::fit(discretizer, BUNDLE_NGRAM, FeatureSelection::standard(), &signals);
         let x = pipeline.transform_all_csr(&signals);
         let y = ds.labels();
         let n_classes = ds.n_classes().max(2);
@@ -140,7 +124,7 @@ impl TaskModels {
         let svm = SvmClassifier::fit_sparse(
             &x,
             &y,
-            &SvmConfig { epochs: cfg.svm_epochs, lambda: cfg.svm_lambda },
+            &SvmConfig { epochs: cfg.svm_epochs, ..SvmConfig::default() },
             mix_seed(seed, 1),
         );
         let rfc = RandomForest::fit_matrix(
@@ -157,7 +141,7 @@ impl TaskModels {
             &y,
             &TrainConfig {
                 epochs: cfg.mlp_epochs,
-                lr: cfg.mlp_lr,
+                lr: BUNDLE_MLP_LR,
                 seed: mix_seed(seed, 3),
                 ..Default::default()
             },
@@ -261,12 +245,12 @@ impl ModelBundle {
     /// codebook — the paper's table-4/table-5 settings at bootstrap
     /// scale. Pure in `(seed, cfg)`.
     pub fn train(seed: u64, cfg: &BundleConfig) -> Self {
-        let corpora = Corpora::generate(seed, &cfg.scale);
+        let corpora = Corpora::generate(seed, &bundle_scale());
         let tasks = vec![
             TaskModels::fit("tm1", &corpora.user, Discretizer::Floor, cfg, mix_seed(seed, 11)),
             TaskModels::fit("tm3", &corpora.city, Discretizer::mined(), cfg, mix_seed(seed, 12)),
         ];
-        Self { version: cfg.version, generation: 0, tasks }
+        Self { version: BUNDLE_VERSION, generation: 0, tasks }
     }
 
     /// The bundle's tasks, in report order.

@@ -389,12 +389,6 @@ impl Server {
         self.shared.health()
     }
 
-    /// Swaps the served bundle immediately (the programmatic twin of
-    /// manifest hot reload).
-    pub fn replace_bundle(&self, bundle: ModelBundle) {
-        *self.shared.bundle.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(bundle);
-    }
-
     /// Stops admitting new connections and lets in-flight requests
     /// finish; subsequent responses carry `Connection: close`.
     pub fn drain(&self) {

@@ -90,7 +90,7 @@ pub fn faulted_gpx() -> Vec<u8> {
 }
 
 /// An untrustworthy upload: ~50% duplicated points, so repairs touch
-/// more than `max_repaired_fraction` (0.35) of the track and ingestion
+/// more than `MAX_REPAIRED_FRACTION` (0.35) of the track and ingestion
 /// quarantines it as too corrupt.
 pub fn corrupt_gpx() -> Vec<u8> {
     let xml = String::from_utf8(clean_gpx()).expect("gpx is utf-8");

@@ -10,7 +10,7 @@
 
 mod common;
 
-use elev_core::ingest::{ingest_one, IngestConfig, TrackSource};
+use elev_core::ingest::StreamingIngest;
 use serve::InferenceArena;
 use sparsemat::SparseVec;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -44,7 +44,7 @@ static ALLOC: CountingAlloc = CountingAlloc;
 fn steady_state_classify_path_allocates_nothing() {
     let bundle = common::tiny_bundle();
     let raw = common::clean_gpx();
-    let (_, profile) = ingest_one(&TrackSource::Raw(raw), &IngestConfig::default());
+    let (_, profile) = StreamingIngest::default().ingest_bytes(&raw);
     let profile = profile.expect("clean fixture ingests");
 
     // Warm-up: grow the arena and run one full classify per task so

@@ -8,8 +8,6 @@
 //! and provides the kernels the classifiers need:
 //!
 //! - [`SparseVec::dot_dense`] — the Pegasos SVM inner product,
-//! - [`SparseVec::sq_euclidean`] / [`SparseVec::manhattan`] — merged
-//!   two-pointer k-NN distances,
 //! - [`CsrMatrix::matmul_dense`] — the MLP's sparse×dense input matmul,
 //! - [`FeatureMatrix`] — dense/sparse dispatch so column-split learners
 //!   (the random forest) keep a dense view.
@@ -152,85 +150,6 @@ impl SparseVec {
         }
         acc
     }
-
-    /// `out[i] += scale * self[i]` over the nonzeros.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != self.dim()`.
-    pub fn axpy_into(&self, scale: f32, out: &mut [f32]) {
-        assert_eq!(out.len(), self.dim, "output width mismatch");
-        for (&i, &v) in self.indices.iter().zip(&self.values) {
-            out[i as usize] += scale * v;
-        }
-    }
-
-    /// Squared Euclidean distance to another sparse vector, via a
-    /// two-pointer merge over the index union.
-    ///
-    /// # Panics
-    ///
-    /// Panics on width mismatch.
-    pub fn sq_euclidean(&self, other: &SparseVec) -> f32 {
-        self.merged_distance(other, |d| d * d)
-    }
-
-    /// Manhattan (L1) distance to another sparse vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics on width mismatch.
-    pub fn manhattan(&self, other: &SparseVec) -> f32 {
-        self.merged_distance(other, f32::abs)
-    }
-
-    /// Accumulates `term(a_j - b_j)` over the union of nonzero indices,
-    /// in ascending index order (matching the dense loop, whose
-    /// both-zero terms contribute exactly `term(0.0) == 0.0`).
-    fn merged_distance(&self, other: &SparseVec, term: impl Fn(f32) -> f32) -> f32 {
-        assert_eq!(self.dim, other.dim, "dimension mismatch");
-        merged_term(&self.indices, &self.values, &other.indices, &other.values, term)
-    }
-}
-
-/// Two-pointer merge over the index union of two sorted sparse rows,
-/// accumulating `term(a_j - b_j)` in ascending index order. One-sided
-/// entries contribute `term(a_j - 0.0)` / `term(0.0 - b_j)`, computed as
-/// `term(a_j)` / `term(-b_j)` — the identical `f32` operations, since
-/// `x - 0.0 == x` and `0.0 - x == -x` bitwise for nonzero `x`.
-fn merged_term(
-    ai: &[u32],
-    av: &[f32],
-    bi: &[u32],
-    bv: &[f32],
-    term: impl Fn(f32) -> f32,
-) -> f32 {
-    let (mut p, mut q) = (0usize, 0usize);
-    let mut acc = 0.0f32;
-    while p < ai.len() && q < bi.len() {
-        match ai[p].cmp(&bi[q]) {
-            std::cmp::Ordering::Less => {
-                acc += term(av[p]);
-                p += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                acc += term(-bv[q]);
-                q += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                acc += term(av[p] - bv[q]);
-                p += 1;
-                q += 1;
-            }
-        }
-    }
-    for &v in &av[p..] {
-        acc += term(v);
-    }
-    for &v in &bv[q..] {
-        acc += term(-v);
-    }
-    acc
 }
 
 /// A compressed-sparse-row matrix of feature rows.
@@ -295,28 +214,6 @@ impl CsrMatrix {
         self.indices.len()
     }
 
-    /// Fraction of logically present entries that are stored.
-    pub fn density(&self) -> f64 {
-        let total = self.n_rows() * self.n_cols;
-        if total == 0 {
-            0.0
-        } else {
-            self.nnz() as f64 / total as f64
-        }
-    }
-
-    /// Bytes held by the sparse representation.
-    pub fn sparse_bytes(&self) -> usize {
-        self.indptr.len() * std::mem::size_of::<usize>()
-            + self.indices.len() * std::mem::size_of::<u32>()
-            + self.values.len() * std::mem::size_of::<f32>()
-    }
-
-    /// Bytes an equivalent dense `Vec<f32>` matrix would hold.
-    pub fn dense_bytes(&self) -> usize {
-        self.n_rows() * self.n_cols * std::mem::size_of::<f32>()
-    }
-
     /// The `(indices, values)` slices of row `i`.
     ///
     /// # Panics
@@ -351,29 +248,6 @@ impl CsrMatrix {
         for (&j, &v) in idx.iter().zip(val) {
             out[j as usize] += scale * v;
         }
-    }
-
-    /// Squared Euclidean distance between row `i` and a sparse probe,
-    /// without materializing either side densely.
-    ///
-    /// # Panics
-    ///
-    /// Panics on width mismatch.
-    pub fn row_sq_euclidean(&self, i: usize, probe: &SparseVec) -> f32 {
-        assert_eq!(probe.dim(), self.n_cols, "dimension mismatch");
-        let (idx, val) = self.row(i);
-        merged_term(idx, val, probe.indices(), probe.values(), |d| d * d)
-    }
-
-    /// Manhattan (L1) distance between row `i` and a sparse probe.
-    ///
-    /// # Panics
-    ///
-    /// Panics on width mismatch.
-    pub fn row_manhattan(&self, i: usize, probe: &SparseVec) -> f32 {
-        assert_eq!(probe.dim(), self.n_cols, "dimension mismatch");
-        let (idx, val) = self.row(i);
-        merged_term(idx, val, probe.indices(), probe.values(), f32::abs)
     }
 
     /// Gathers the listed rows into a new CSR matrix (cheap row copies;
@@ -445,7 +319,7 @@ impl CsrMatrix {
 /// Feature rows in either storage layout.
 ///
 /// The text-side classifiers consume whichever layout fits their access
-/// pattern: the SVM / naive-Bayes / k-NN models walk nonzeros
+/// pattern: the SVM and the MLP walk nonzeros
 /// ([`FeatureMatrix::Sparse`]), while the random forest's column splits
 /// need O(1) element access and densify once per fit
 /// ([`FeatureMatrix::to_dense_rows`]).
@@ -485,16 +359,6 @@ impl FeatureMatrix {
             FeatureMatrix::Sparse(m) => std::borrow::Cow::Owned(m.to_dense_rows()),
         }
     }
-
-    /// A CSR view; compresses when dense.
-    pub fn to_csr(&self) -> std::borrow::Cow<'_, CsrMatrix> {
-        match self {
-            FeatureMatrix::Dense(rows) => {
-                std::borrow::Cow::Owned(CsrMatrix::from_dense_rows(rows))
-            }
-            FeatureMatrix::Sparse(m) => std::borrow::Cow::Borrowed(m),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -523,22 +387,6 @@ mod tests {
             let dense: f32 = row.iter().zip(&w).map(|(a, b)| a * b).sum();
             let sparse = SparseVec::from_dense(&row).dot_dense(&w);
             assert_eq!(sparse.to_bits(), dense.to_bits());
-        }
-    }
-
-    #[test]
-    fn merged_distances_match_dense() {
-        let rows = dense_fixture();
-        let sparse: Vec<SparseVec> = rows.iter().map(|r| SparseVec::from_dense(r)).collect();
-        for a in 0..rows.len() {
-            for b in 0..rows.len() {
-                let dense_sq: f32 =
-                    rows[a].iter().zip(&rows[b]).map(|(x, y)| (x - y) * (x - y)).sum();
-                let dense_l1: f32 =
-                    rows[a].iter().zip(&rows[b]).map(|(x, y)| (x - y).abs()).sum();
-                assert_eq!(sparse[a].sq_euclidean(&sparse[b]).to_bits(), dense_sq.to_bits());
-                assert_eq!(sparse[a].manhattan(&sparse[b]).to_bits(), dense_l1.to_bits());
-            }
         }
     }
 
@@ -579,21 +427,6 @@ mod tests {
         assert_eq!(sparse.n_rows(), dense.n_rows());
         assert_eq!(sparse.n_cols(), dense.n_cols());
         assert_eq!(sparse.to_dense_rows().as_ref(), rows.as_slice());
-        assert_eq!(dense.to_csr().as_ref(), sparse.to_csr().as_ref());
-    }
-
-    #[test]
-    fn memory_accounting_reports_savings() {
-        let wide: Vec<Vec<f32>> = (0..8)
-            .map(|i| {
-                let mut r = vec![0.0f32; 1024];
-                r[i * 7] = 1.0;
-                r
-            })
-            .collect();
-        let m = CsrMatrix::from_dense_rows(&wide);
-        assert!(m.sparse_bytes() < m.dense_bytes() / 10);
-        assert!(m.density() < 0.01);
     }
 
     #[test]

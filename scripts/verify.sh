@@ -19,6 +19,46 @@ has() {
     case " $tiers " in *" $1 "*) return 0 ;; *) return 1 ;; esac
 }
 
+# write_upload FILE: a small deterministic 40-point GPX upload.
+write_upload() {
+    {
+        printf '<?xml version="1.0" encoding="UTF-8"?>\n'
+        printf '<gpx version="1.1" creator="verify">\n<trk><trkseg>\n'
+        i=0
+        while [ "$i" -lt 40 ]; do
+            printf '<trkpt lat="38.%04d" lon="-77.0353"><ele>%d.5</ele></trkpt>\n' \
+                "$i" $((100 + i))
+            i=$((i + 1))
+        done
+        printf '</trkseg></trk></gpx>\n'
+    } > "$1"
+}
+
+# start_server DIR FLAGS...: serves the registry in DIR in the
+# background and waits for its port in DIR/port. Sets serve_pid and a
+# trap that kills the server if the tier fails.
+start_server() {
+    server_dir="$1"
+    shift
+    ./target/release/elev-serve --model-dir "$server_dir" "$@" \
+        --port-file "$server_dir/port" &
+    serve_pid=$!
+    trap 'kill "$serve_pid" 2>/dev/null || true' EXIT
+    i=0
+    while [ ! -s "$server_dir/port" ] && [ "$i" -lt 100 ]; do
+        sleep 0.1
+        i=$((i + 1))
+    done
+    test -s "$server_dir/port"
+}
+
+# stop_server: stops the server start_server started and drops the trap.
+stop_server() {
+    kill "$serve_pid" 2>/dev/null || true
+    wait "$serve_pid" 2>/dev/null || true
+    trap - EXIT
+}
+
 if has build; then
     echo "== build (release) =="
     cargo build --workspace --release
@@ -63,30 +103,11 @@ if has serve; then
     # A small deterministic upload; its content only matters in that
     # the served bytes must equal the offline bytes.
     gpx="$dir/upload.gpx"
-    {
-        printf '<?xml version="1.0" encoding="UTF-8"?>\n'
-        printf '<gpx version="1.1" creator="verify">\n<trk><trkseg>\n'
-        i=0
-        while [ "$i" -lt 40 ]; do
-            printf '<trkpt lat="38.%04d" lon="-77.0353"><ele>%d.5</ele></trkpt>\n' \
-                "$i" $((100 + i))
-            i=$((i + 1))
-        done
-        printf '</trkseg></trk></gpx>\n'
-    } > "$gpx"
+    write_upload "$gpx"
     ./target/release/elev-serve --model-dir "$dir" --smoke "$gpx" \
         | tail -n 1 > "$dir/offline.json"
 
-    ./target/release/elev-serve --model-dir "$dir" --workers 2 \
-        --port-file "$dir/port" &
-    serve_pid=$!
-    trap 'kill "$serve_pid" 2>/dev/null || true' EXIT
-    i=0
-    while [ ! -s "$dir/port" ] && [ "$i" -lt 100 ]; do
-        sleep 0.1
-        i=$((i + 1))
-    done
-    test -s "$dir/port"
+    start_server "$dir" --workers 2
 
     port="$(cat "$dir/port")" gpx="$gpx" out="$dir/served.json" python3 -c '
 import http.client, os
@@ -101,9 +122,7 @@ open(os.environ["out"], "wb").write(body + b"\n")
 '
     cmp "$dir/offline.json" "$dir/served.json"
 
-    kill "$serve_pid" 2>/dev/null || true
-    wait "$serve_pid" 2>/dev/null || true
-    trap - EXIT
+    stop_server
     rm -rf "$dir"
     echo "serve: live report byte-matches offline report"
 fi
@@ -117,28 +136,9 @@ if has overload; then
     dir="$(mktemp -d)"
     ./target/release/elev-serve --bootstrap --model-dir "$dir"
     gpx="$dir/upload.gpx"
-    {
-        printf '<?xml version="1.0" encoding="UTF-8"?>\n'
-        printf '<gpx version="1.1" creator="verify">\n<trk><trkseg>\n'
-        i=0
-        while [ "$i" -lt 40 ]; do
-            printf '<trkpt lat="38.%04d" lon="-77.0353"><ele>%d.5</ele></trkpt>\n' \
-                "$i" $((100 + i))
-            i=$((i + 1))
-        done
-        printf '</trkseg></trk></gpx>\n'
-    } > "$gpx"
+    write_upload "$gpx"
 
-    ./target/release/elev-serve --model-dir "$dir" --workers 1 \
-        --queue-depth 2 --port-file "$dir/port" &
-    serve_pid=$!
-    trap 'kill "$serve_pid" 2>/dev/null || true' EXIT
-    i=0
-    while [ ! -s "$dir/port" ] && [ "$i" -lt 100 ]; do
-        sleep 0.1
-        i=$((i + 1))
-    done
-    test -s "$dir/port"
+    start_server "$dir" --workers 1 --queue-depth 2
 
     port="$(cat "$dir/port")" gpx="$gpx" python3 -c '
 import http.client, json, os, socket, threading, time
@@ -201,9 +201,7 @@ assert health["worker_panics"] == 0 and health["workers_restarted"] == 0, health
 print("overload: %d served (p99 %.1f ms), %d shed (503=%d, reset=%d), "
       "health ledger exact" % (served[0], p99 * 1e3, observed, shed[0], resets[0]))
 '
-    kill "$serve_pid" 2>/dev/null || true
-    wait "$serve_pid" 2>/dev/null || true
-    trap - EXIT
+    stop_server
     rm -rf "$dir"
 fi
 
