@@ -113,6 +113,6 @@ fn main() {
         println!("quarantine-report-json ({} @ rate {:.2}):", p.setting, p.rate);
         println!("{}", p.report.to_json());
     }
-    println!();
-    println!("total wall time {:?}", t0.elapsed());
+    // On stderr, so two runs of one build print the same stdout.
+    eprintln!("total wall time {:?}", t0.elapsed());
 }

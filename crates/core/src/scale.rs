@@ -221,7 +221,10 @@ pub struct StoreBuildReport {
 }
 
 /// Featurizes one population shard through `pipeline` into a shard
-/// writer, returning its publish metadata.
+/// writer, returning its publish metadata. Athletes are generated and
+/// featurized one at a time, in id order, so a worker holds one
+/// athlete's tracks rather than the whole shard's; the rows are those
+/// of [`PopulationConfig::generate_shard`] in the same order.
 fn featurize_shard(
     cfg: &ScaleConfig,
     pipeline: &TextPipeline,
@@ -230,9 +233,9 @@ fn featurize_shard(
     fingerprint: u64,
     s: usize,
 ) -> Result<featstore::ShardMeta, durable::Error> {
-    let shard = cfg.population.generate_shard(terrain, s);
     let mut w = ShardWriter::create(&cfg.store_dir, s, n_cols as u64, fingerprint)?;
-    for athlete in &shard.athletes {
+    for id in cfg.population.shard_range(s) {
+        let athlete = cfg.population.generate_athlete(terrain, id);
         for (ai, act) in athlete.activities.iter().enumerate() {
             let sv = pipeline.transform_sparse(&act.elevation_profile());
             w.append_row(

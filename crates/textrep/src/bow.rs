@@ -1,7 +1,9 @@
 //! Bag-of-words feature extraction with frequency-threshold selection.
 
+use crate::encode::{push_word, read_rank, NO_WORD};
 use crate::ngrams::Vocabulary;
-use serde::{Deserialize, Serialize};
+use crate::trie::GramTrie;
+use serde::{derive_support, Deserialize, Error, Serialize, Value};
 use sparsemat::SparseVec;
 use std::collections::HashMap;
 
@@ -51,12 +53,21 @@ impl Default for FeatureSelection {
 /// Feature selection: "features are ordered by term frequency across the
 /// corpus and the features whose term frequency is under the specified
 /// threshold are discarded and a new vocabulary is created."
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Grams are counted and looked up as sequences of word ranks, the
+/// numbers each word spells in base 26, in a trie of integer paths;
+/// only the selected features are spelled out as text. Words have one
+/// fixed width, so a gram's text and its rank sequence determine each
+/// other and sort alike, and the features, their order and every
+/// transformed value are those the text form gives. A word with a byte
+/// outside the alphabet (`a..=z`) spells no rank: it is counted in no
+/// gram and matches no feature.
+#[derive(Debug, Clone)]
 pub struct BowVectorizer {
     /// Selected vocabulary entries, sorted (feature order).
     features: Vec<String>,
-    /// entry → feature index.
-    index: HashMap<String, usize>,
+    /// The features as rank paths; each one's end node holds its index.
+    trie: GramTrie,
     word_size: usize,
     max_n: usize,
 }
@@ -73,25 +84,18 @@ impl BowVectorizer {
         corpus: &[String],
         tf_threshold: usize,
     ) -> Self {
-        let full_index: HashMap<&str, usize> = vocabulary
+        let counts = count_corpus(corpus, word_size, max_n);
+        let mut gram = Vec::new();
+        let counted = vocabulary
             .entries()
             .iter()
-            .enumerate()
-            .map(|(i, e)| (e.as_str(), i))
-            .collect();
-        let mut tf = vec![0usize; vocabulary.len()];
-        for line in corpus {
-            count_tiled(line, word_size, max_n, |gram| {
-                if let Some(&i) = full_index.get(gram) {
-                    tf[i] += 1;
-                }
-            });
-        }
-        let counted: Vec<(String, usize)> = vocabulary
-            .entries()
-            .iter()
-            .zip(&tf)
-            .map(|(e, &f)| (e.clone(), f))
+            .map(|entry| {
+                let tf = match read_gram(entry, word_size, max_n, &mut gram) {
+                    Ok(()) => counts.get(&gram),
+                    Err(_) => 0,
+                };
+                (entry.clone(), tf as usize)
+            })
             .collect();
         Self::from_counts(
             counted,
@@ -116,16 +120,29 @@ impl BowVectorizer {
         max_n: usize,
         selection: FeatureSelection,
     ) -> Self {
-        // Counted under borrowed keys: one `String` per distinct gram,
-        // not per occurrence. `from_counts` orders totally, so the
-        // map's iteration order never reaches the features.
-        let mut tf: HashMap<&str, usize> = HashMap::new();
-        for line in corpus {
-            count_tiled(line, word_size, max_n, |gram| {
-                *tf.entry(gram).or_insert(0) += 1;
-            });
-        }
-        let counted = tf.into_iter().map(|(gram, f)| (gram.to_owned(), f)).collect();
+        let counts = count_corpus(corpus, word_size, max_n);
+        Self::select(&counts, word_size, max_n, selection, |rank| rank)
+    }
+
+    /// Selects features from grams counted over word ids (see
+    /// [`GramTrie::count_tiles`]), where `rank_of` gives each id's word
+    /// rank: only grams that pass the threshold are spelled out.
+    pub(crate) fn select(
+        counts: &GramTrie,
+        word_size: usize,
+        max_n: usize,
+        selection: FeatureSelection,
+        rank_of: impl Fn(u32) -> u32,
+    ) -> Self {
+        let min = u32::try_from(selection.tf_threshold).unwrap_or(u32::MAX);
+        let mut counted = Vec::new();
+        counts.for_each_at_least(min, |gram, tf| {
+            let mut text = String::with_capacity(gram.len() * word_size);
+            for &id in gram {
+                push_word(&mut text, rank_of(id), word_size);
+            }
+            counted.push((text, tf as usize));
+        });
         Self::from_counts(counted, selection, word_size, max_n)
     }
 
@@ -139,19 +156,23 @@ impl BowVectorizer {
             .into_iter()
             .filter(|(_, f)| *f >= selection.tf_threshold.max(1))
             .collect();
-        // Order by descending term frequency (paper), ties lexicographic.
-        kept.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        if let Some(max) = selection.max_features {
-            kept.truncate(max);
+        // Keep the `max` first by descending term frequency (paper),
+        // ties lexicographic. Entries are distinct, so the order is
+        // total and the kept set is the same however it is found.
+        if let Some(max) = selection.max_features.filter(|&max| max < kept.len()) {
+            if max == 0 {
+                kept.clear();
+            } else {
+                kept.select_nth_unstable_by(max - 1, |a, b| {
+                    b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0))
+                });
+                kept.truncate(max);
+            }
         }
         let mut features: Vec<String> = kept.into_iter().map(|(e, _)| e).collect();
         features.sort_unstable();
-        let index = features
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (e.clone(), i))
-            .collect();
-        Self { features, index, word_size, max_n }
+        let trie = feature_trie(&features, word_size, max_n).expect("counted grams are features");
+        Self { features, trie, word_size, max_n }
     }
 
     /// The selected features, in feature-vector order.
@@ -185,18 +206,22 @@ impl BowVectorizer {
     /// integers in `f32`, and the division is the identical operation),
     /// so densifying reproduces the dense transform bit for bit.
     ///
-    /// Every buffer is sized before it is filled (the match list to the
-    /// tile count, the row to the distinct matches), so a call makes the
-    /// same few allocations at any signal length.
+    /// Every buffer is sized before it is filled (the ranks to the word
+    /// count, the match list to the tile count, the row to the distinct
+    /// matches), so a call makes the same few allocations at any signal
+    /// length. A trailing partial word is ignored.
     pub fn transform_sparse(&self, encoded: &str) -> SparseVec {
-        let words = encoded.len() / self.word_size;
-        let tiles: usize = (1..=self.max_n).map(|n| words / n).sum();
+        let mut ranks = Vec::with_capacity(encoded.len() / self.word_size);
+        ranks.extend(encoded.as_bytes().chunks_exact(self.word_size).map(read_rank));
+        self.transform_ranks(&ranks)
+    }
+
+    /// [`BowVectorizer::transform_sparse`] over a signal's word ranks.
+    pub(crate) fn transform_ranks(&self, ranks: &[u32]) -> SparseVec {
+        let words = ranks.len();
+        let tiles: usize = (1..=self.max_n.min(words)).map(|n| words / n).sum();
         let mut matched: Vec<u32> = Vec::with_capacity(tiles);
-        count_tiled(encoded, self.word_size, self.max_n, |gram| {
-            if let Some(&i) = self.index.get(gram) {
-                matched.push(i as u32);
-            }
-        });
+        self.trie.match_tiles(ranks, self.max_n, &mut matched);
         if matched.is_empty() {
             return SparseVec::zeros(self.features.len());
         }
@@ -220,26 +245,88 @@ impl BowVectorizer {
     }
 }
 
-/// Visits the non-overlapping word-aligned tiling of `line` for every
-/// gram order `1..=max_n`.
-fn count_tiled<'a>(
-    line: &'a str,
+/// Term frequencies of every tiled gram of an encoded corpus.
+fn count_corpus(corpus: &[String], word_size: usize, max_n: usize) -> GramTrie {
+    let mut counts = GramTrie::default();
+    let mut ranks = Vec::new();
+    for line in corpus {
+        ranks.clear();
+        ranks.extend(line.as_bytes().chunks_exact(word_size).map(read_rank));
+        counts.count_tiles(&ranks, max_n);
+    }
+    counts
+}
+
+/// Reads `text` as a gram's rank sequence into `gram`: it must be one
+/// to `max_n` whole words of the alphabet.
+fn read_gram(
+    text: &str,
     word_size: usize,
     max_n: usize,
-    mut visit: impl FnMut(&'a str),
-) {
-    let usable = line.len() - line.len() % word_size;
-    let line = &line[..usable];
-    for n in 1..=max_n {
-        let window = word_size * n;
-        if window > line.len() {
-            break;
+    gram: &mut Vec<u32>,
+) -> Result<(), String> {
+    gram.clear();
+    if word_size == 0 || text.is_empty() || !text.len().is_multiple_of(word_size) {
+        return Err(format!("{text:?} is not whole {word_size}-letter words"));
+    }
+    gram.extend(text.as_bytes().chunks_exact(word_size).map(read_rank));
+    if gram.len() > max_n || gram.contains(&NO_WORD) {
+        return Err(format!("{text:?} is not a gram of 1 to {max_n} alphabet words"));
+    }
+    Ok(())
+}
+
+/// The trie of `features`, each end node holding its index plus one.
+fn feature_trie(features: &[String], word_size: usize, max_n: usize) -> Result<GramTrie, String> {
+    let mut trie = GramTrie::with_capacity(features.len());
+    let mut gram = Vec::new();
+    for (i, feature) in features.iter().enumerate() {
+        read_gram(feature, word_size, max_n, &mut gram)?;
+        let value = u32::try_from(i + 1).map_err(|_| "too many features".to_owned())?;
+        trie.insert(&gram, value);
+    }
+    Ok(trie)
+}
+
+/// Serializes as the text form always has: the features, the
+/// feature → index pairs (the shim's map encoding), the word size and
+/// the gram order. The trie is rebuilt on load.
+impl Serialize for BowVectorizer {
+    fn to_value(&self) -> Value {
+        let index: HashMap<&str, usize> =
+            self.features.iter().enumerate().map(|(i, f)| (f.as_str(), i)).collect();
+        derive_support::object(vec![
+            ("features", self.features.to_value()),
+            ("index", index.to_value()),
+            ("word_size", self.word_size.to_value()),
+            ("max_n", self.max_n.to_value()),
+        ])
+    }
+}
+
+/// Rejects a word size of 0, an `index` that does not map each feature
+/// to its position, and a feature that is not one to `max_n` whole
+/// alphabet words.
+impl Deserialize for BowVectorizer {
+    fn from_value(value: &Value) -> Result<Self, Error> {
+        let field = |key| derive_support::field(value, "BowVectorizer", key);
+        let features = Vec::<String>::from_value(field("features")?)?;
+        let index = HashMap::<String, usize>::from_value(field("index")?)?;
+        let word_size = usize::from_value(field("word_size")?)?;
+        let max_n = usize::from_value(field("max_n")?)?;
+        if word_size == 0 {
+            return Err(Error::custom("BowVectorizer: word size 0"));
         }
-        let mut start = 0;
-        while start + window <= line.len() {
-            visit(&line[start..start + window]);
-            start += window;
+        let positions_hold = index.len() == features.len()
+            && features.iter().enumerate().all(|(i, f)| index.get(f) == Some(&i));
+        if !positions_hold {
+            return Err(Error::custom(
+                "BowVectorizer: index does not hold the features' positions",
+            ));
         }
+        let trie = feature_trie(&features, word_size, max_n)
+            .map_err(|e| Error::custom(format!("BowVectorizer: feature {e}")))?;
+        Ok(Self { features, trie, word_size, max_n })
     }
 }
 
@@ -364,6 +451,69 @@ mod tests {
         let s = v.transform_sparse("zzzz");
         assert_eq!(s.nnz(), 0);
         assert_eq!(s.dim(), v.n_features());
+    }
+
+    #[test]
+    fn words_outside_the_alphabet_match_nothing() {
+        // A non-ASCII character is two bytes, so at word size 1 it is
+        // two words that are not letters; upper-case letters are not
+        // words of the alphabet either. Neither is counted or matched.
+        let corpus: Vec<String> = vec!["abab".into(), "aé".into(), "abAB".into()];
+        let v = BowVectorizer::fit_tiled(&corpus, 1, 2, FeatureSelection::keep_all());
+        assert_eq!(v.features(), &["a".to_owned(), "ab".to_owned(), "b".to_owned()]);
+        let s = v.transform_sparse("aé");
+        assert_eq!(s.indices(), &[0]);
+        assert_eq!(s.values(), &[1.0]);
+        assert_eq!(v.transform_sparse("ABé").nnz(), 0);
+        let (mixed, plain) = (v.transform_sparse("abAB"), v.transform_sparse("ab"));
+        assert_eq!((mixed.indices(), mixed.values()), (plain.indices(), plain.values()));
+        // At word size 2 the character is one whole word, still no rank.
+        let wide =
+            BowVectorizer::fit_tiled(&["abé".to_owned()], 2, 2, FeatureSelection::keep_all());
+        assert_eq!(wide.features(), &["ab".to_owned()]);
+        assert_eq!(wide.transform_sparse("éab").values(), &[1.0]);
+    }
+
+    #[test]
+    fn serialized_index_must_hold_feature_positions() {
+        let v = fit(&["abcabc", "bcabca"], 1, 2, 1);
+        let value = v.to_value();
+        let back = BowVectorizer::from_value(&value).expect("round trip");
+        assert_eq!(back.features(), v.features());
+        assert_eq!(back.to_value(), value);
+        let with = |key: &str, replacement: Value| {
+            let Value::Object(mut m) = value.clone() else { unreachable!() };
+            m.insert(key.to_owned(), replacement);
+            BowVectorizer::from_value(&Value::Object(m))
+        };
+        let mut index: HashMap<String, usize> =
+            v.features().iter().enumerate().map(|(i, f)| (f.clone(), i)).collect();
+        *index.get_mut("a").unwrap() += 1;
+        assert!(with("index", index.to_value()).is_err());
+        assert!(with("index", Vec::<(String, usize)>::new().to_value()).is_err());
+        let mut features = v.features().to_vec();
+        features[0] = "A".into();
+        let index: HashMap<String, usize> =
+            features.iter().enumerate().map(|(i, f)| (f.clone(), i)).collect();
+        let Value::Object(mut m) = value.clone() else { unreachable!() };
+        m.insert("features".into(), features.to_value());
+        m.insert("index".into(), index.to_value());
+        assert!(BowVectorizer::from_value(&Value::Object(m)).is_err());
+        assert!(with("max_n", 1usize.to_value()).is_err());
+        assert!(with("word_size", 0usize.to_value()).is_err());
+        let empty = fit(&[""], 1, 2, 1);
+        assert_eq!(empty.n_features(), 0);
+        let Value::Object(mut m) = empty.to_value() else { unreachable!() };
+        m.insert("word_size".into(), 0usize.to_value());
+        assert!(BowVectorizer::from_value(&Value::Object(m)).is_err());
+    }
+
+    #[test]
+    fn gram_order_zero_counts_nothing() {
+        let corpus: Vec<String> = vec!["abab".into()];
+        let v = BowVectorizer::fit_tiled(&corpus, 1, 0, FeatureSelection::keep_all());
+        assert_eq!(v.n_features(), 0);
+        assert_eq!(v.transform_sparse("abab").nnz(), 0);
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! 2. **Word-size decision**: `w = ⌈log_l c⌉` where `l` is the alphabet
 //!    length and `c` the number of unique discrete values.
 //! 3. **Text encoding** ([`ValueCodebook`]): each unique value maps to a
-//!    unique length-`w` string; a signal becomes the concatenation of
-//!    its values' words.
+//!    unique length-`w` string, the base-`l` spelling of its rank in
+//!    value order; a signal becomes the concatenation of its values'
+//!    words.
 //! 4. **Vocabulary creation** ([`Vocabulary`]): unique word-aligned
 //!    k-grams for `k = 1..=n` over the whole corpus.
 //!
@@ -18,6 +19,15 @@
 //! occurrences of vocabulary entries in each encoded signal and
 //! L1-normalizes the counts into occurrence probabilities, with
 //! term-frequency-threshold feature selection for large corpora.
+//!
+//! [`TextPipeline`] never writes a signal's text to featurize it. A
+//! value's word is handled as the number it spells, its rank, and grams
+//! are counted and looked up as rank sequences in an integer trie. Every
+//! word has the same width and spells its rank as a base-`l` numeral, so
+//! a gram's text and its rank sequence determine each other and sort
+//! the same way: the selected features, their order and every feature
+//! value are those the text form gives. Only the selected features are
+//! spelled out ([`TextPipeline::encode`] still writes a signal's text).
 //!
 //! # Examples
 //!
@@ -47,9 +57,13 @@ mod bow;
 mod discretize;
 mod encode;
 mod ngrams;
+#[cfg(test)]
+mod reference;
+mod trie;
 
 pub use bow::{BowVectorizer, FeatureSelection};
 pub use discretize::Discretizer;
+use encode::ValueIds;
 pub use encode::{ValueCodebook, ALPHABET, ALPHABET_LEN};
 pub use ngrams::Vocabulary;
 
@@ -70,10 +84,13 @@ impl TextPipeline {
     ///
     /// `max_n` is the n-gram order (the paper fixes n = 8); `selection`
     /// is the paper's term-frequency feature selection. The vectorizer
-    /// is fit from non-overlapping tilings directly
-    /// ([`BowVectorizer::fit_tiled`]), which yields the same features as
-    /// the sliding-window vocabulary after selection but scales to the
-    /// mined corpora.
+    /// is fit from non-overlapping tilings directly, as
+    /// [`BowVectorizer::fit_tiled`] fits the encoded corpus, which yields
+    /// the same features as the sliding-window vocabulary after
+    /// selection but scales to the mined corpora. The corpus is read
+    /// once: values are numbered as they are first seen, grams are
+    /// counted over those numbers, and once the codebook ranks the
+    /// values the grams that pass the threshold are spelled.
     ///
     /// # Panics
     ///
@@ -85,13 +102,19 @@ impl TextPipeline {
         signals: &[Vec<f64>],
     ) -> Self {
         assert!(max_n > 0, "n-gram order must be at least 1");
-        let discrete: Vec<Vec<i64>> =
-            signals.iter().map(|s| discretizer.apply(s)).collect();
-        let codebook = ValueCodebook::fit(discrete.iter().map(|d| d.as_slice()));
-        let corpus: Vec<String> =
-            discrete.iter().map(|d| codebook.encode_signal(d)).collect();
+        let mut ids = ValueIds::default();
+        let mut counts = trie::GramTrie::default();
+        let mut words = Vec::new();
+        for signal in signals {
+            words.clear();
+            words.extend(signal.iter().map(|&e| ids.id(discretizer.apply_one(e))));
+            counts.count_tiles(&words, max_n);
+        }
+        let (codebook, rank_of) = ids.into_codebook();
         let vectorizer =
-            BowVectorizer::fit_tiled(&corpus, codebook.word_size(), max_n, selection);
+            BowVectorizer::select(&counts, codebook.word_size(), max_n, selection, |id| {
+                rank_of[id as usize]
+            });
         Self { discretizer, codebook, vectorizer }
     }
 
@@ -118,14 +141,19 @@ impl TextPipeline {
 
     /// Transforms one elevation signal into its normalized BoW vector.
     pub fn transform(&self, signal: &[f64]) -> Vec<f32> {
-        self.vectorizer.transform(&self.encode(signal))
+        self.transform_sparse(signal).to_dense()
     }
 
     /// Transforms one elevation signal into a sparse BoW vector without
-    /// materializing the dense row (see
+    /// materializing the dense row or the encoded text (see
     /// [`BowVectorizer::transform_sparse`]).
     pub fn transform_sparse(&self, signal: &[f64]) -> sparsemat::SparseVec {
-        self.vectorizer.transform_sparse(&self.encode(signal))
+        // At most one rank per point, so the buffer never reallocates:
+        // a call allocates as often at any signal length.
+        let mut ranks = Vec::with_capacity(signal.len());
+        let (d, codebook) = (self.discretizer, &self.codebook);
+        ranks.extend(signal.iter().filter_map(|&e| codebook.rank(d.apply_one(e))));
+        self.vectorizer.transform_ranks(&ranks)
     }
 
     /// Transforms a batch of signals.
