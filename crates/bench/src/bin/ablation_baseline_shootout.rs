@@ -38,7 +38,8 @@ fn main() {
         let features = pipeline.transform_all(&signals);
         let labels = ds.labels();
         let folds = stratified_k_fold(&labels, cfg.folds, seed);
-        let summary = evaluate_folds(&labels, ds.n_classes(), &folds, |train, test| {
+        let executor = exec::Executor::from_env();
+        let summary = evaluate_folds(&labels, ds.n_classes(), &folds, &executor, |_, train, test| {
             let xt: Vec<Vec<f32>> = train.iter().map(|&i| features[i].clone()).collect();
             let yt: Vec<u32> = train.iter().map(|&i| labels[i]).collect();
             let xs: Vec<Vec<f32>> = test.iter().map(|&i| features[i].clone()).collect();

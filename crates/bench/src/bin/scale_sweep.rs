@@ -136,5 +136,5 @@ fn main() {
     std::fs::write(path, format!("{json}\n")).expect("write scale_population.json");
     println!();
     println!("wrote {path}");
-    println!("total wall time {:?}", t0.elapsed());
+    eprintln!("total wall time {:?}", t0.elapsed());
 }

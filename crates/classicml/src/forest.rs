@@ -75,23 +75,6 @@ impl RandomForest {
         Self { trees, n_classes }
     }
 
-    /// Trains from either feature layout.
-    ///
-    /// Tree growth needs O(1) column access for its split scans, so a
-    /// sparse matrix is densified once up front (the forest is the one
-    /// text model that keeps a dense view); a dense matrix is borrowed
-    /// as-is. Either way the training computation — and therefore the
-    /// fitted forest — is identical to [`RandomForest::fit`] on dense
-    /// rows.
-    pub fn fit_matrix(
-        x: &sparsemat::FeatureMatrix,
-        y: &[u32],
-        config: &ForestConfig,
-        seed: u64,
-    ) -> Self {
-        Self::fit(&x.to_dense_rows(), y, config, seed)
-    }
-
     /// Number of trees.
     pub fn n_trees(&self) -> usize {
         self.trees.len()

@@ -12,16 +12,16 @@
 //!   paper's overlap-leakage mechanism explicit (a repeated route's
 //!   near-twin sits in the training set).
 //!
-//! Models consume dense `Vec<f32>` feature rows; the SVM and the forest
-//! also take the sparse CSR layout of `sparsemat` (the BoW vectors of
-//! `textrep` are >95% zeros at realistic vocabulary sizes). The SVM
-//! walks nonzeros directly (`fit_sparse`/`predict_sparse`), while the
-//! forest densifies once per fit via `sparsemat::FeatureMatrix`. The
-//! SVM's sparse path is bit-compatible with its dense one — same
-//! accumulation order, only exact-zero terms skipped — so a given seed
-//! produces the same model and predictions in either layout. Naive Bayes
-//! and k-NN take dense rows only. All models are deterministic given a
-//! seed.
+//! Models consume dense `Vec<f32>` feature rows; the SVM also takes the
+//! sparse CSR layout of `sparsemat` (the BoW vectors of `textrep` are
+//! over 95% zeros at realistic vocabulary sizes) and walks its nonzeros
+//! directly (`fit_sparse`/`predict_sparse`). A caller holding CSR rows
+//! trains the forest on `CsrMatrix::to_dense_rows`, since its split
+//! scans want random column access. The SVM's sparse path is
+//! bit-compatible with its dense one — same accumulation order, only
+//! exact-zero terms skipped — so a given seed produces the same model
+//! and predictions in either layout. Naive Bayes and k-NN take dense
+//! rows only. All models are deterministic given a seed.
 //!
 //! # Examples
 //!

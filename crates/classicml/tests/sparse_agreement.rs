@@ -7,7 +7,7 @@
 //! predictions exactly.
 
 use classicml::{RandomForest, SvmClassifier, SvmConfig};
-use sparsemat::{CsrMatrix, FeatureMatrix, SparseVec};
+use sparsemat::{CsrMatrix, SparseVec};
 
 /// Deterministic sparse "BoW" rows: `n` rows over `dim` features, a few
 /// nonzeros each, L1-normalized, labels by latent cluster.
@@ -59,17 +59,10 @@ fn svm_sparse_fit_matches_dense_exactly() {
 }
 
 #[test]
-fn forest_fit_matrix_densifies_to_the_same_model() {
+fn forest_on_densified_csr_is_the_dense_model() {
     let (x, y) = bow_like(30, 16, 2);
     let cfg = classicml::ForestConfig { n_trees: 10, ..Default::default() };
     let dense = RandomForest::fit(&x, &y, &cfg, 5);
-    let via_dense_matrix = RandomForest::fit_matrix(&FeatureMatrix::Dense(x.clone()), &y, &cfg, 5);
-    let via_sparse_matrix = RandomForest::fit_matrix(
-        &FeatureMatrix::Sparse(CsrMatrix::from_dense_rows(&x)),
-        &y,
-        &cfg,
-        5,
-    );
-    assert_eq!(dense, via_dense_matrix);
-    assert_eq!(dense, via_sparse_matrix);
+    let csr = CsrMatrix::from_dense_rows(&x);
+    assert_eq!(dense, RandomForest::fit(&csr.to_dense_rows(), &y, &cfg, 5));
 }

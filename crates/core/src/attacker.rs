@@ -9,7 +9,7 @@ use crate::text::{FittedTextModel, TextAttackConfig, TextModel};
 use datasets::Dataset;
 use imgrep::render;
 use neuralnet::Sequential;
-use sparsemat::{CsrMatrix, FeatureMatrix};
+use sparsemat::CsrMatrix;
 use tensorlite::Tensor;
 use textrep::{Discretizer, TextPipeline};
 
@@ -57,7 +57,7 @@ impl TextAttacker {
         let signals: Vec<Vec<f64>> =
             ds.samples().iter().map(|s| s.elevation.clone()).collect();
         let pipeline = TextPipeline::fit(discretizer, cfg.ngram, cfg.selection, &signals);
-        let features = FeatureMatrix::Sparse(pipeline.transform_all_csr(&signals));
+        let features = pipeline.transform_all_csr(&signals);
         let labels = ds.labels();
         let fitted = FittedTextModel::fit(model, &features, &labels, cfg, cfg.seed);
         Self { pipeline, model: fitted, label_names: ds.label_names().to_vec() }
@@ -71,8 +71,7 @@ impl TextAttacker {
     /// Predicts the class index of one elevation profile.
     pub fn predict(&mut self, profile: &[f64]) -> u32 {
         let row = self.pipeline.transform_sparse(profile);
-        let features = FeatureMatrix::Sparse(CsrMatrix::from_rows(std::iter::once(&row)));
-        self.model.predict(&features)[0]
+        self.model.predict(&CsrMatrix::from_rows([&row]))[0]
     }
 
     /// Predicts the class *name* of one elevation profile.

@@ -1324,7 +1324,7 @@ mod tests {
         let a = fit_vocabulary(&cfg.population, &one);
         let b = fit_vocabulary(&cfg.population, &four);
         assert_eq!(a.n_features(), b.n_features());
-        assert_eq!(a.vectorizer().features(), b.vectorizer().features());
+        assert_eq!(a.features(), b.features());
         assert_eq!(a.codebook(), b.codebook());
 
         let key = |p: &Probe| {

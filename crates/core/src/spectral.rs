@@ -126,18 +126,16 @@ pub fn evaluate_spectral(
         ds.samples().iter().map(|s| spectral_features(&s.elevation)).collect();
     let labels = ds.labels();
     let folds = datasets::split::stratified_k_fold(&labels, cfg.folds, cfg.seed);
-    evalkit::evaluate_folds(&labels, ds.n_classes(), &folds, |train, test| {
-        // Spectral rows are short and dense, so they keep the dense view.
-        let xt = sparsemat::FeatureMatrix::Dense(
-            train.iter().map(|&i| features[i].clone()).collect(),
-        );
+    let executor = exec::Executor::from_env();
+    let gather = |rows: &[usize]| {
+        let dense: Vec<Vec<f32>> = rows.iter().map(|&i| features[i].clone()).collect();
+        sparsemat::CsrMatrix::from_dense_rows(&dense)
+    };
+    evalkit::evaluate_folds(&labels, ds.n_classes(), &folds, &executor, |_, train, test| {
         let yt: Vec<u32> = train.iter().map(|&i| labels[i]).collect();
         let mut fitted =
-            crate::text::FittedTextModel::fit(model, &xt, &yt, cfg, cfg.seed ^ 0x5bec);
-        let xs = sparsemat::FeatureMatrix::Dense(
-            test.iter().map(|&i| features[i].clone()).collect(),
-        );
-        fitted.predict(&xs)
+            crate::text::FittedTextModel::fit(model, &gather(train), &yt, cfg, cfg.seed ^ 0x5bec);
+        fitted.predict(&gather(test))
     })
 }
 

@@ -4,8 +4,8 @@ use crate::featcache;
 use crate::timing::{self, Phase};
 use datasets::split::stratified_k_fold;
 use datasets::Dataset;
-use evalkit::{evaluate_folds_parallel, FoldSummary};
-use sparsemat::{CsrMatrix, FeatureMatrix, SparseVec};
+use evalkit::{evaluate_folds, FoldSummary};
+use sparsemat::{CsrMatrix, SparseVec};
 use std::sync::Arc;
 use textrep::{Discretizer, FeatureSelection};
 
@@ -77,32 +77,28 @@ pub(crate) enum FittedTextModel {
 }
 
 impl FittedTextModel {
-    /// Fits the chosen model on a [`FeatureMatrix`].
+    /// Fits the chosen model on CSR feature rows.
     ///
-    /// Sparse inputs take the zero-skipping kernels (SVM sparse dots,
-    /// MLP sparse×dense input layer); dense inputs take the original
-    /// dense code. The two paths are bit-compatible (see
-    /// `crates/classicml/tests/sparse_agreement.rs` and
-    /// `crates/neuralnet/tests/sparse_training.rs`), so which one runs
-    /// never changes an experiment's output. The random forest is the
-    /// one model that always trains on a dense view — its per-node
-    /// threshold scans want random column access — which is exactly
-    /// what [`FeatureMatrix`] exists to express.
+    /// The SVM and the MLP walk the nonzeros (SVM sparse dots, MLP
+    /// sparse×dense input layer); both are bit-compatible with their
+    /// dense references (see `crates/classicml/tests/sparse_agreement.rs`
+    /// and `crates/neuralnet/tests/sparse_training.rs`). The random
+    /// forest trains on a dense view, densified once per fit, because
+    /// its per-node threshold scans want random column access.
     pub(crate) fn fit(
         model: TextModel,
-        x: &FeatureMatrix,
+        x: &CsrMatrix,
         y: &[u32],
         cfg: &TextAttackConfig,
         seed: u64,
     ) -> Self {
         let svm_cfg = classicml::SvmConfig { epochs: cfg.svm_epochs, lambda: cfg.svm_lambda };
         match model {
-            TextModel::Svm => FittedTextModel::Svm(match x {
-                FeatureMatrix::Sparse(m) => classicml::SvmClassifier::fit_sparse(m, y, &svm_cfg, seed),
-                FeatureMatrix::Dense(rows) => classicml::SvmClassifier::fit(rows, y, &svm_cfg, seed),
-            }),
-            TextModel::Rfc => FittedTextModel::Rfc(classicml::RandomForest::fit_matrix(
-                x,
+            TextModel::Svm => {
+                FittedTextModel::Svm(classicml::SvmClassifier::fit_sparse(x, y, &svm_cfg, seed))
+            }
+            TextModel::Rfc => FittedTextModel::Rfc(classicml::RandomForest::fit(
+                &x.to_dense_rows(),
                 y,
                 &classicml::ForestConfig { n_trees: cfg.rfc_trees, ..Default::default() },
                 seed,
@@ -116,31 +112,17 @@ impl FittedTextModel {
                     seed,
                     ..Default::default()
                 };
-                match x {
-                    FeatureMatrix::Sparse(m) => {
-                        neuralnet::train_sparse(&mut net, m, y, &train_cfg);
-                    }
-                    FeatureMatrix::Dense(rows) => {
-                        let tensor = tensorlite::Tensor::from_rows(rows);
-                        neuralnet::train(&mut net, &tensor, y, &train_cfg);
-                    }
-                }
+                neuralnet::train_sparse(&mut net, x, y, &train_cfg);
                 FittedTextModel::Mlp(net)
             }
         }
     }
 
-    pub(crate) fn predict(&mut self, x: &FeatureMatrix) -> Vec<u32> {
+    pub(crate) fn predict(&mut self, x: &CsrMatrix) -> Vec<u32> {
         match self {
-            FittedTextModel::Svm(m) => match x {
-                FeatureMatrix::Sparse(rows) => m.predict_sparse(rows),
-                FeatureMatrix::Dense(rows) => m.predict(rows),
-            },
+            FittedTextModel::Svm(m) => m.predict_sparse(x),
             FittedTextModel::Rfc(m) => m.predict(&x.to_dense_rows()),
-            FittedTextModel::Mlp(net) => match x {
-                FeatureMatrix::Sparse(rows) => net.predict_sparse(rows),
-                FeatureMatrix::Dense(rows) => net.predict(&tensorlite::Tensor::from_rows(rows)),
-            },
+            FittedTextModel::Mlp(net) => net.predict_sparse(x),
         }
     }
 }
@@ -176,12 +158,11 @@ pub fn evaluate_text(
         let pipeline = featcache::pipeline_for(&signals, discretizer, cfg.ngram, cfg.selection);
         executor.map(&signals, |_, s| pipeline.bow(s))
     });
-    let gather = |rows: &[usize]| {
-        FeatureMatrix::Sparse(CsrMatrix::from_rows(rows.iter().map(|&i| features[i].as_ref())))
-    };
+    let gather =
+        |rows: &[usize]| CsrMatrix::from_rows(rows.iter().map(|&i| features[i].as_ref()));
     let labels = ds.labels();
     let folds = stratified_k_fold(&labels, cfg.folds, cfg.seed);
-    evaluate_folds_parallel(&labels, ds.n_classes(), &folds, &executor, |fold_idx, train, test| {
+    evaluate_folds(&labels, ds.n_classes(), &folds, &executor, |fold_idx, train, test| {
         let xt = gather(train);
         let yt: Vec<u32> = train.iter().map(|&i| labels[i]).collect();
         let fold_seed = exec::mix_seed(cfg.seed ^ 0x7E47, fold_idx as u64);

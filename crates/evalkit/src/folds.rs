@@ -53,53 +53,21 @@ impl FoldSummary {
     }
 }
 
-/// Runs `fit_predict` on each `(train, test)` fold and aggregates.
+/// Runs `fit_predict` on each `(train, test)` fold on `executor` and
+/// aggregates the results in fold order.
 ///
-/// `fit_predict(train_indices, test_indices)` must return one predicted
-/// label per test index, in order. The fold indices typically come from
-/// `datasets::split::stratified_k_fold`.
+/// `fit_predict(fold_index, train_indices, test_indices)` must return
+/// one predicted label per test index, in order. It receives the fold's
+/// position so callers can derive a per-fold RNG stream from a master
+/// seed (`exec::mix_seed`); it must be deterministic in its arguments
+/// for results to be identical at every thread count. The fold indices
+/// typically come from `datasets::split::stratified_k_fold`.
 ///
 /// # Panics
 ///
 /// Panics if `folds` is empty or a closure returns the wrong number of
 /// predictions.
 pub fn evaluate_folds<F>(
-    labels: &[u32],
-    n_classes: usize,
-    folds: &[(Vec<usize>, Vec<usize>)],
-    mut fit_predict: F,
-) -> FoldSummary
-where
-    F: FnMut(&[usize], &[usize]) -> Vec<u32>,
-{
-    assert!(!folds.is_empty(), "need at least one fold");
-    let mut matrices = Vec::with_capacity(folds.len());
-    for (train, test) in folds {
-        let preds = fit_predict(train, test);
-        assert_eq!(preds.len(), test.len(), "one prediction per test sample");
-        let truth: Vec<u32> = test.iter().map(|&i| labels[i]).collect();
-        matrices.push(ConfusionMatrix::from_predictions(&truth, &preds, n_classes));
-    }
-    let pooled = matrices
-        .iter()
-        .skip(1)
-        .fold(matrices[0].clone(), |acc, m| acc.merged(m));
-    FoldSummary { folds: matrices, pooled }
-}
-
-/// Parallel variant of [`evaluate_folds`]: folds run concurrently on
-/// `executor`, results aggregate in fold order.
-///
-/// `fit_predict(fold_index, train_indices, test_indices)` receives the
-/// fold's position so callers can derive a per-fold RNG stream from a
-/// master seed (`exec::mix_seed`) — the closure must be deterministic
-/// in its arguments for results to be identical at every thread count.
-///
-/// # Panics
-///
-/// Panics if `folds` is empty or a closure returns the wrong number of
-/// predictions.
-pub fn evaluate_folds_parallel<F>(
     labels: &[u32],
     n_classes: usize,
     folds: &[(Vec<usize>, Vec<usize>)],
@@ -127,6 +95,10 @@ where
 mod tests {
     use super::*;
 
+    fn one_thread() -> exec::Executor {
+        exec::Executor::new(1)
+    }
+
     #[test]
     fn aggregates_perfect_oracle() {
         let labels = vec![0u32, 1, 0, 1, 0, 1];
@@ -134,7 +106,7 @@ mod tests {
             (vec![0, 1, 2, 3], vec![4, 5]),
             (vec![2, 3, 4, 5], vec![0, 1]),
         ];
-        let summary = evaluate_folds(&labels, 2, &folds, |_, test| {
+        let summary = evaluate_folds(&labels, 2, &folds, &one_thread(), |_, _, test| {
             test.iter().map(|&i| labels[i]).collect()
         });
         let o = summary.outcome();
@@ -151,10 +123,8 @@ mod tests {
             (vec![0, 1], vec![2, 3]),
         ];
         // First fold perfect, second fold fully wrong.
-        let mut call = 0;
-        let summary = evaluate_folds(&labels, 2, &folds, |_, test| {
-            call += 1;
-            if call == 1 {
+        let summary = evaluate_folds(&labels, 2, &folds, &one_thread(), |fold, _, test| {
+            if fold == 0 {
                 test.iter().map(|&i| labels[i]).collect()
             } else {
                 test.iter().map(|&i| 1 - labels[i]).collect()
@@ -168,13 +138,13 @@ mod tests {
     fn rejects_wrong_prediction_count() {
         let labels = vec![0u32, 1];
         let folds = vec![(vec![0], vec![1])];
-        evaluate_folds(&labels, 2, &folds, |_, _| vec![]);
+        evaluate_folds(&labels, 2, &folds, &one_thread(), |_, _, _| vec![]);
     }
 
     #[test]
     #[should_panic(expected = "at least one fold")]
     fn rejects_empty_folds() {
-        evaluate_folds(&[0u32], 1, &[], |_, _| vec![]);
+        evaluate_folds(&[0u32], 1, &[], &one_thread(), |_, _, _| vec![]);
     }
 
     #[test]
@@ -191,22 +161,12 @@ mod tests {
         let predict = |fold_idx: usize, _train: &[usize], test: &[usize]| -> Vec<u32> {
             test.iter().map(|&i| ((i + fold_idx) % 4) as u32).collect()
         };
-        let sequential = {
-            let mut fold_idx = 0;
-            evaluate_folds(&labels, 4, &folds, |train, test| {
-                let p = predict(fold_idx, train, test);
-                fold_idx += 1;
-                p
-            })
-        };
-        for threads in [1, 2, 4] {
-            let parallel = evaluate_folds_parallel(
-                &labels,
-                4,
-                &folds,
-                &exec::Executor::new(threads),
-                |i, train, test| predict(i, train, test),
-            );
+        // One thread runs the folds in order; more run them at once.
+        let sequential = evaluate_folds(&labels, 4, &folds, &one_thread(), predict);
+        assert_eq!(sequential.folds.len(), folds.len());
+        for threads in [2, 4] {
+            let parallel =
+                evaluate_folds(&labels, 4, &folds, &exec::Executor::new(threads), predict);
             assert_eq!(parallel, sequential, "threads={threads}");
         }
     }

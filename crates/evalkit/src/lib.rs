@@ -20,5 +20,5 @@ mod folds;
 mod report;
 
 pub use confusion::ConfusionMatrix;
-pub use folds::{evaluate_folds, evaluate_folds_parallel, FoldOutcome, FoldSummary};
+pub use folds::{evaluate_folds, FoldOutcome, FoldSummary};
 pub use report::ClassificationReport;

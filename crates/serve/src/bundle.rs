@@ -22,7 +22,7 @@ use elev_core::experiments::{Corpora, ExperimentScale};
 use elev_core::report::{IngestSummary, LeakageReport, ModelVote, TaskReport};
 use exec::mix_seed;
 use neuralnet::{models, train_sparse, FlatMlp, TrainConfig};
-use sparsemat::{FeatureMatrix, SparseVec};
+use sparsemat::SparseVec;
 use std::collections::BTreeMap;
 use textrep::{Discretizer, FeatureSelection, TextPipeline};
 
@@ -127,8 +127,8 @@ impl TaskModels {
             &SvmConfig { epochs: cfg.svm_epochs, ..SvmConfig::default() },
             mix_seed(seed, 1),
         );
-        let rfc = RandomForest::fit_matrix(
-            &FeatureMatrix::Sparse(x.clone()),
+        let rfc = RandomForest::fit(
+            &x.to_dense_rows(),
             &y,
             &ForestConfig { n_trees: cfg.rfc_trees, ..Default::default() },
             mix_seed(seed, 2),

@@ -9,8 +9,12 @@
 //!
 //! - [`SparseVec::dot_dense`] — the Pegasos SVM inner product,
 //! - [`CsrMatrix::matmul_dense`] — the MLP's sparse×dense input matmul,
-//! - [`FeatureMatrix`] — dense/sparse dispatch so column-split learners
-//!   (the random forest) keep a dense view.
+//! - [`CsrMatrix::to_dense_rows`] — the dense view column-split
+//!   learners (the random forest) train on.
+//!
+//! [`CsrMatrix`] is the one input of the text-side models; short dense
+//! rows (the spectral baseline's) enter through
+//! [`CsrMatrix::from_dense_rows`].
 //!
 //! Every kernel accumulates in ascending index order, skipping only
 //! exact-zero terms, so results are bit-identical to the dense
@@ -316,51 +320,6 @@ impl CsrMatrix {
     }
 }
 
-/// Feature rows in either storage layout.
-///
-/// The text-side classifiers consume whichever layout fits their access
-/// pattern: the SVM and the MLP walk nonzeros
-/// ([`FeatureMatrix::Sparse`]), while the random forest's column splits
-/// need O(1) element access and densify once per fit
-/// ([`FeatureMatrix::to_dense_rows`]).
-#[derive(Debug, Clone, PartialEq)]
-pub enum FeatureMatrix {
-    /// Dense rows (row-major `Vec` per sample).
-    Dense(Vec<Vec<f32>>),
-    /// CSR nonzeros only.
-    Sparse(CsrMatrix),
-}
-
-impl FeatureMatrix {
-    /// Number of rows.
-    pub fn n_rows(&self) -> usize {
-        match self {
-            FeatureMatrix::Dense(rows) => rows.len(),
-            FeatureMatrix::Sparse(m) => m.n_rows(),
-        }
-    }
-
-    /// Number of columns.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty dense matrix.
-    pub fn n_cols(&self) -> usize {
-        match self {
-            FeatureMatrix::Dense(rows) => rows[0].len(),
-            FeatureMatrix::Sparse(m) => m.n_cols(),
-        }
-    }
-
-    /// A dense row-major view; borrows when already dense.
-    pub fn to_dense_rows(&self) -> std::borrow::Cow<'_, [Vec<f32>]> {
-        match self {
-            FeatureMatrix::Dense(rows) => std::borrow::Cow::Borrowed(rows),
-            FeatureMatrix::Sparse(m) => std::borrow::Cow::Owned(m.to_dense_rows()),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -417,16 +376,6 @@ mod tests {
         for (a, b) in sparse.data().iter().zip(dense.data()) {
             assert_eq!(a.to_bits(), b.to_bits(), "sparse {a} vs dense {b}");
         }
-    }
-
-    #[test]
-    fn feature_matrix_views_agree() {
-        let rows = dense_fixture();
-        let sparse = FeatureMatrix::Sparse(CsrMatrix::from_dense_rows(&rows));
-        let dense = FeatureMatrix::Dense(rows.clone());
-        assert_eq!(sparse.n_rows(), dense.n_rows());
-        assert_eq!(sparse.n_cols(), dense.n_cols());
-        assert_eq!(sparse.to_dense_rows().as_ref(), rows.as_slice());
     }
 
     #[test]

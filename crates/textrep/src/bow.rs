@@ -1,13 +1,12 @@
 //! Bag-of-words feature extraction with frequency-threshold selection.
 
 use crate::encode::{push_word, read_rank, NO_WORD};
-use crate::ngrams::Vocabulary;
 use crate::trie::GramTrie;
 use serde::{derive_support, Deserialize, Error, Serialize, Value};
 use sparsemat::SparseVec;
 use std::collections::HashMap;
 
-/// Feature-selection policy for [`BowVectorizer`].
+/// Feature-selection policy for [`TextPipeline::fit`](crate::TextPipeline::fit).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FeatureSelection {
     /// Minimum corpus term frequency; entries below it are discarded
@@ -40,7 +39,8 @@ impl Default for FeatureSelection {
     }
 }
 
-/// Bag-of-words vectorizer over an n-gram vocabulary.
+/// Bag-of-words vectorizer over an n-gram vocabulary, the feature half
+/// of a [`TextPipeline`](crate::TextPipeline).
 ///
 /// Per the paper's feature extraction: "words and non-overlapping
 /// occurrences of word sequences are counted, a feature vector for each
@@ -63,7 +63,7 @@ impl Default for FeatureSelection {
 /// outside the alphabet (`a..=z`) spells no rank: it is counted in no
 /// gram and matches no feature.
 #[derive(Debug, Clone)]
-pub struct BowVectorizer {
+pub(crate) struct BowVectorizer {
     /// Selected vocabulary entries, sorted (feature order).
     features: Vec<String>,
     /// The features as rank paths; each one's end node holds its index.
@@ -73,57 +73,6 @@ pub struct BowVectorizer {
 }
 
 impl BowVectorizer {
-    /// Fits the vectorizer: counts term frequencies over `corpus` and
-    /// keeps vocabulary entries with `tf >= tf_threshold`.
-    ///
-    /// A threshold of 0 or 1 keeps the whole vocabulary.
-    pub fn fit(
-        vocabulary: Vocabulary,
-        word_size: usize,
-        max_n: usize,
-        corpus: &[String],
-        tf_threshold: usize,
-    ) -> Self {
-        let counts = count_corpus(corpus, word_size, max_n);
-        let mut gram = Vec::new();
-        let counted = vocabulary
-            .entries()
-            .iter()
-            .map(|entry| {
-                let tf = match read_gram(entry, word_size, max_n, &mut gram) {
-                    Ok(()) => counts.get(&gram),
-                    Err(_) => 0,
-                };
-                (entry.clone(), tf as usize)
-            })
-            .collect();
-        Self::from_counts(
-            counted,
-            FeatureSelection { tf_threshold, max_features: None },
-            word_size,
-            max_n,
-        )
-    }
-
-    /// Fits directly from the corpus's non-overlapping tilings, without
-    /// materializing the full sliding-window [`Vocabulary`].
-    ///
-    /// This produces the same classifier inputs as [`BowVectorizer::fit`]
-    /// with the same selection: a gram that appears only in sliding
-    /// windows (never tiled) has term frequency 0 and transforms every
-    /// sample to 0 in that coordinate, so dropping it changes nothing.
-    /// For the mined corpora (hundreds of thousands of words) this is
-    /// the only practical path.
-    pub fn fit_tiled(
-        corpus: &[String],
-        word_size: usize,
-        max_n: usize,
-        selection: FeatureSelection,
-    ) -> Self {
-        let counts = count_corpus(corpus, word_size, max_n);
-        Self::select(&counts, word_size, max_n, selection, |rank| rank)
-    }
-
     /// Selects features from grams counted over word ids (see
     /// [`GramTrie::count_tiles`]), where `rank_of` gives each id's word
     /// rank: only grams that pass the threshold are spelled out.
@@ -176,47 +125,27 @@ impl BowVectorizer {
     }
 
     /// The selected features, in feature-vector order.
-    pub fn features(&self) -> &[String] {
+    pub(crate) fn features(&self) -> &[String] {
         &self.features
     }
 
     /// Feature-vector dimensionality.
-    pub fn n_features(&self) -> usize {
+    pub(crate) fn n_features(&self) -> usize {
         self.features.len()
     }
 
-    /// Counts non-overlapping gram occurrences in an encoded signal and
-    /// L1-normalizes into occurrence probabilities.
-    ///
-    /// Signals matching no feature transform to the zero vector. This is
-    /// the densified view of [`BowVectorizer::transform_sparse`]; the two
-    /// agree coordinate-for-coordinate, bit for bit.
-    pub fn transform(&self, encoded: &str) -> Vec<f32> {
-        self.transform_sparse(encoded).to_dense()
-    }
-
-    /// Counts non-overlapping gram occurrences and L1-normalizes, without
-    /// ever materializing a dense row.
+    /// Counts the non-overlapping gram occurrences of a signal given as
+    /// word ranks and L1-normalizes them into occurrence probabilities.
+    /// A signal matching no feature transforms to the zero vector.
     ///
     /// Only matched grams are touched: the matched feature indices are
     /// collected, sorted, and run-length counted, so the cost scales with
     /// the number of grams in the signal rather than with the vocabulary
-    /// size. Each stored value is `count / total` — exactly the value the
-    /// dense path computes for that coordinate (counts are exact small
-    /// integers in `f32`, and the division is the identical operation),
-    /// so densifying reproduces the dense transform bit for bit.
+    /// size. Each stored value is `count / total`.
     ///
-    /// Every buffer is sized before it is filled (the ranks to the word
-    /// count, the match list to the tile count, the row to the distinct
-    /// matches), so a call makes the same few allocations at any signal
-    /// length. A trailing partial word is ignored.
-    pub fn transform_sparse(&self, encoded: &str) -> SparseVec {
-        let mut ranks = Vec::with_capacity(encoded.len() / self.word_size);
-        ranks.extend(encoded.as_bytes().chunks_exact(self.word_size).map(read_rank));
-        self.transform_ranks(&ranks)
-    }
-
-    /// [`BowVectorizer::transform_sparse`] over a signal's word ranks.
+    /// Every buffer is sized before it is filled (the match list to the
+    /// tile count, the row to the distinct matches), so a call makes the
+    /// same few allocations at any signal length.
     pub(crate) fn transform_ranks(&self, ranks: &[u32]) -> SparseVec {
         let words = ranks.len();
         let tiles: usize = (1..=self.max_n.min(words)).map(|n| words / n).sum();
@@ -243,18 +172,6 @@ impl BowVectorizer {
         }
         SparseVec::new(self.features.len(), indices, values)
     }
-}
-
-/// Term frequencies of every tiled gram of an encoded corpus.
-fn count_corpus(corpus: &[String], word_size: usize, max_n: usize) -> GramTrie {
-    let mut counts = GramTrie::default();
-    let mut ranks = Vec::new();
-    for line in corpus {
-        ranks.clear();
-        ranks.extend(line.as_bytes().chunks_exact(word_size).map(read_rank));
-        counts.count_tiles(&ranks, max_n);
-    }
-    counts
 }
 
 /// Reads `text` as a gram's rank sequence into `gram`: it must be one
@@ -334,10 +251,34 @@ impl Deserialize for BowVectorizer {
 mod tests {
     use super::*;
 
+    /// The ranks of `text`'s whole words; a trailing partial word is
+    /// dropped, as it is from an encoded signal.
+    fn ranks(text: &str, word_size: usize) -> Vec<u32> {
+        text.as_bytes().chunks_exact(word_size).map(read_rank).collect()
+    }
+
+    /// Fits on an encoded corpus: its tiled grams counted as ranks, then
+    /// selected as [`crate::TextPipeline::fit`] selects them.
+    fn fit_selected(
+        corpus: &[&str],
+        word_size: usize,
+        max_n: usize,
+        selection: FeatureSelection,
+    ) -> BowVectorizer {
+        let mut counts = GramTrie::default();
+        for line in corpus {
+            counts.count_tiles(&ranks(line, word_size), max_n);
+        }
+        BowVectorizer::select(&counts, word_size, max_n, selection, |rank| rank)
+    }
+
     fn fit(corpus: &[&str], word_size: usize, max_n: usize, threshold: usize) -> BowVectorizer {
-        let corpus: Vec<String> = corpus.iter().map(|s| (*s).to_owned()).collect();
-        let vocab = Vocabulary::build(&corpus, word_size, max_n);
-        BowVectorizer::fit(vocab, word_size, max_n, &corpus, threshold)
+        let selection = FeatureSelection { tf_threshold: threshold, max_features: None };
+        fit_selected(corpus, word_size, max_n, selection)
+    }
+
+    fn transform(v: &BowVectorizer, text: &str) -> SparseVec {
+        v.transform_ranks(&ranks(text, v.word_size))
     }
 
     #[test]
@@ -346,10 +287,10 @@ mod tests {
         // 1-gram tiling: a,b,a,b,a,b (a:3, b:3)
         // 2-gram tiling: ab,ab,ab (ab:3, ba never in tiling)
         let v = fit(&["ababab"], 1, 2, 1);
-        let f = v.transform("ababab");
+        let f = transform(&v, "ababab").to_dense();
         let get = |g: &str| f[v.features().iter().position(|e| e == g).unwrap()];
-        // Vocabulary (sliding) has a, b, ab, ba — but "ba" is never in
-        // any non-overlapping tiling, so tf("ba") = 0 and it is pruned.
+        // The sliding-window vocabulary has a, b, ab, ba — but "ba" is
+        // in no non-overlapping tiling, so it is never counted.
         assert_eq!(v.n_features(), 3);
         assert!(!v.features().iter().any(|e| e == "ba"));
         let total = 3.0 + 3.0 + 3.0;
@@ -360,8 +301,7 @@ mod tests {
     #[test]
     fn transform_is_probability_vector() {
         let v = fit(&["abcabc", "bcabca"], 1, 3, 1);
-        let f = v.transform("abcabc");
-        let sum: f32 = f.iter().sum();
+        let sum: f32 = transform(&v, "abcabc").values().iter().sum();
         assert!((sum - 1.0).abs() < 1e-6);
     }
 
@@ -377,16 +317,14 @@ mod tests {
     #[test]
     fn unknown_grams_transform_to_zero() {
         let v = fit(&["abab"], 2, 1, 1);
-        let f = v.transform("zzzz");
-        assert!(f.iter().all(|&x| x == 0.0));
+        assert!(transform(&v, "zzzz").to_dense().iter().all(|&x| x == 0.0));
     }
 
     #[test]
     fn partial_trailing_word_is_ignored() {
         let v = fit(&["abab"], 2, 1, 1);
         // 5-char input: trailing 'a' is not a whole word.
-        let f = v.transform("ababa");
-        let sum: f32 = f.iter().sum();
+        let sum: f32 = transform(&v, "ababa").values().iter().sum();
         assert!((sum - 1.0).abs() < 1e-6);
     }
 
@@ -397,35 +335,45 @@ mod tests {
         assert_eq!(a.features(), b.features());
     }
 
+    /// The paper's form of selection: entries of the sliding-window
+    /// vocabulary whose tiled corpus count passes the threshold. Tiled
+    /// counting never finds a gram outside that vocabulary, so selecting
+    /// straight from the counted tiles keeps the same features, and each
+    /// row is its line's tiled counts of them over their total.
     #[test]
     fn fit_tiled_matches_vocabulary_fit() {
-        let corpus: Vec<String> =
-            ["abcabc", "bcabca", "cababab"].iter().map(|s| (*s).to_owned()).collect();
-        let via_vocab = {
-            let vocab = Vocabulary::build(&corpus, 1, 3);
-            BowVectorizer::fit(vocab, 1, 3, &corpus, 2)
+        let corpus = ["abcabc", "bcabca", "cababab"];
+        let tiled = |lines: &[&str]| {
+            let mut counts = GramTrie::default();
+            for line in lines {
+                counts.count_tiles(&ranks(line, 1), 3);
+            }
+            counts
         };
-        let via_tiled = BowVectorizer::fit_tiled(
-            &corpus,
-            1,
-            3,
-            FeatureSelection { tf_threshold: 2, max_features: None },
-        );
-        assert_eq!(via_vocab.features(), via_tiled.features());
-        for line in &corpus {
-            assert_eq!(via_vocab.transform(line), via_tiled.transform(line));
+        let owned: Vec<String> = corpus.iter().map(|s| (*s).to_owned()).collect();
+        let counts = tiled(&corpus);
+        let via_vocab: Vec<String> = crate::Vocabulary::build(&owned, 1, 3)
+            .entries()
+            .iter()
+            .filter(|entry| counts.get(&ranks(entry, 1)) >= 2)
+            .cloned()
+            .collect();
+        let via_tiled = fit(&corpus, 1, 3, 2);
+        assert_eq!(via_tiled.features(), &via_vocab[..]);
+        for line in corpus {
+            let line_counts = tiled(&[line]);
+            let matched: Vec<u32> =
+                via_vocab.iter().map(|entry| line_counts.get(&ranks(entry, 1))).collect();
+            let total = matched.iter().sum::<u32>() as f32;
+            let want: Vec<f32> = matched.iter().map(|&c| c as f32 / total).collect();
+            assert_eq!(transform(&via_tiled, line).to_dense(), want);
         }
     }
 
     #[test]
     fn max_features_keeps_most_frequent() {
-        let corpus: Vec<String> = vec!["aaaab".into(), "aaaac".into()];
-        let v = BowVectorizer::fit_tiled(
-            &corpus,
-            1,
-            1,
-            FeatureSelection { tf_threshold: 1, max_features: Some(1) },
-        );
+        let cap = FeatureSelection { tf_threshold: 1, max_features: Some(1) };
+        let v = fit_selected(&["aaaab", "aaaac"], 1, 1, cap);
         assert_eq!(v.features(), &["a".to_owned()]);
     }
 
@@ -433,12 +381,13 @@ mod tests {
     fn sparse_transform_roundtrips_to_dense_bitwise() {
         let v = fit(&["abcabc", "bcabca", "cababab"], 1, 3, 1);
         for line in ["abcabc", "bcabca", "cababab", "zzzz", "abca"] {
-            let dense = v.transform(line);
-            let sparse = v.transform_sparse(line);
-            assert_eq!(sparse.dim(), dense.len());
-            let densified = sparse.to_dense();
-            for (a, b) in dense.iter().zip(&densified) {
-                assert_eq!(a.to_bits(), b.to_bits());
+            let sparse = transform(&v, line);
+            assert_eq!(sparse.dim(), v.n_features());
+            let dense = sparse.to_dense();
+            let mut stored = sparse.iter().peekable();
+            for (i, x) in dense.iter().enumerate() {
+                let want = stored.next_if(|&(j, _)| j == i).map_or(0.0, |(_, v)| v);
+                assert_eq!(x.to_bits(), want.to_bits());
             }
             // Every stored entry is an actual nonzero.
             assert!(sparse.values().iter().all(|&x| x > 0.0));
@@ -448,7 +397,7 @@ mod tests {
     #[test]
     fn sparse_transform_of_unmatched_signal_is_empty() {
         let v = fit(&["abab"], 2, 1, 1);
-        let s = v.transform_sparse("zzzz");
+        let s = transform(&v, "zzzz");
         assert_eq!(s.nnz(), 0);
         assert_eq!(s.dim(), v.n_features());
     }
@@ -458,20 +407,18 @@ mod tests {
         // A non-ASCII character is two bytes, so at word size 1 it is
         // two words that are not letters; upper-case letters are not
         // words of the alphabet either. Neither is counted or matched.
-        let corpus: Vec<String> = vec!["abab".into(), "aé".into(), "abAB".into()];
-        let v = BowVectorizer::fit_tiled(&corpus, 1, 2, FeatureSelection::keep_all());
+        let v = fit_selected(&["abab", "aé", "abAB"], 1, 2, FeatureSelection::keep_all());
         assert_eq!(v.features(), &["a".to_owned(), "ab".to_owned(), "b".to_owned()]);
-        let s = v.transform_sparse("aé");
+        let s = transform(&v, "aé");
         assert_eq!(s.indices(), &[0]);
         assert_eq!(s.values(), &[1.0]);
-        assert_eq!(v.transform_sparse("ABé").nnz(), 0);
-        let (mixed, plain) = (v.transform_sparse("abAB"), v.transform_sparse("ab"));
+        assert_eq!(transform(&v, "ABé").nnz(), 0);
+        let (mixed, plain) = (transform(&v, "abAB"), transform(&v, "ab"));
         assert_eq!((mixed.indices(), mixed.values()), (plain.indices(), plain.values()));
         // At word size 2 the character is one whole word, still no rank.
-        let wide =
-            BowVectorizer::fit_tiled(&["abé".to_owned()], 2, 2, FeatureSelection::keep_all());
+        let wide = fit_selected(&["abé"], 2, 2, FeatureSelection::keep_all());
         assert_eq!(wide.features(), &["ab".to_owned()]);
-        assert_eq!(wide.transform_sparse("éab").values(), &[1.0]);
+        assert_eq!(transform(&wide, "éab").values(), &[1.0]);
     }
 
     #[test]
@@ -510,10 +457,9 @@ mod tests {
 
     #[test]
     fn gram_order_zero_counts_nothing() {
-        let corpus: Vec<String> = vec!["abab".into()];
-        let v = BowVectorizer::fit_tiled(&corpus, 1, 0, FeatureSelection::keep_all());
+        let v = fit_selected(&["abab"], 1, 0, FeatureSelection::keep_all());
         assert_eq!(v.n_features(), 0);
-        assert_eq!(v.transform_sparse("abab").nnz(), 0);
+        assert_eq!(transform(&v, "abab").nnz(), 0);
     }
 
     #[test]

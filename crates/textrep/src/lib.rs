@@ -15,10 +15,11 @@
 //! 4. **Vocabulary creation** ([`Vocabulary`]): unique word-aligned
 //!    k-grams for `k = 1..=n` over the whole corpus.
 //!
-//! Feature extraction ([`BowVectorizer`]) counts non-overlapping
-//! occurrences of vocabulary entries in each encoded signal and
-//! L1-normalizes the counts into occurrence probabilities, with
-//! term-frequency-threshold feature selection for large corpora.
+//! Feature extraction ([`TextPipeline`], the one way in) counts
+//! non-overlapping occurrences of vocabulary entries in each encoded
+//! signal and L1-normalizes the counts into occurrence probabilities,
+//! with term-frequency-threshold feature selection
+//! ([`FeatureSelection`]) for large corpora.
 //!
 //! [`TextPipeline`] never writes a signal's text to featurize it. A
 //! value's word is handled as the number it spells, its rank, and grams
@@ -27,7 +28,9 @@
 //! a gram's text and its rank sequence determine each other and sort
 //! the same way: the selected features, their order and every feature
 //! value are those the text form gives. Only the selected features are
-//! spelled out ([`TextPipeline::encode`] still writes a signal's text).
+//! spelled out. [`ValueCodebook::encode_signal`] and [`Vocabulary`]
+//! still spell a signal's text and its sliding-window vocabulary, to
+//! show Figs. 5–6 and to check the pipeline against.
 //!
 //! # Examples
 //!
@@ -61,7 +64,8 @@ mod ngrams;
 mod reference;
 mod trie;
 
-pub use bow::{BowVectorizer, FeatureSelection};
+use bow::BowVectorizer;
+pub use bow::FeatureSelection;
 pub use discretize::Discretizer;
 use encode::ValueIds;
 pub use encode::{ValueCodebook, ALPHABET, ALPHABET_LEN};
@@ -83,11 +87,12 @@ impl TextPipeline {
     /// Fits the pipeline on a corpus of elevation signals.
     ///
     /// `max_n` is the n-gram order (the paper fixes n = 8); `selection`
-    /// is the paper's term-frequency feature selection. The vectorizer
-    /// is fit from non-overlapping tilings directly, as
-    /// [`BowVectorizer::fit_tiled`] fits the encoded corpus, which yields
-    /// the same features as the sliding-window vocabulary after
-    /// selection but scales to the mined corpora. The corpus is read
+    /// is the paper's term-frequency feature selection. Grams are
+    /// counted over non-overlapping tilings directly, without building
+    /// the sliding-window [`Vocabulary`]: a gram that appears only in
+    /// sliding windows has term frequency 0 and transforms every signal
+    /// to 0 in its coordinate, so the features after selection are the
+    /// same, and the fit scales to the mined corpora. The corpus is read
     /// once: values are numbered as they are first seen, grams are
     /// counted over those numbers, and once the codebook ranks the
     /// values the grams that pass the threshold are spelled.
@@ -123,20 +128,15 @@ impl TextPipeline {
         &self.codebook
     }
 
-    /// The fitted vectorizer (vocabulary + feature selection).
-    pub fn vectorizer(&self) -> &BowVectorizer {
-        &self.vectorizer
+    /// The selected features (vocabulary entries), in feature-vector
+    /// order.
+    pub fn features(&self) -> &[String] {
+        self.vectorizer.features()
     }
 
     /// Number of features produced per signal.
     pub fn n_features(&self) -> usize {
         self.vectorizer.n_features()
-    }
-
-    /// Encodes one elevation signal to its text form.
-    pub fn encode(&self, signal: &[f64]) -> String {
-        let d = self.discretizer.apply(signal);
-        self.codebook.encode_signal(&d)
     }
 
     /// Transforms one elevation signal into its normalized BoW vector.
@@ -145,8 +145,9 @@ impl TextPipeline {
     }
 
     /// Transforms one elevation signal into a sparse BoW vector without
-    /// materializing the dense row or the encoded text (see
-    /// [`BowVectorizer::transform_sparse`]).
+    /// materializing the dense row or the encoded text: only the grams
+    /// the signal matches are touched, and densifying the row gives
+    /// [`TextPipeline::transform`] bit for bit.
     pub fn transform_sparse(&self, signal: &[f64]) -> sparsemat::SparseVec {
         // At most one rank per point, so the buffer never reallocates:
         // a call allocates as often at any signal length.

@@ -2,9 +2,10 @@
 //! codebook that spells every value, and tiled grams counted and looked
 //! up as `&str` slices of the encoded signal. It is kept only as the
 //! reference the property test below holds the rank path to, bit for
-//! bit.
+//! bit, and to tie the selected features to the paper's sliding-window
+//! vocabulary.
 
-use crate::{BowVectorizer, Discretizer, FeatureSelection, TextPipeline};
+use crate::{Discretizer, FeatureSelection, TextPipeline, Vocabulary};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use sparsemat::SparseVec;
@@ -194,7 +195,9 @@ fn corpus(seed: u64, regime: usize) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
 
 /// Fits both paths on one generated corpus and compares the codebook,
 /// the features and every bit of every transform, on the fitted signals
-/// and on held-out ones.
+/// and on held-out ones. Every feature must also be an entry of the
+/// sliding-window [`Vocabulary`] of the encoded corpus: tiled counting
+/// selects from the vocabulary the paper builds, never beyond it.
 fn check(
     seed: u64,
     regime: usize,
@@ -216,21 +219,20 @@ fn check(
         let spelled = got.codebook().word(v);
         prop_assert_eq!(spelled.as_deref(), Some(word.as_str()));
     }
-    prop_assert_eq!(got.vectorizer().features(), &want.features[..]);
+    prop_assert_eq!(got.features(), &want.features[..]);
 
     for signal in signals.iter().chain(&held_out) {
         let discrete = d.apply(signal);
         let text = want.encode(&discrete);
         prop_assert_eq!(&got.codebook().encode_signal(&discrete), &text);
-        let reference = bits(&want.transform(&text));
-        prop_assert_eq!(&bits(&got.transform_sparse(signal)), &reference);
-        prop_assert_eq!(&bits(&got.vectorizer().transform_sparse(&text)), &reference);
+        prop_assert_eq!(&bits(&got.transform_sparse(signal)), &bits(&want.transform(&text)));
     }
 
-    // The text-corpus entry point counts the same grams.
     let corpus: Vec<String> = signals.iter().map(|s| want.encode(&d.apply(s))).collect();
-    let tiled = BowVectorizer::fit_tiled(&corpus, want.word_size, max_n, selection);
-    prop_assert_eq!(tiled.features(), &want.features[..]);
+    let vocabulary = Vocabulary::build(&corpus, want.word_size, max_n);
+    for feature in got.features() {
+        prop_assert!(vocabulary.entries().binary_search(feature).is_ok(), "{feature} is no entry");
+    }
     Ok(want.word_size)
 }
 

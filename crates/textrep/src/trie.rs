@@ -163,6 +163,7 @@ impl GramTrie {
     }
 
     /// The value stored at `gram`'s end node (0 when it has none).
+    #[cfg(test)]
     pub(crate) fn get(&self, gram: &[u32]) -> u32 {
         let mut node = NONE;
         for &rank in gram {

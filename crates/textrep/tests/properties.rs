@@ -1,9 +1,7 @@
 //! Property-based tests for the text-like representation.
 
 use proptest::prelude::*;
-use textrep::{
-    BowVectorizer, Discretizer, FeatureSelection, TextPipeline, ValueCodebook, Vocabulary,
-};
+use textrep::{Discretizer, FeatureSelection, TextPipeline, ValueCodebook, Vocabulary};
 
 fn arb_signal() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-100.0f64..3000.0, 1..120)
@@ -122,20 +120,42 @@ proptest! {
         prop_assert!(p.n_features() <= cap);
     }
 
+    /// Selecting from tiled counts is the paper's selection from the
+    /// sliding-window vocabulary: the features are exactly the entries
+    /// that some line's tiling holds, and each row is its line's tiled
+    /// counts of them over their total.
     #[test]
-    fn tiled_fit_matches_vocabulary_fit(lines in prop::collection::vec("[ab]{0,16}", 1..6)) {
-        let corpus: Vec<String> = lines;
-        let via_vocab = {
-            let vocab = Vocabulary::build(&corpus, 1, 3);
-            BowVectorizer::fit(vocab, 1, 3, &corpus, 1)
+    fn tiled_fit_matches_vocabulary_fit(
+        lines in prop::collection::vec(prop::collection::vec(0u8..2, 0..16), 1..6),
+    ) {
+        let signals: Vec<Vec<f64>> =
+            lines.iter().map(|l| l.iter().map(|&v| f64::from(v)).collect()).collect();
+        let p = TextPipeline::fit(Discretizer::Floor, 3, FeatureSelection::keep_all(), &signals);
+        let w = p.codebook().word_size();
+        let corpus: Vec<String> = signals
+            .iter()
+            .map(|s| p.codebook().encode_signal(&Discretizer::Floor.apply(s)))
+            .collect();
+        // Non-overlapping occurrences of `entry` in `line`'s tiling.
+        let tiled = |line: &str, entry: &str| {
+            let words = line.as_bytes().chunks_exact(w).collect::<Vec<_>>();
+            words.chunks_exact(entry.len() / w).filter(|t| t.concat() == entry.as_bytes()).count()
         };
-        let via_tiled = BowVectorizer::fit_tiled(
-            &corpus, 1, 3,
-            FeatureSelection { tf_threshold: 1, max_features: None },
-        );
-        prop_assert_eq!(via_vocab.features(), via_tiled.features());
-        for line in &corpus {
-            prop_assert_eq!(via_vocab.transform(line), via_tiled.transform(line));
+        let via_vocab: Vec<String> = Vocabulary::build(&corpus, w, 3)
+            .entries()
+            .iter()
+            .filter(|entry| corpus.iter().any(|line| tiled(line, entry) > 0))
+            .cloned()
+            .collect();
+        prop_assert_eq!(p.features(), &via_vocab[..]);
+        for (signal, line) in signals.iter().zip(&corpus) {
+            let counts: Vec<usize> = via_vocab.iter().map(|entry| tiled(line, entry)).collect();
+            let total = counts.iter().sum::<usize>() as f32;
+            let want: Vec<f32> = counts
+                .iter()
+                .map(|&c| if total == 0.0 { 0.0 } else { c as f32 / total })
+                .collect();
+            prop_assert_eq!(p.transform(signal), want);
         }
     }
 

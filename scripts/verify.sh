@@ -7,13 +7,14 @@
 # invariant suite, and the deterministic fuzz driver.
 #
 # Usage: scripts/verify.sh [tier...]
-#   tiers: build clippy doc test conformance serve overload bench scale smoke
+#   tiers: build clippy doc test conformance serve overload bench scale results
+#          smoke
 #   (default: all)
 set -eu
 
 cd "$(dirname "$0")/.."
 
-tiers="${*:-build clippy doc test conformance serve overload bench scale smoke}"
+tiers="${*:-build clippy doc test conformance serve overload bench scale results smoke}"
 
 has() {
     case " $tiers " in *" $1 "*) return 0 ;; *) return 1 ;; esac
@@ -332,6 +333,34 @@ assert ann["rows_scanned"] * 2 < ann["rows_total"], "IVF scan rescored half the 
     cmp "$dir/committed.json" "$json"
     echo "scale: $json byte-identical to the committed artifact"
     unset ELEV_POP_SIZE ELEV_SHARD_SIZE ELEV_STORE_DIR
+    rm -rf "$dir"
+fi
+
+if has results; then
+    echo "== results (quick-scale experiment outputs byte for byte) =="
+    # Each binary below must print its committed results/ file, short
+    # of banner line 2, which names the worker thread count; outputs
+    # are thread-count invariant, so the rest must match byte for
+    # byte. An intended output change regenerates the file with
+    # ELEV_SCALE=quick ELEV_SEED=42 and commits it.
+    dir="$(mktemp -d)"
+    bins="ablation_baseline_shootout ablation_defenses ablation_discretization
+        ablation_feature_threshold ablation_image_style ablation_ngram_order
+        ablation_spectral_baseline robustness_sweep table8_finetune_epochs
+        table9_finetune_tm2"
+    flags=""
+    for bin in $bins; do
+        flags="$flags --bin $bin"
+    done
+    # shellcheck disable=SC2086 # one --bin flag per word
+    cargo build -q --release -p bench $flags
+    for bin in $bins; do
+        ELEV_SCALE=quick ELEV_SEED=42 "./target/release/$bin" > "$dir/$bin.out"
+        sed 2d "$dir/$bin.out" > "$dir/$bin.got"
+        sed 2d "results/$bin.txt" > "$dir/$bin.want"
+        cmp "$dir/$bin.want" "$dir/$bin.got"
+        echo "results: $bin matches results/$bin.txt"
+    done
     rm -rf "$dir"
 fi
 
