@@ -20,7 +20,7 @@
 
 use bench::harness::{deterministic_tensor, pair, single, BenchEntry, BenchReport};
 use classicml::{ForestConfig, RandomForest, SvmClassifier, SvmConfig};
-use elev_core::ingest::{ingest_one, StreamingIngest};
+use elev_core::ingest::StreamingIngest;
 use elev_core::scale::{fit_vocabulary, push_topk, recall_at3, OverlapSig, Probe};
 use faultsim::Payload;
 use geoprim::{polyline, BoundingBox, LatLon};
@@ -132,14 +132,13 @@ fn main() {
     let mut report = BenchReport::from_env("kernels", 9, 3);
     let (quick, samples) = (report.quick, report.samples);
 
-    // --- GPX ingestion: the DOM front door (`Gpx::parse_bytes` builds
-    // the whole tree, then `ingest_one` flattens and repairs it, which
-    // is what `ingest_one` does with raw bytes) vs the streaming front
-    // door the server runs (one reused `StreamingIngest`: borrowed
-    // events straight into the flat point buffer, no allocation per
-    // point). Both sides ship, share one tokenizer and feed the same
-    // repair passes, whose outputs the stream-parity tests, fuzz
-    // campaign and `ingest.stream` golden pin bit-identical; the pair
+    // --- GPX ingestion: the DOM reference (`Gpx::parse_bytes` builds
+    // the whole tree, then a fresh `StreamingIngest` flattens and
+    // repairs it) vs the one front door every caller runs (one reused
+    // `StreamingIngest`: borrowed events straight into the flat point
+    // buffer, no allocation per point). Both sides ship, share one
+    // tokenizer and feed the same repair passes, whose outputs the
+    // stream-parity tests and fuzz campaign pin bit-identical; the pair
     // measures what building the DOM costs over the flat walk.
     for (name, docs) in [
         ("ingest_throughput_corpus_48x400", gpx_corpus(48, 400)),
@@ -154,7 +153,7 @@ fn main() {
             || {
                 for doc in &docs {
                     let gpx = gpxfile::Gpx::parse_bytes(doc).expect("corpus is well-formed");
-                    black_box(ingest_one(&Payload::Parsed(gpx)));
+                    black_box(StreamingIngest::default().ingest_source(&Payload::Parsed(gpx)));
                 }
             },
             || {
@@ -167,8 +166,8 @@ fn main() {
         let tracks = docs.len() as f64;
         let dom_s = b.baseline_s.expect("ingest pair always has a baseline");
         b.note = format!(
-            "{} timed GPX doc(s), {:.2} MiB per pass; DOM front door \
-             (Gpx::parse_bytes + ingest_one) {:.1} MiB/s / {:.0} tracks/s, streaming \
+            "{} timed GPX doc(s), {:.2} MiB per pass; DOM reference \
+             (Gpx::parse_bytes + ingest of the tree) {:.1} MiB/s / {:.0} tracks/s, streaming \
              (StreamingIngest::ingest_bytes) {:.1} MiB/s / {:.0} tracks/s; both sides \
              ship, with identical dispositions and bit-identical profiles",
             docs.len(),

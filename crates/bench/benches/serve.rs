@@ -22,8 +22,7 @@
 mod common;
 
 use bench::harness::{single, BenchEntry, BenchReport, Samples};
-use elev_core::ingest::ingest_one;
-use faultsim::Payload;
+use elev_core::ingest::StreamingIngest;
 use routegen::AthleteSimulator;
 use serve::client::HttpClient;
 use serve::{BundleConfig, InferenceArena, ModelBundle, ServeConfig, Server};
@@ -111,7 +110,7 @@ fn main() {
 
     // --- 1. Steady-state classify: timed, and asserted allocation-free
     //        while this is still the only running thread.
-    let (_, profile) = ingest_one(&Payload::Raw(docs[0].clone()));
+    let (_, profile) = StreamingIngest::default().ingest_bytes(&docs[0]);
     let profile = profile.expect("clean fixture ingests");
     let mut arena = InferenceArena::new();
     bundle.warm(&mut arena);

@@ -15,7 +15,7 @@
 //!    masks) only, and a counting allocator reports allocations per
 //!    step for both;
 //! 3. end-to-end Table VII (TM-1, weighted loss) at quick scale,
-//!    serial vs budget-sized lanes, with identical confusions asserted.
+//!    serial vs 4 lanes, with identical confusions asserted.
 //!
 //! Lane speedup tracks the host's available parallelism: on one core
 //! the lanes serialize onto one worker and the pair reads ~1.0x; each
@@ -43,10 +43,6 @@ fn main() {
     let mut report = BenchReport::from_env("train", 9, 3);
     let (quick, samples) = (report.quick, report.samples);
     let cores = bench::harness::cores();
-
-    // The staged path reads the two-level budget from the environment;
-    // pin it so the measurement does not depend on the caller's shell.
-    std::env::set_var("ELEV_INNER_THREADS", "4");
 
     // --- One CNN mini-batch epoch: serial vs 4-lane staged gradients.
     let batch = 32;
@@ -125,7 +121,7 @@ fn main() {
     ));
 
     // --- End-to-end Table VII delta: TM-1 weighted-loss CNN at quick
-    // scale, serial vs budget-sized lanes. Rasters are memoized
+    // scale, serial vs 4 lanes. Rasters are memoized
     // process-wide, so after the warm-up both sides time train+predict.
     let scale = ExperimentScale::quick();
     let corpora = Corpora::generate(7, &scale);
@@ -135,7 +131,7 @@ fn main() {
         shards: Some(1),
         ..Default::default()
     };
-    let lanes_img = ImageAttackConfig { shards: None, ..serial_img.clone() };
+    let lanes_img = ImageAttackConfig { shards: Some(4), ..serial_img.clone() };
     let out_serial = evaluate_image(&corpora.user, ImageMethod::WeightedLoss, &serial_img);
     let out_lanes = evaluate_image(&corpora.user, ImageMethod::WeightedLoss, &lanes_img);
     assert_eq!(
@@ -159,8 +155,6 @@ fn main() {
             black_box(evaluate_image(&corpora.user, ImageMethod::WeightedLoss, &lanes_img));
         },
     ));
-
-    std::env::remove_var("ELEV_INNER_THREADS");
 
     report.write(Path::new(env!("CARGO_TARGET_TMPDIR")));
 }

@@ -42,7 +42,9 @@ fn main() {
     }
     t.print();
     println!();
-    println!("the paper's rationale: dense recordings tolerate coarse floors, while the");
+    println!("the paper's expectation: dense recordings tolerate coarse floors, while the");
     println!("sparse mined profiles would lose discriminative micro-relief — finer");
     println!("precision should help (or at least not hurt) the mined column.");
+    println!("this synthetic substrate does not bear that out: finer precision fragments");
+    println!("its vocabulary and lowers the mined column (see EXPERIMENTS.md).");
 }

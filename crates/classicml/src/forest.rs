@@ -3,7 +3,7 @@
 use crate::tree::{DecisionTree, TreeConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::{derive_support, Deserialize, Error, Serialize, Value};
 
 /// Forest hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -22,10 +22,35 @@ impl Default for ForestConfig {
 }
 
 /// The paper's RFC: 100 bagged trees, majority vote.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RandomForest {
     trees: Vec<DecisionTree>,
     n_classes: usize,
+}
+
+/// Accepts exactly what [`Serialize`] writes: at least one tree, every
+/// tree as wide as the first, and every leaf's class below `n_classes`.
+impl Deserialize for RandomForest {
+    fn from_value(value: &Value) -> Result<Self, Error> {
+        let field = |key| derive_support::field(value, "RandomForest", key);
+        let trees = Vec::<DecisionTree>::from_value(field("trees")?)?;
+        let n_classes = usize::from_value(field("n_classes")?)?;
+        let dim = trees.first().ok_or_else(|| Error::custom("RandomForest: no trees"))?.dim();
+        if let Some(t) = trees.iter().find(|t| t.dim() != dim) {
+            return Err(Error::custom(format!(
+                "RandomForest: a {}-feature tree among {dim}-feature ones",
+                t.dim()
+            )));
+        }
+        if let Some(class) = trees.iter().map(DecisionTree::max_class).max() {
+            if class as usize >= n_classes {
+                return Err(Error::custom(format!(
+                    "RandomForest: a leaf of class {class} in a {n_classes}-class forest"
+                )));
+            }
+        }
+        Ok(Self { trees, n_classes })
+    }
 }
 
 impl RandomForest {
@@ -85,6 +110,11 @@ impl RandomForest {
         self.n_classes
     }
 
+    /// Feature width the trees were grown on.
+    pub fn dim(&self) -> usize {
+        self.trees[0].dim()
+    }
+
     /// Class-vote histogram for one row.
     pub fn votes(&self, row: &[f32]) -> Vec<usize> {
         let mut votes = Vec::with_capacity(self.n_classes);
@@ -137,6 +167,25 @@ mod tests {
             y.push(1);
         }
         (x, y)
+    }
+
+    #[test]
+    fn deserialize_rejects_inconsistent_forests() {
+        let (x, y) = blobs(10);
+        let forest =
+            RandomForest::fit(&x, &y, &ForestConfig { n_trees: 4, ..Default::default() }, 3);
+        assert_eq!(RandomForest::from_value(&forest.to_value()), Ok(forest.clone()));
+        let rejects = |f: RandomForest, what: &str| {
+            let err = RandomForest::from_value(&f.to_value()).unwrap_err();
+            assert!(err.to_string().contains(what), "{err}");
+        };
+        rejects(RandomForest { n_classes: 1, ..forest.clone() }, "leaf of class 1 in a 1-class");
+        rejects(RandomForest { trees: Vec::new(), ..forest.clone() }, "no trees");
+        let (wide_x, wide_y): (Vec<Vec<f32>>, Vec<u32>) =
+            x.iter().map(|r| [r.as_slice(), &[0.0]].concat()).zip(y.clone()).unzip();
+        let mut mixed = forest.clone();
+        mixed.trees[2] = DecisionTree::fit(&wide_x, &wide_y, &TreeConfig::default(), 1);
+        rejects(mixed, "a 3-feature tree among 2-feature ones");
     }
 
     #[test]

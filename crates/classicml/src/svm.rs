@@ -2,7 +2,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::{derive_support, Deserialize, Error, Serialize, Value};
 use sparsemat::{CsrMatrix, SparseVec};
 
 /// SVM hyper-parameters.
@@ -38,10 +38,27 @@ impl Hyperplane {
 ///
 /// Each class gets a Pegasos-trained hyperplane separating it from the
 /// rest; prediction takes the class with the highest margin.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SvmClassifier {
     planes: Vec<Hyperplane>,
     dim: usize,
+}
+
+/// Accepts exactly what [`Serialize`] writes: every plane is `dim`
+/// weights wide.
+impl Deserialize for SvmClassifier {
+    fn from_value(value: &Value) -> Result<Self, Error> {
+        let field = |key| derive_support::field(value, "SvmClassifier", key);
+        let planes = Vec::<Hyperplane>::from_value(field("planes")?)?;
+        let dim = usize::from_value(field("dim")?)?;
+        if let Some(p) = planes.iter().find(|p| p.w.len() != dim) {
+            return Err(Error::custom(format!(
+                "SvmClassifier: a plane {} weights wide in a {dim}-feature model",
+                p.w.len()
+            )));
+        }
+        Ok(Self { planes, dim })
+    }
 }
 
 impl SvmClassifier {
@@ -70,6 +87,11 @@ impl SvmClassifier {
     /// Number of classes.
     pub fn n_classes(&self) -> usize {
         self.planes.len()
+    }
+
+    /// Feature width the model was trained on.
+    pub fn dim(&self) -> usize {
+        self.dim
     }
 
     /// Per-class margins for one row.
@@ -284,6 +306,17 @@ fn dot(a: &[f32], b: &[f32]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn deserialize_rejects_a_plane_of_the_wrong_width() {
+        let (x, y) = blobs(5);
+        let svm = SvmClassifier::fit(&x, &y, &SvmConfig { epochs: 2, ..Default::default() }, 1);
+        assert_eq!(SvmClassifier::from_value(&svm.to_value()), Ok(svm.clone()));
+        let mut short = svm.clone();
+        short.planes[1].w.pop();
+        let err = SvmClassifier::from_value(&short.to_value()).unwrap_err();
+        assert!(err.to_string().contains("1 weights wide in a 2-feature model"), "{err}");
+    }
 
     fn blobs(n_per: usize) -> (Vec<Vec<f32>>, Vec<u32>) {
         let mut x = Vec::new();

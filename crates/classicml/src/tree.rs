@@ -3,7 +3,7 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use serde::{derive_support, Deserialize, Error, Serialize, Value};
 
 /// Decision-tree hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -36,11 +36,44 @@ enum Node {
     },
 }
 
+impl Node {
+    /// The largest split feature (`None` for a lone leaf) and the
+    /// largest leaf class in this subtree.
+    fn extent(&self) -> (Option<usize>, u32) {
+        match self {
+            Node::Leaf { class } => (None, *class),
+            Node::Split { feature, left, right, .. } => {
+                let (lf, lc) = left.extent();
+                let (rf, rc) = right.extent();
+                (Some(*feature).max(lf).max(rf), lc.max(rc))
+            }
+        }
+    }
+}
+
 /// A CART classifier: binary splits minimizing weighted Gini impurity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DecisionTree {
     root: Node,
     dim: usize,
+}
+
+/// Accepts exactly what [`Serialize`] writes: every split tests a
+/// feature below the tree's width.
+impl Deserialize for DecisionTree {
+    fn from_value(value: &Value) -> Result<Self, Error> {
+        let field = |key| derive_support::field(value, "DecisionTree", key);
+        let root = Node::from_value(field("root")?)?;
+        let dim = usize::from_value(field("dim")?)?;
+        if let (Some(feature), _) = root.extent() {
+            if feature >= dim {
+                return Err(Error::custom(format!(
+                    "DecisionTree: a split on feature {feature} in a {dim}-feature tree"
+                )));
+            }
+        }
+        Ok(Self { root, dim })
+    }
 }
 
 impl DecisionTree {
@@ -59,6 +92,16 @@ impl DecisionTree {
         let indices: Vec<usize> = (0..x.len()).collect();
         let root = grow(x, y, &indices, n_classes, config, 0, &mut rng);
         Self { root, dim }
+    }
+
+    /// Feature width the tree was grown on.
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// The largest class any leaf predicts.
+    pub fn max_class(&self) -> u32 {
+        self.root.extent().1
     }
 
     /// Predicted class for one row.
@@ -215,6 +258,19 @@ mod tests {
             }
         }
         (x, y)
+    }
+
+    #[test]
+    fn deserialize_rejects_a_split_past_the_width() {
+        let (x, y) = xor_data();
+        let tree = DecisionTree::fit(&x, &y, &TreeConfig::default(), 1);
+        assert_eq!(DecisionTree::from_value(&tree.to_value()), Ok(tree.clone()));
+        let mut wide = tree.clone();
+        if let Node::Split { feature, .. } = &mut wide.root {
+            *feature = 999_999;
+        }
+        let err = DecisionTree::from_value(&wide.to_value()).unwrap_err();
+        assert!(err.to_string().contains("feature 999999 in a 2-feature tree"), "{err}");
     }
 
     #[test]

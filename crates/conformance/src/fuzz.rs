@@ -27,7 +27,7 @@
 //! slowloris drip — through a **live** server and checks the observed
 //! transport outcome against the script's pure prediction.
 
-use elev_core::ingest::{ingest_one, Disposition, StreamingIngest};
+use elev_core::ingest::{Disposition, StreamingIngest};
 use faultsim::{ConnScript, FlakyConn, NetFaultKind, NetFaultPlan, Payload, SendOutcome, Teardown};
 use gpxfile::xml::XmlError;
 use gpxfile::{Gpx, GpxError};
@@ -250,14 +250,14 @@ fn disposition_class(d: &Disposition) -> String {
     }
 }
 
-/// Classifies one document by driving it through `Gpx::parse_bytes`
-/// and, when it parses, through the full ingestion pipeline. The class
-/// name is the histogram key.
+/// Classifies one document by driving it through the DOM builder
+/// (`Gpx::parse_bytes`) and, when it parses, ingesting the tree. The
+/// class name is the histogram key.
 pub fn classify(doc: &[u8]) -> String {
     match Gpx::parse_bytes(doc) {
         Err(e) => gpx_error_class(&e),
         Ok(gpx) => {
-            let (disposition, _) = ingest_one(&Payload::Parsed(gpx));
+            let (disposition, _) = StreamingIngest::default().ingest_source(&Payload::Parsed(gpx));
             disposition_class(&disposition)
         }
     }

@@ -11,7 +11,7 @@
 //! run them all through `cargo test -p conformance`.
 
 use elev_core::experiments::{balanced_top_classes, table4_tm1, Corpora};
-use elev_core::ingest::{ingest_one, Disposition};
+use elev_core::ingest::{Disposition, StreamingIngest};
 use elev_core::robustness::zero_rate_is_identity;
 use elev_core::text::{evaluate_text, TextAttackConfig, TextModel};
 use evalkit::ConfusionMatrix;
@@ -165,8 +165,9 @@ impl Invariant for RigidMotion {
                     "activity {i}: raw elevation profile changed under rigid motion"
                 ));
             }
-            let (_, q0) = ingest_one(&Payload::Parsed(a.gpx.clone()));
-            let (_, q1) = ingest_one(&Payload::Parsed(moved));
+            let mut ing = StreamingIngest::default();
+            let (_, q0) = ing.ingest_source(&Payload::Parsed(a.gpx.clone()));
+            let (_, q1) = ing.ingest_source(&Payload::Parsed(moved));
             match (q0, q1) {
                 (Some(q0), Some(q1)) if bits_equal(&q0, &q1) => {}
                 _ => {
@@ -342,7 +343,7 @@ impl Invariant for ThreadInvariance {
 // ---------------------------------------------------------------------
 // 4b. Intra-model data parallelism is invisible: trained weights (CNN
 //     via the sharded dense path, MLP via the sparse path) are
-//     bit-identical with ELEV_INNER_THREADS at 1 and 4.
+//     bit-identical at 1 and 4 gradient lanes.
 // ---------------------------------------------------------------------
 
 struct TrainShardInvariance;
@@ -362,7 +363,7 @@ impl Invariant for TrainShardInvariance {
         "train-shard-invariance"
     }
     fn description(&self) -> &'static str {
-        "CNN and sparse-MLP trained-weight digests are bit-identical at ELEV_INNER_THREADS 1 and 4"
+        "CNN and sparse-MLP trained-weight digests are bit-identical at 1 and 4 gradient lanes"
     }
     fn check(&self, ctx: &InvariantCtx) -> Result<String, String> {
         use neuralnet::models::{mlp, paper_cnn};
@@ -396,36 +397,35 @@ impl Invariant for TrainShardInvariance {
             .collect();
         let x_csr = CsrMatrix::from_dense_rows(&rows);
 
-        let cfg = TrainConfig {
-            epochs: 2,
-            batch_size: 5,
-            lr: 2e-3,
-            seed: ctx.seed,
-            ..Default::default()
-        };
-        let run = |inner: &str| {
-            std::env::set_var("ELEV_INNER_THREADS", inner);
+        let run = |lanes: usize| {
+            let cfg = TrainConfig {
+                epochs: 2,
+                batch_size: 5,
+                lr: 2e-3,
+                seed: ctx.seed,
+                shards: Some(lanes),
+                ..Default::default()
+            };
             let mut cnn = paper_cnn(3, ctx.seed);
             train(&mut cnn, &x_img, &y, &cfg);
             let mut net = mlp(24, 16, 3, ctx.seed);
             train_sparse(&mut net, &x_csr, &y, &cfg);
-            std::env::remove_var("ELEV_INNER_THREADS");
             (weight_digest(&mut cnn), weight_digest(&mut net))
         };
-        let (cnn1, mlp1) = run("1");
-        let (cnn4, mlp4) = run("4");
+        let (cnn1, mlp1) = run(1);
+        let (cnn4, mlp4) = run(4);
         if cnn1 != cnn4 {
             return Err(format!(
-                "CNN weight digest diverges: {cnn1:016x} at 1 inner thread vs {cnn4:016x} at 4"
+                "CNN weight digest diverges: {cnn1:016x} at 1 lane vs {cnn4:016x} at 4"
             ));
         }
         if mlp1 != mlp4 {
             return Err(format!(
-                "sparse-MLP weight digest diverges: {mlp1:016x} at 1 inner thread vs {mlp4:016x} at 4"
+                "sparse-MLP weight digest diverges: {mlp1:016x} at 1 lane vs {mlp4:016x} at 4"
             ));
         }
         Ok(format!(
-            "CNN digest {cnn1:016x} and sparse-MLP digest {mlp1:016x} identical at 1 and 4 inner threads"
+            "CNN digest {cnn1:016x} and sparse-MLP digest {mlp1:016x} identical at 1 and 4 lanes"
         ))
     }
 }
@@ -555,8 +555,9 @@ impl Invariant for DespikeOffsetEquivariance {
     }
     fn check(&self, _ctx: &InvariantCtx) -> Result<String, String> {
         const OFFSET: f64 = 512.0;
-        let (d0, p0) = ingest_one(&Payload::Parsed(spike_track(0.0)));
-        let (d1, p1) = ingest_one(&Payload::Parsed(spike_track(OFFSET)));
+        let mut ing = StreamingIngest::default();
+        let (d0, p0) = ing.ingest_source(&Payload::Parsed(spike_track(0.0)));
+        let (d1, p1) = ing.ingest_source(&Payload::Parsed(spike_track(OFFSET)));
         let (p0, p1) = match (p0, p1) {
             (Some(a), Some(b)) => (a, b),
             _ => return Err("spike track was quarantined instead of repaired".into()),

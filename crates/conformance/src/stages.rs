@@ -13,7 +13,7 @@
 
 use durable::Digest;
 use elev_core::experiments::{table4_tm1, Corpora, ExperimentScale};
-use elev_core::ingest::ingest_batch;
+use elev_core::ingest::{ingest_batch, IngestReport};
 use elev_core::robustness::robustness_sweep;
 use elev_core::scale::{fit_vocabulary, push_topk, recall_at3, Probe};
 use faultsim::{corrupt_track, FaultPlan, Payload};
@@ -135,17 +135,12 @@ pub fn compute_stages(seed: u64) -> Vec<StageArtifact> {
     // through untouched).
     let sources: Vec<Payload> = gpx_bytes.iter().map(|b| Payload::Raw(b.clone())).collect();
     let (profiles, report) = ingest_batch(&sources, &exec::Executor::from_env());
+    let clean_digest = ingest_digest(&profiles, &report, false);
     let clean_profiles: Vec<Vec<f64>> = profiles.into_iter().flatten().collect();
     {
-        let mut d = Digest::new();
-        d.usize(clean_profiles.len());
-        for p in &clean_profiles {
-            d.f64s(p);
-        }
-        d.str(&report.to_json());
         out.push(StageArtifact {
             name: "ingest.clean",
-            digest: d.finish(),
+            digest: clean_digest,
             summary: format!(
                 "{} profiles ({} clean / {} repaired / {} quarantined), {} values",
                 clean_profiles.len(),
@@ -159,26 +154,17 @@ pub fn compute_stages(seed: u64) -> Vec<StageArtifact> {
 
     // Stage 4: faulted ingestion — the same tracks through a 35%
     // corruption plan and the repair/quarantine pipeline.
+    let plan = FaultPlan::uniform(0.35, exec::mix_seed(seed, 0xFA17));
+    let corrupted: Vec<Payload> = activities
+        .iter()
+        .enumerate()
+        .map(|(i, a)| corrupt_track(&plan, i as u64, &a.gpx).payload)
+        .collect();
     {
-        let plan = FaultPlan::uniform(0.35, exec::mix_seed(seed, 0xFA17));
-        let corrupted: Vec<Payload> = activities
-            .iter()
-            .enumerate()
-            .map(|(i, a)| corrupt_track(&plan, i as u64, &a.gpx).payload)
-            .collect();
         let (profiles, report) = ingest_batch(&corrupted, &exec::Executor::from_env());
-        let mut d = Digest::new();
-        d.usize(profiles.len());
-        for p in profiles.iter() {
-            match p {
-                Some(p) => d.f64s(p),
-                None => d.str("quarantined"),
-            };
-        }
-        d.str(&report.to_json());
         out.push(StageArtifact {
             name: "ingest.faulted",
-            digest: d.finish(),
+            digest: ingest_digest(&profiles, &report, true),
             summary: format!(
                 "{} tracks at 35% corruption: {} clean / {} repaired / {} quarantined",
                 report.tracks.len(),
@@ -343,44 +329,19 @@ pub fn compute_stages(seed: u64) -> Vec<StageArtifact> {
         });
     }
 
-    // Stage 10: streaming ingestion — the zero-copy DOM-free path over
-    // the same clean and faulted corpora, digested with the exact
-    // stage-3 and stage-4 procedures. The stage digest is the pair of
-    // component digests, so `ingest.stream` is pinned equal to
-    // `ingest.clean`/`ingest.faulted` (checked by a unit test below):
-    // if the streaming path ever drifts from the DOM path by one bit,
-    // this pin breaks even though the DOM stages still pass.
+    // Stage 10: the clean and faulted corpora of stages 3–4 ingested
+    // again on one thread, digested by the same procedures. The stage
+    // digest is the pair of component digests, so `ingest.stream` is
+    // pinned equal to `ingest.clean`/`ingest.faulted` computed at the
+    // environment's thread count (checked by a unit test below): if a
+    // track's outcome ever depended on which worker ran it or what it
+    // ran before, this pin breaks even though stages 3–4 still pass.
     {
-        let mut ing = elev_core::ingest::StreamingIngest::default();
-
-        let (profiles, report) = ing.ingest_batch(&sources);
-        let stream_clean: Vec<Vec<f64>> = profiles.into_iter().flatten().collect();
-        let mut dc = Digest::new();
-        dc.usize(stream_clean.len());
-        for p in &stream_clean {
-            dc.f64s(p);
-        }
-        dc.str(&report.to_json());
-        let clean_digest = dc.finish();
-
-        let plan = FaultPlan::uniform(0.35, exec::mix_seed(seed, 0xFA17));
-        let corrupted: Vec<Payload> = activities
-            .iter()
-            .enumerate()
-            .map(|(i, a)| corrupt_track(&plan, i as u64, &a.gpx).payload)
-            .collect();
-        let (profiles, report) = ing.ingest_batch(&corrupted);
-        let mut df = Digest::new();
-        df.usize(profiles.len());
-        for p in profiles.iter() {
-            match p {
-                Some(p) => df.f64s(p),
-                None => df.str("quarantined"),
-            };
-        }
-        df.str(&report.to_json());
-        let faulted_digest = df.finish();
-
+        let one = exec::Executor::new(1);
+        let (profiles, report) = ingest_batch(&sources, &one);
+        let clean_digest = ingest_digest(&profiles, &report, false);
+        let (profiles, report) = ingest_batch(&corrupted, &one);
+        let faulted_digest = ingest_digest(&profiles, &report, true);
         out.push(StageArtifact {
             name: "ingest.stream",
             digest: Digest::new().u64(clean_digest).u64(faulted_digest).finish(),
@@ -622,6 +583,36 @@ fn duplicate_every_other_point(doc: &[u8]) -> Vec<u8> {
     out.into_bytes()
 }
 
+/// Digests a batch ingestion's outcome: the profiles by bit pattern,
+/// then the report. Stage 3 digests only the accepted profiles;
+/// stage 4, with `mark_quarantined`, writes a marker in each rejected
+/// track's slot.
+fn ingest_digest(
+    profiles: &[Option<Vec<f64>>],
+    report: &IngestReport,
+    mark_quarantined: bool,
+) -> u64 {
+    let mut d = Digest::new();
+    if mark_quarantined {
+        d.usize(profiles.len());
+    } else {
+        d.usize(profiles.iter().flatten().count());
+    }
+    for p in profiles {
+        match p {
+            Some(p) => {
+                d.f64s(p);
+            }
+            None if mark_quarantined => {
+                d.str("quarantined");
+            }
+            None => {}
+        }
+    }
+    d.str(&report.to_json());
+    d.finish()
+}
+
 /// Digests a trained network's epoch losses and the bit pattern of
 /// every parameter; returns the parameter count.
 fn digest_training(d: &mut Digest, net: &mut Sequential, reports: &[TrainReport]) -> usize {
@@ -654,9 +645,9 @@ mod tests {
         let names: Vec<&str> = stages.iter().map(|s| s.name).collect();
         assert_eq!(names, STAGE_NAMES);
 
-        // The streaming stage's digest is the pair of its component
-        // digests; recombining the DOM stages' digests must reproduce
-        // it exactly — that equality IS the streaming-equals-DOM pin.
+        // The `ingest.stream` digest is the pair of its one-thread
+        // component digests; recombining the env-thread stages' digests
+        // must reproduce it exactly — that equality IS the pin.
         let find = |n: &str| stages.iter().find(|s| s.name == n).expect("stage exists");
         let expected = Digest::new()
             .u64(find("ingest.clean").digest)
@@ -665,7 +656,7 @@ mod tests {
         assert_eq!(
             find("ingest.stream").digest,
             expected,
-            "streaming ingestion drifted from the DOM ingestion stages"
+            "one-thread ingestion drifted from the env-thread ingestion stages"
         );
     }
 }

@@ -108,13 +108,37 @@ impl TextAttacker {
     ///
     /// # Errors
     ///
-    /// Returns the serde error message for malformed input.
+    /// Returns the serde error message for malformed input, which
+    /// includes a model that contradicts itself (see each model's
+    /// `Deserialize`), and rejects an MLP whose tensors do not fit its
+    /// architecture, a model whose feature width is not the pipeline's,
+    /// or one that predicts more classes than there are label names.
     pub fn from_json(json: &str) -> Result<Self, String> {
         let saved: SavedAttacker = serde_json::from_str(json).map_err(|e| e.to_string())?;
+        let (width, n_classes) = match &saved.model {
+            SavedModel::Svm(m) => (m.dim(), m.n_classes()),
+            SavedModel::Rfc(m) => (m.dim(), m.n_classes()),
+            SavedModel::Mlp(snap) => match snap.arch {
+                neuralnet::ArchSpec::Mlp { input_dim, n_classes, .. } => (input_dim, n_classes),
+                arch => return Err(format!("a text attacker cannot run {arch:?}")),
+            },
+        };
+        let n_features = saved.pipeline.n_features();
+        if width != n_features {
+            return Err(format!(
+                "the model takes {width} features, its pipeline makes {n_features}"
+            ));
+        }
+        if n_classes > saved.label_names.len() {
+            return Err(format!(
+                "the model predicts {n_classes} classes, {} are named",
+                saved.label_names.len()
+            ));
+        }
         let model = match saved.model {
             SavedModel::Svm(m) => FittedTextModel::Svm(m),
             SavedModel::Rfc(m) => FittedTextModel::Rfc(m),
-            SavedModel::Mlp(snap) => FittedTextModel::Mlp(snap.restore()),
+            SavedModel::Mlp(snap) => FittedTextModel::Mlp(snap.restore()?),
         };
         Ok(Self { pipeline: saved.pipeline, model, label_names: saved.label_names })
     }
@@ -254,6 +278,99 @@ mod tests {
     #[test]
     fn from_json_rejects_garbage() {
         assert!(TextAttacker::from_json("{oops").is_err());
+    }
+
+    /// The member `key` of a JSON object.
+    fn member<'v>(v: &'v mut serde::Value, key: &str) -> &'v mut serde::Value {
+        match v {
+            serde::Value::Object(m) => m.get_mut(key).expect("member present"),
+            other => panic!("{other:?} is not an object"),
+        }
+    }
+
+    /// The elements of a JSON array.
+    fn elements(v: &mut serde::Value) -> &mut Vec<serde::Value> {
+        match v {
+            serde::Value::Array(items) => items,
+            other => panic!("{other:?} is not an array"),
+        }
+    }
+
+    /// Adds `by` to a JSON integer.
+    fn bump(v: &mut serde::Value, by: i64) {
+        match v {
+            serde::Value::Int(n) => *n += by,
+            other => panic!("{other:?} is not an integer"),
+        }
+    }
+
+    #[test]
+    fn from_json_rejects_models_that_contradict_themselves_or_their_pipeline() {
+        let cfg = TextAttackConfig {
+            ngram: 4,
+            svm_epochs: 2,
+            rfc_trees: 3,
+            mlp_epochs: 2,
+            ..Default::default()
+        };
+        let saved: Vec<serde::Value> = [TextModel::Svm, TextModel::Rfc, TextModel::Mlp]
+            .into_iter()
+            .map(|model| {
+                let json =
+                    TextAttacker::fit(&toy_dataset(), Discretizer::Floor, model, &cfg).to_json();
+                serde_json::from_str(&json).unwrap()
+            })
+            .collect();
+        // Loads saved attacker `which` with `edit` applied to its model.
+        let rejects = |which: usize, what: &str, edit: &dyn Fn(&mut serde::Value)| {
+            let mut v = saved[which].clone();
+            // `{"Svm": [model]}`: a one-field tuple variant.
+            let serde::Value::Object(variant) = member(&mut v, "model") else {
+                panic!("the model is an enum")
+            };
+            edit(&mut elements(variant.values_mut().next().expect("one variant"))[0]);
+            match TextAttacker::from_json(&serde_json::to_string(&v).unwrap()) {
+                Ok(_) => panic!("loaded a model that should fail with {what:?}"),
+                Err(e) => assert!(e.contains(what), "{e}"),
+            }
+        };
+        // An SVM plane one weight short.
+        rejects(0, "weights wide", &|m| {
+            elements(member(&mut elements(member(m, "planes"))[1], "w")).pop();
+        });
+        // An SVM one feature narrower than its pipeline.
+        rejects(0, "its pipeline makes", &|m| {
+            bump(member(m, "dim"), -1);
+            for plane in elements(member(m, "planes")) {
+                elements(member(plane, "w")).pop();
+            }
+        });
+        // A forest split on a feature past the tree's width.
+        rejects(1, "feature 999999", &|m| {
+            let root = member(&mut elements(member(m, "trees"))[0], "root");
+            *member(member(root, "Split"), "feature") = serde::Value::Int(999_999);
+        });
+        // A forest leaf past the class count.
+        rejects(1, "leaf of class 1", &|m| bump(member(m, "n_classes"), -1));
+        // A forest one feature wider than its pipeline.
+        rejects(1, "its pipeline makes", &|m| {
+            for tree in elements(member(m, "trees")) {
+                bump(member(tree, "dim"), 1);
+            }
+        });
+        // An MLP declared one hidden unit wider than its tensors.
+        rejects(2, "do not fit", &|m| bump(member(member(member(m, "arch"), "Mlp"), "hidden"), 1));
+        // An MLP tensor one value short of its shape.
+        rejects(2, "values for shape", &|m| {
+            let bias = elements(member(m, "params")).last_mut().unwrap();
+            elements(member(bias, "data")).pop();
+        });
+        // Fewer label names than the model has classes.
+        for mut v in saved {
+            elements(member(&mut v, "label_names")).pop();
+            let err = TextAttacker::from_json(&serde_json::to_string(&v).unwrap()).unwrap_err();
+            assert!(err.contains("2 classes, 1 are named"), "{err}");
+        }
     }
 
     #[test]

@@ -55,8 +55,8 @@ pub struct ImageAttackConfig {
     pub seed: u64,
     /// Gradient lanes per CNN mini-batch (see
     /// [`neuralnet::TrainConfig::shards`]); `None` sizes lanes from the
-    /// two-level `ELEV_THREADS`/`ELEV_INNER_THREADS` budget. Trained
-    /// weights are bit-identical at any setting.
+    /// share of the `ELEV_THREADS` budget left to the calling worker.
+    /// Trained weights are bit-identical at any setting.
     pub shards: Option<usize>,
 }
 

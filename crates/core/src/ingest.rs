@@ -24,28 +24,24 @@
 //! to [`gpxfile::Gpx::elevation_profile`] — the zero-fault invariance
 //! the experiment suite depends on.
 //!
-//! The repair passes run on [`gpxfile::stream::FlatPoint`] sequences
-//! held in a reusable [`gpxfile::stream::PointBuf`], which two entry
-//! points feed:
+//! Every track takes one path, [`StreamingIngest`]: raw GPX bytes go
+//! through the borrowing event reader straight into a flat point buffer
+//! ([`gpxfile::stream::PointBuf`]), no DOM is built, and the repair
+//! passes run against scratch the ingester keeps from call to call; an
+//! already-parsed [`Payload::Parsed`] document is flattened into the
+//! same buffer. The server keeps one ingester per worker, the CLI one
+//! per command, and [`ingest_batch`] runs a fresh one per track on the
+//! workspace executor via [`exec::Executor::try_map`], so a panic inside
+//! a repair quarantines that track ([`QuarantineReason::RepairPanicked`])
+//! while every other track completes.
 //!
-//! - [`ingest_one`] / [`ingest_batch`] — the DOM path: parse (or take)
-//!   a full [`Gpx`] document, flatten it, repair. Kept as the reference
-//!   implementation and the executor-parallel batch front door.
-//! - [`StreamingIngest`] — the zero-copy path: raw bytes go through the
-//!   borrowing event reader straight into the flat point buffer, no DOM
-//!   is built, and all working memory (point buffer, timestamp arena,
-//!   repair scratch) is reused across calls. Produces bit-identical
-//!   dispositions and profiles to the DOM path for every input.
-//!
-//! Each batch track is processed in isolation on the workspace executor
-//! via [`exec::Executor::try_map`]; a panic inside a repair quarantines
-//! that track ([`QuarantineReason::RepairPanicked`]) while every other
-//! track completes.
+//! The DOM builder ([`gpxfile::Gpx::parse_bytes`]) is the reference the
+//! point walk is pinned to: parsing a document and ingesting the tree
+//! gives the disposition and profile bits that ingesting its bytes does.
 
 use exec::Executor;
 use faultsim::Payload;
 use gpxfile::stream::{FlatPoint, PointBuf};
-use gpxfile::Gpx;
 
 // Ingestion thresholds, tuned so that the clean synthetic corpora pass
 // through 100% untouched (no false repairs) while every fault
@@ -127,7 +123,9 @@ pub enum QuarantineReason {
     },
     /// Repairs touched more than 35% of the track's points.
     TooCorrupt {
-        /// Fraction of points touched by repairs.
+        /// Fraction of points touched by repairs. A track its gap fill
+        /// alone condemns stops before NaN interpolation and despiking,
+        /// so its fraction leaves their counts out; no report renders it.
         repaired_fraction: f64,
     },
     /// The repair pipeline itself panicked (isolated by
@@ -355,14 +353,15 @@ impl IngestReport {
 ///
 /// Returns one slot per input (in input order): `Some(profile)` for
 /// accepted tracks, `None` for quarantined ones, plus the full
-/// [`IngestReport`]. Each track is processed independently and
-/// panic-isolated, so the output is bit-identical at any thread count
-/// and a poisoned track can never take down the batch.
+/// [`IngestReport`]. Each track runs through a fresh [`StreamingIngest`]
+/// and is panic-isolated, so the output is bit-identical at any thread
+/// count and a poisoned track can never take down the batch.
 pub fn ingest_batch(
     sources: &[Payload],
     executor: &Executor,
 ) -> (Vec<Option<Vec<f64>>>, IngestReport) {
-    let outcomes = executor.try_map(sources, |_, src| ingest_one(src));
+    let outcomes =
+        executor.try_map(sources, |_, src| StreamingIngest::default().ingest_source(src));
     let mut profiles = Vec::with_capacity(sources.len());
     let mut tracks = Vec::with_capacity(sources.len());
     for (index, slot) in outcomes.into_iter().enumerate() {
@@ -383,29 +382,6 @@ pub fn ingest_batch(
     (profiles, IngestReport { tracks })
 }
 
-/// Ingests a single track (the pure per-task body, DOM path).
-///
-/// Raw bytes are parsed into a full [`Gpx`] document and flattened —
-/// this is the reference implementation the streaming path
-/// ([`StreamingIngest`]) is pinned against.
-pub fn ingest_one(src: &Payload) -> (Disposition, Option<Vec<f64>>) {
-    let mut buf = PointBuf::default();
-    let mut scratch = IngestScratch::default();
-    match src {
-        Payload::Parsed(g) => buf.fill_from_gpx(g),
-        Payload::Raw(bytes) => match Gpx::parse_bytes(bytes) {
-            Ok(g) => buf.fill_from_gpx(&g),
-            Err(e) => {
-                return (
-                    Disposition::Quarantined(QuarantineReason::ParseFailed(e.to_string())),
-                    None,
-                )
-            }
-        },
-    }
-    repair_flat(&mut buf, &mut scratch)
-}
-
 /// Reusable working memory for the repair passes: once grown to corpus
 /// size, a repair run performs no allocation beyond the returned
 /// profile.
@@ -423,17 +399,20 @@ struct IngestScratch {
     window: Vec<f64>,
 }
 
-/// Streaming ingestion: the zero-copy front door.
+/// Streaming ingestion: the one front door from GPX bytes to an
+/// elevation profile.
 ///
 /// Raw GPX bytes flow through the borrowing event reader
 /// ([`gpxfile::stream::StreamReader`]) directly into a flat point
-/// buffer — no DOM is materialized — and the same five repair passes
-/// run against reusable scratch. Dispositions, repair lists, and
-/// profiles are bit-identical to [`ingest_one`] for every input; only
-/// the allocation profile and throughput differ.
+/// buffer — no DOM is materialized — and the five repair passes run
+/// against reusable scratch. Dispositions, repair lists, and profiles
+/// are bit-identical to parsing the same bytes with
+/// [`gpxfile::Gpx::parse_bytes`] and ingesting the tree through
+/// [`ingest_source`](Self::ingest_source); only the allocation profile
+/// and throughput differ.
 ///
 /// The struct owns the per-point working memory, so a long-lived
-/// instance (one per server arena, one per batch loop) allocates
+/// instance (one per server arena, one per CLI command) allocates
 /// nothing per point once warm: the parse walk's per-document stacks
 /// cost a constant few allocations per upload, and the returned
 /// profile, sized to the point count before it is filled, one more.
@@ -458,8 +437,8 @@ impl StreamingIngest {
     /// Ingests one track from raw bytes, DOM-free.
     ///
     /// Parse failures are folded into the disposition
-    /// ([`QuarantineReason::ParseFailed`]), exactly like
-    /// [`ingest_one`] on a [`Payload::Raw`].
+    /// ([`QuarantineReason::ParseFailed`], carrying the
+    /// [`gpxfile::GpxError`] display).
     pub fn ingest_bytes(&mut self, raw: &[u8]) -> (Disposition, Option<Vec<f64>>) {
         match self.try_ingest_bytes(raw) {
             Ok(out) => out,
@@ -475,8 +454,8 @@ impl StreamingIngest {
     ///
     /// # Errors
     ///
-    /// Exactly the [`gpxfile::GpxError`] that [`Gpx::parse_bytes`]
-    /// would produce for the same input.
+    /// Exactly the [`gpxfile::GpxError`] that
+    /// [`gpxfile::Gpx::parse_bytes`] would produce for the same input.
     pub fn try_ingest_bytes(
         &mut self,
         raw: &[u8],
@@ -495,24 +474,6 @@ impl StreamingIngest {
             }
             Payload::Raw(bytes) => self.ingest_bytes(bytes),
         }
-    }
-
-    /// Ingests a batch serially on this instance's reusable buffers,
-    /// producing the same `(profiles, report)` shape — and the same
-    /// values — as [`ingest_batch`] on an executor.
-    pub fn ingest_batch(&mut self, sources: &[Payload]) -> (Vec<Option<Vec<f64>>>, IngestReport) {
-        let mut profiles = Vec::with_capacity(sources.len());
-        let mut tracks = Vec::with_capacity(sources.len());
-        for (index, src) in sources.iter().enumerate() {
-            let (disposition, profile) = self.ingest_source(src);
-            tracks.push(TrackReport {
-                index,
-                disposition,
-                profile_len: profile.as_ref().map_or(0, Vec::len),
-            });
-            profiles.push(profile);
-        }
-        (profiles, IngestReport { tracks })
     }
 }
 
@@ -544,10 +505,18 @@ fn repair_flat(buf: &mut PointBuf, scratch: &mut IngestScratch) -> (Disposition,
         repairs.push(Repair { kind: RepairKind::DedupedPoints, points: before - points.len() });
     }
 
-    // 3. Timestamp gaps → synthetic interpolated points.
-    let filled = fill_time_gaps(points, arena, scratch);
-    if filled > 0 {
-        repairs.push(Repair { kind: RepairKind::FilledGap, points: filled });
+    // 3. Timestamp gaps → synthetic interpolated points, unless the
+    //    fill alone already dooms the track.
+    let so_far: usize = repairs.iter().map(|r| r.points).sum();
+    match fill_time_gaps(points, arena, scratch, so_far) {
+        Ok(0) => {}
+        Ok(filled) => repairs.push(Repair { kind: RepairKind::FilledGap, points: filled }),
+        Err(repaired_fraction) => {
+            return (
+                Disposition::Quarantined(QuarantineReason::TooCorrupt { repaired_fraction }),
+                None,
+            )
+        }
     }
 
     // The elevation series downstream of structural repair, sized once
@@ -660,15 +629,30 @@ fn time_seconds(t: &str) -> Option<i64> {
 /// Detects sampling gaps (Δt > `factor ×` median Δt) and inserts
 /// linearly interpolated points. Returns the number of synthesized
 /// points.
-fn fill_time_gaps(points: &mut Vec<FlatPoint>, arena: &str, scratch: &mut IngestScratch) -> usize {
+///
+/// The cap is per gap, so before synthesizing anything the fill counts
+/// what it would add: `F` gap points, `S` of them with an elevation
+/// (both ends finite), next to the `E` points that already carry one.
+/// When some elevation is finite and the profile would reach
+/// [`MIN_PROFILE_LEN`], the track ends [`QuarantineReason::TooCorrupt`]
+/// once the `touched` points of earlier repairs plus `F` exceed
+/// [`MAX_REPAIRED_FRACTION`] of `E + S`, since later repairs only add
+/// to the count; the fill then returns that fraction as the error
+/// without synthesizing a point.
+fn fill_time_gaps(
+    points: &mut Vec<FlatPoint>,
+    arena: &str,
+    scratch: &mut IngestScratch,
+    touched: usize,
+) -> Result<usize, f64> {
     if points.len() < 3 || points.iter().any(|p| p.time.is_none()) {
-        return 0;
+        return Ok(0);
     }
     scratch.secs.clear();
     for p in points.iter() {
         match time_of(arena, p).and_then(time_seconds) {
             Some(s) => scratch.secs.push(s),
-            None => return 0, // unparsable timestamps: leave the track alone
+            None => return Ok(0), // unparsable timestamps: leave the track alone
         }
     }
     let secs = &scratch.secs;
@@ -677,40 +661,60 @@ fn fill_time_gaps(points: &mut Vec<FlatPoint>, arena: &str, scratch: &mut Ingest
     scratch.dts.sort_unstable();
     let median_dt = scratch.dts[scratch.dts.len() / 2].max(1);
     let threshold = (median_dt as f64 * MAX_TIME_GAP_FACTOR).ceil() as i64;
+    // Points to synthesize before point `i`.
+    let missing = |i: usize| -> usize {
+        let dt = secs[i] - secs[i - 1];
+        if dt > threshold {
+            (((dt as f64) / (median_dt as f64)).round() as usize - 1).min(MAX_GAP_FILL_POINTS)
+        } else {
+            0
+        }
+    };
+    let finite = |p: &FlatPoint| p.elevation_m.is_some_and(f64::is_finite);
+
+    let (mut fill, mut fill_with_ele) = (0usize, 0usize);
+    for i in 1..points.len() {
+        let m = missing(i);
+        fill += m;
+        if finite(&points[i - 1]) && finite(&points[i]) {
+            fill_with_ele += m;
+        }
+    }
+    if fill == 0 {
+        return Ok(0);
+    }
+    let profile_len = points.iter().filter(|p| p.elevation_m.is_some()).count() + fill_with_ele;
+    if profile_len >= MIN_PROFILE_LEN && points.iter().any(finite) {
+        let fraction = (touched + fill) as f64 / profile_len as f64;
+        if fraction > MAX_REPAIRED_FRACTION {
+            return Err(fraction);
+        }
+    }
 
     scratch.out.clear();
-    let mut inserted = 0usize;
+    scratch.out.reserve(points.len() + fill);
     for i in 0..points.len() {
-        if i > 0 {
-            let dt = secs[i] - secs[i - 1];
-            if dt > threshold {
-                let missing = (((dt as f64) / (median_dt as f64)).round() as usize - 1)
-                    .min(MAX_GAP_FILL_POINTS);
-                let a = points[i - 1];
-                let b = points[i];
-                for k in 1..=missing {
-                    let t = k as f64 / (missing + 1) as f64;
-                    let ele = match (a.elevation_m, b.elevation_m) {
-                        (Some(x), Some(y)) if x.is_finite() && y.is_finite() => {
-                            Some(x + (y - x) * t)
-                        }
-                        _ => None,
-                    };
-                    let coord = geoprim::LatLon::new(
-                        a.coord.lat + (b.coord.lat - a.coord.lat) * t,
-                        a.coord.lon + (b.coord.lon - a.coord.lon) * t,
-                    );
-                    scratch.out.push(FlatPoint { coord, elevation_m: ele, time: None });
-                    inserted += 1;
-                }
+        let m = if i > 0 { missing(i) } else { 0 };
+        if m > 0 {
+            let a = points[i - 1];
+            let b = points[i];
+            for k in 1..=m {
+                let t = k as f64 / (m + 1) as f64;
+                let ele = match (a.elevation_m, b.elevation_m) {
+                    (Some(x), Some(y)) if x.is_finite() && y.is_finite() => Some(x + (y - x) * t),
+                    _ => None,
+                };
+                let coord = geoprim::LatLon::new(
+                    a.coord.lat + (b.coord.lat - a.coord.lat) * t,
+                    a.coord.lon + (b.coord.lon - a.coord.lon) * t,
+                );
+                scratch.out.push(FlatPoint { coord, elevation_m: ele, time: None });
             }
         }
         scratch.out.push(points[i]);
     }
-    if inserted > 0 {
-        std::mem::swap(points, &mut scratch.out);
-    }
-    inserted
+    std::mem::swap(points, &mut scratch.out);
+    Ok(fill)
 }
 
 /// Replaces non-finite elevations by linear interpolation between the
@@ -789,8 +793,28 @@ mod tests {
     use super::*;
     use faultsim::{corrupt_track, FaultKind, FaultPlan};
     use geoprim::LatLon;
-    use gpxfile::{Track, TrackPoint, TrackSegment};
+    use gpxfile::{Gpx, Track, TrackPoint, TrackSegment};
     use proptest::prelude::*;
+
+    /// One track through a fresh ingester, as each [`ingest_batch`]
+    /// task runs it.
+    fn ingest(src: &Payload) -> (Disposition, Option<Vec<f64>>) {
+        StreamingIngest::default().ingest_source(src)
+    }
+
+    /// The DOM reference: raw bytes are parsed into a whole [`Gpx`]
+    /// tree, and the tree is ingested.
+    fn ingest_dom(src: &Payload) -> (Disposition, Option<Vec<f64>>) {
+        match src {
+            Payload::Raw(bytes) => match Gpx::parse_bytes(bytes) {
+                Ok(g) => ingest(&Payload::Parsed(g)),
+                Err(e) => {
+                    (Disposition::Quarantined(QuarantineReason::ParseFailed(e.to_string())), None)
+                }
+            },
+            parsed => ingest(parsed),
+        }
+    }
 
     fn sample_gpx(n: usize) -> Gpx {
         let points = (0..n)
@@ -810,7 +834,7 @@ mod tests {
     #[test]
     fn clean_track_passes_through_byte_identical() {
         let gpx = sample_gpx(120);
-        let (d, profile) = ingest_one(&Payload::Parsed(gpx.clone()));
+        let (d, profile) = ingest(&Payload::Parsed(gpx.clone()));
         assert_eq!(d, Disposition::Clean);
         let clean = gpx.elevation_profile();
         let got = profile.unwrap();
@@ -845,7 +869,7 @@ mod tests {
                 let plan = FaultPlan { kinds: vec![kind], ..FaultPlan::uniform(1.0, seed) };
                 let out = corrupt_track(&plan, 0, &gpx);
                 assert_eq!(out.injected, vec![kind]);
-                let (d, _) = ingest_one(&out.payload);
+                let (d, _) = ingest(&out.payload);
                 assert!(
                     !matches!(d, Disposition::Clean),
                     "{kind} (seed {seed}) slipped through as clean"
@@ -861,7 +885,7 @@ mod tests {
         let plan =
             FaultPlan { kinds: vec![FaultKind::ElevationSpike], ..FaultPlan::uniform(1.0, 3) };
         let out = corrupt_track(&plan, 0, &gpx);
-        let (d, profile) = ingest_one(&out.payload);
+        let (d, profile) = ingest(&out.payload);
         assert!(matches!(d, Disposition::Repaired(_)));
         let got = profile.unwrap();
         assert_eq!(got.len(), clean.len());
@@ -879,7 +903,7 @@ mod tests {
         let plan =
             FaultPlan { kinds: vec![FaultKind::OutOfOrderTime], ..FaultPlan::uniform(1.0, 5) };
         let out = corrupt_track(&plan, 0, &gpx);
-        let (d, profile) = ingest_one(&out.payload);
+        let (d, profile) = ingest(&out.payload);
         assert!(matches!(d, Disposition::Repaired(_)), "got {d:?}");
         assert_eq!(profile.unwrap(), gpx.elevation_profile());
     }
@@ -890,7 +914,7 @@ mod tests {
         let plan =
             FaultPlan { kinds: vec![FaultKind::DuplicatePoints], ..FaultPlan::uniform(1.0, 7) };
         let out = corrupt_track(&plan, 0, &gpx);
-        let (d, profile) = ingest_one(&out.payload);
+        let (d, profile) = ingest(&out.payload);
         assert!(matches!(d, Disposition::Repaired(_)), "got {d:?}");
         assert_eq!(profile.unwrap(), gpx.elevation_profile());
     }
@@ -901,7 +925,7 @@ mod tests {
         let plan =
             FaultPlan { kinds: vec![FaultKind::TruncateBytes], ..FaultPlan::uniform(1.0, 9) };
         let out = corrupt_track(&plan, 0, &gpx);
-        let (d, profile) = ingest_one(&out.payload);
+        let (d, profile) = ingest(&out.payload);
         assert!(
             matches!(d, Disposition::Quarantined(QuarantineReason::ParseFailed(_))),
             "got {d:?}"
@@ -912,7 +936,7 @@ mod tests {
     #[test]
     fn too_short_tracks_are_quarantined() {
         let gpx = sample_gpx(10);
-        let (d, _) = ingest_one(&Payload::Parsed(gpx));
+        let (d, _) = ingest(&Payload::Parsed(gpx));
         assert!(matches!(d, Disposition::Quarantined(QuarantineReason::TooShort { .. })));
     }
 
@@ -950,11 +974,11 @@ mod tests {
 
     #[test]
     fn profile_length_boundary_is_24_points() {
-        let (d, profile) = ingest_one(&built_track(&flat(24), None));
+        let (d, profile) = ingest(&built_track(&flat(24), None));
         assert_eq!(d, Disposition::Clean);
         assert_eq!(profile.map(|p| p.len()), Some(24));
         assert_eq!(
-            ingest_one(&built_track(&flat(23), None)).0,
+            ingest(&built_track(&flat(23), None)).0,
             Disposition::Quarantined(QuarantineReason::TooShort { points: 23 })
         );
     }
@@ -963,9 +987,9 @@ mod tests {
     fn spike_threshold_is_40_m() {
         let mut ele = flat(60);
         ele[30] += 40.0;
-        assert_eq!(ingest_one(&built_track(&ele, None)).0, Disposition::Clean);
+        assert_eq!(ingest(&built_track(&ele, None)).0, Disposition::Clean);
         ele[30] += 0.5;
-        let (d, profile) = ingest_one(&built_track(&ele, None));
+        let (d, profile) = ingest(&built_track(&ele, None));
         assert_eq!(d, repaired(RepairKind::DespikedElevation, 1));
         assert_eq!(profile, Some(flat(60)));
     }
@@ -976,18 +1000,18 @@ mod tests {
         // a 3-point one.
         let mut ele = flat(60);
         ele[30..32].fill(150.0);
-        let (d, _) = ingest_one(&built_track(&ele, None));
+        let (d, _) = ingest(&built_track(&ele, None));
         assert_eq!(d, repaired(RepairKind::DespikedElevation, 2));
         ele[32] = 150.0;
-        assert_eq!(ingest_one(&built_track(&ele, None)).0, Disposition::Clean);
+        assert_eq!(ingest(&built_track(&ele, None)).0, Disposition::Clean);
     }
 
     #[test]
     fn gap_factor_is_4_median_intervals() {
         let secs = one_hz_with_jump(60, 30, 4);
-        assert_eq!(ingest_one(&built_track(&flat(60), Some(&secs))).0, Disposition::Clean);
+        assert_eq!(ingest(&built_track(&flat(60), Some(&secs))).0, Disposition::Clean);
         let secs = one_hz_with_jump(60, 30, 5);
-        let (d, profile) = ingest_one(&built_track(&flat(60), Some(&secs)));
+        let (d, profile) = ingest(&built_track(&flat(60), Some(&secs)));
         assert_eq!(d, repaired(RepairKind::FilledGap, 4));
         assert_eq!(profile.map(|p| p.len()), Some(64));
     }
@@ -995,21 +1019,38 @@ mod tests {
     #[test]
     fn gap_fill_is_capped_at_64_points() {
         let secs = one_hz_with_jump(200, 100, 1000);
-        let (d, profile) = ingest_one(&built_track(&flat(200), Some(&secs)));
+        let (d, profile) = ingest(&built_track(&flat(200), Some(&secs)));
         assert_eq!(d, repaired(RepairKind::FilledGap, 64));
         assert_eq!(profile.map(|p| p.len()), Some(264));
+    }
+
+    #[test]
+    fn gap_fill_stops_at_the_repaired_fraction() {
+        // 53 synthesized points of 153 stay within 35%: the fill runs.
+        let secs = one_hz_with_jump(100, 50, 54);
+        let (d, profile) = ingest(&built_track(&flat(100), Some(&secs)));
+        assert_eq!(d, repaired(RepairKind::FilledGap, 53));
+        assert_eq!(profile, Some(flat(153)));
+        // 54 of 154 do not: the track is quarantined unfilled.
+        let secs = one_hz_with_jump(100, 50, 55);
+        assert_eq!(
+            ingest(&built_track(&flat(100), Some(&secs))).0,
+            Disposition::Quarantined(QuarantineReason::TooCorrupt {
+                repaired_fraction: 54.0 / 154.0
+            })
+        );
     }
 
     #[test]
     fn repaired_fraction_boundary_is_35_percent() {
         let mut ele = flat(100);
         ele[10..45].fill(f64::NAN);
-        let (d, profile) = ingest_one(&built_track(&ele, None));
+        let (d, profile) = ingest(&built_track(&ele, None));
         assert_eq!(d, repaired(RepairKind::InterpolatedNan, 35));
         assert_eq!(profile, Some(flat(100)));
         ele[45] = f64::NAN;
         assert_eq!(
-            ingest_one(&built_track(&ele, None)).0,
+            ingest(&built_track(&ele, None)).0,
             Disposition::Quarantined(QuarantineReason::TooCorrupt { repaired_fraction: 0.36 })
         );
     }
@@ -1020,7 +1061,7 @@ mod tests {
         for p in &mut gpx.tracks[0].segments[0].points {
             p.elevation_m = Some(f64::NAN);
         }
-        let (d, _) = ingest_one(&Payload::Parsed(gpx));
+        let (d, _) = ingest(&Payload::Parsed(gpx));
         assert!(matches!(d, Disposition::Quarantined(QuarantineReason::EmptyProfile)));
     }
 
@@ -1050,15 +1091,15 @@ mod tests {
     #[test]
     fn streaming_matches_dom_path_on_faulted_corpus() {
         // The central parity invariant: a reused StreamingIngest and the
-        // per-call DOM path agree on disposition AND profile bits for
-        // every faulted source, raw or parsed.
+        // DOM reference agree on disposition AND profile bits for every
+        // faulted source, raw or parsed.
         let gpx = sample_gpx(160);
         let mut ing = StreamingIngest::default();
         for seed in [0u64, 21, 33, 77] {
             let plan = FaultPlan::uniform(0.6, seed);
             for i in 0..16 {
                 let src = corrupt_track(&plan, i, &gpx).payload;
-                let (dom_d, dom_p) = ingest_one(&src);
+                let (dom_d, dom_p) = ingest_dom(&src);
                 let (str_d, str_p) = ing.ingest_source(&src);
                 assert_eq!(dom_d, str_d, "disposition diverged (seed {seed}, track {i})");
                 match (dom_p, str_p) {
@@ -1072,27 +1113,6 @@ mod tests {
                     (None, None) => {}
                     (x, y) => panic!("profile presence diverged: {x:?} vs {y:?}"),
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn streaming_batch_matches_executor_batch() {
-        let gpx = sample_gpx(160);
-        let plan = FaultPlan::uniform(0.5, 21);
-        let sources: Vec<Payload> =
-            (0..24).map(|i| corrupt_track(&plan, i, &gpx).payload).collect();
-        let (dom_profiles, dom_report) = ingest_batch(&sources, &Executor::new(4));
-        let (str_profiles, str_report) = StreamingIngest::default().ingest_batch(&sources);
-        assert_eq!(dom_report, str_report);
-        assert_eq!(dom_profiles.len(), str_profiles.len());
-        for (a, b) in dom_profiles.iter().zip(&str_profiles) {
-            match (a, b) {
-                (Some(x), Some(y)) => {
-                    assert!(x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits()));
-                }
-                (None, None) => {}
-                _ => panic!("profile presence diverged between batch paths"),
             }
         }
     }
@@ -1119,18 +1139,14 @@ mod tests {
     }
 
     #[test]
-    fn panicking_repair_quarantines_only_that_track() {
-        // A degenerate source that trips an internal panic: exercised
-        // through the public batch API via a poisoned closure stand-in.
-        // ingest_one itself is total, so simulate by checking try_map
-        // integration: a Raw source with garbage is quarantined while
-        // neighbours survive.
+    fn garbage_bytes_quarantine_only_that_track() {
         let good = Payload::Parsed(sample_gpx(100));
         let bad = Payload::Raw(vec![0xFF, 0xFE, 0x00, 0x01]);
         let (profiles, report) = ingest_batch(&[good.clone(), bad, good], &Executor::new(2));
         assert!(profiles[0].is_some() && profiles[2].is_some());
         assert!(profiles[1].is_none());
         assert_eq!(report.quarantined(), 1);
+        assert_eq!(report.quarantine_counts()[0], ("parse_failed", 1));
     }
 
     #[test]
@@ -1165,11 +1181,11 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
-        fn ingest_one_is_total_on_arbitrary_bytes(
+        fn ingest_is_total_on_arbitrary_bytes(
             bytes in prop::collection::vec(0u32..=255, 0..256),
         ) {
             let bytes: Vec<u8> = bytes.into_iter().map(|b| b as u8).collect();
-            let (d, p) = ingest_one(&Payload::Raw(bytes));
+            let (d, p) = ingest(&Payload::Raw(bytes));
             prop_assert_eq!(p.is_none(), matches!(d, Disposition::Quarantined(_)));
         }
 
@@ -1178,7 +1194,7 @@ mod tests {
             bytes in prop::collection::vec(0u32..=255, 0..256),
         ) {
             let bytes: Vec<u8> = bytes.into_iter().map(|b| b as u8).collect();
-            let dom = ingest_one(&Payload::Raw(bytes.clone()));
+            let dom = ingest_dom(&Payload::Raw(bytes.clone()));
             let stream = StreamingIngest::default().ingest_bytes(&bytes);
             prop_assert_eq!(dom.0, stream.0);
             prop_assert_eq!(dom.1.is_some(), stream.1.is_some());

@@ -16,8 +16,12 @@
 //! shared mutable state.
 //!
 //! Thread count resolves from the `ELEV_THREADS` environment variable
-//! (falling back to `std::thread::available_parallelism`); construct
-//! with [`Executor::new`] to pin it explicitly, e.g. in determinism
+//! (falling back to `std::thread::available_parallelism`), and nested
+//! executors share that one budget: [`Executor::from_env`] inside a
+//! map gets the budget divided by the fan-out it runs under, so a sweep
+//! whose tasks map over folds whose tasks map over trees never runs
+//! more than `ELEV_THREADS` innermost tasks at once. Construct with
+//! [`Executor::new`] to pin the width explicitly, e.g. in determinism
 //! tests that compare 1-thread and 4-thread runs.
 
 #![forbid(unsafe_code)]
@@ -50,13 +54,6 @@ pub fn inner_threads(budget: usize) -> usize {
     (budget / current_fanout()).max(1)
 }
 
-/// Resolves the inner (nested) worker count: `ELEV_INNER_THREADS` when
-/// set to a positive integer, otherwise the [`threads_from_env`] budget
-/// divided by the current fan-out (see [`inner_threads`]).
-pub fn inner_threads_from_env() -> usize {
-    env_budget("ELEV_INNER_THREADS", || inner_threads(threads_from_env()))
-}
-
 /// Derives an independent per-item RNG seed from a master seed.
 ///
 /// SplitMix64 finalizer over `master + (index + 1)·φ64` — the standard
@@ -75,9 +72,9 @@ pub fn mix_seed(master: u64, index: u64) -> u64 {
 /// `var`, falling back to `default()` when unset, unparsable, or zero.
 ///
 /// This is the one knob-resolution path every long-lived pool in the
-/// workspace shares: `ELEV_THREADS` (the executor), `ELEV_INNER_THREADS`
-/// (nested executors), and `ELEV_SERVE_WORKERS` (the inference server's
-/// connection workers) all spell "a positive count, or the default".
+/// workspace shares: `ELEV_THREADS` (the executor) and
+/// `ELEV_SERVE_WORKERS` (the inference server's connection workers)
+/// both spell "a positive count, or the default".
 pub fn env_budget(var: &str, default: impl FnOnce() -> usize) -> usize {
     std::env::var(var)
         .ok()
@@ -111,9 +108,12 @@ impl Executor {
         Self { threads: threads.max(1) }
     }
 
-    /// An executor sized by [`threads_from_env`].
+    /// An executor sized by the [`threads_from_env`] budget, split
+    /// across the fan-out it runs under ([`inner_threads`]): the whole
+    /// budget on a thread outside any executor, `budget / W` on one of
+    /// `W` workers.
     pub fn from_env() -> Self {
-        Self::new(threads_from_env())
+        Self::new(inner_threads(threads_from_env()))
     }
 
     /// Configured worker count.
@@ -439,7 +439,6 @@ mod tests {
         // Only checks the parse contract, not the env itself.
         assert_eq!(Executor::new(0).threads(), 1);
         assert!(threads_from_env() >= 1);
-        assert!(inner_threads_from_env() >= 1);
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! names, attribute scans, and numeric literals never allocate.
 
 use crate::model::{Gpx, Track, TrackPoint, TrackSegment};
-use crate::stream::{parse_f64, StreamEvent, StreamReader};
+use crate::stream::{
+    parse_ele, parse_trkpt_coord, path_parent, path_tail, StreamEvent, StreamReader,
+};
 use crate::xml::decode_entities;
 use crate::GpxError;
-use geoprim::LatLon;
 
 impl Gpx {
     /// Parses a GPX 1.1 document.
@@ -52,7 +53,7 @@ impl Gpx {
                             ("gpx", "trk") => cur_track = Some(Track::default()),
                             ("trk", "trkseg") => cur_segment = Some(TrackSegment::default()),
                             ("trkseg", "trkpt") => {
-                                cur_point = Some(parse_trkpt(attrs)?);
+                                cur_point = Some(TrackPoint::new(parse_trkpt_coord(attrs)?));
                             }
                             _ => {}
                         }
@@ -67,17 +68,7 @@ impl Gpx {
                     match name {
                         "ele" if path_parent(&path) == "trkpt" => {
                             if let Some(p) = cur_point.as_mut() {
-                                let v: f64 = parse_f64(text.trim()).map_err(|_| {
-                                    GpxError::BadTrackPoint {
-                                        reason: format!("unparsable <ele>: {:?}", text.trim()),
-                                    }
-                                })?;
-                                if !v.is_finite() {
-                                    return Err(GpxError::BadTrackPoint {
-                                        reason: format!("non-finite <ele>: {v}"),
-                                    });
-                                }
-                                p.elevation_m = Some(v);
+                                p.elevation_m = Some(parse_ele(&text)?);
                             }
                         }
                         "time" if path_parent(&path) == "trkpt" => {
@@ -132,37 +123,6 @@ impl Gpx {
             .map_err(|e| GpxError::InvalidUtf8 { offset: e.valid_up_to() })?;
         Gpx::parse(text)
     }
-}
-
-fn path_tail<'p>(path: &[&'p str]) -> &'p str {
-    path.last().copied().unwrap_or("")
-}
-
-/// The name of the element *containing* the element currently being
-/// closed (the path still includes the closing element itself).
-fn path_parent<'p>(path: &[&'p str]) -> &'p str {
-    if path.len() >= 2 {
-        path[path.len() - 2]
-    } else {
-        ""
-    }
-}
-
-fn parse_trkpt(attrs: &[(&str, &str)]) -> Result<TrackPoint, GpxError> {
-    let get = |key: &str| {
-        attrs
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|&(_, v)| v)
-            .ok_or_else(|| GpxError::BadTrackPoint { reason: format!("missing {key}") })
-    };
-    let lat: f64 = parse_f64(&decode_entities(get("lat")?)?)
-        .map_err(|_| GpxError::BadTrackPoint { reason: "unparsable lat".into() })?;
-    let lon: f64 = parse_f64(&decode_entities(get("lon")?)?)
-        .map_err(|_| GpxError::BadTrackPoint { reason: "unparsable lon".into() })?;
-    let coord = LatLon::validated(lat, lon)
-        .map_err(|e| GpxError::BadTrackPoint { reason: e.to_string() })?;
-    Ok(TrackPoint::new(coord))
 }
 
 #[cfg(test)]

@@ -641,7 +641,9 @@ impl PointBuf {
                                 self.seg.clear();
                             }
                             ("trkseg", "trkpt") => {
-                                cur_point = Some(parse_trkpt_flat(attrs)?);
+                                let coord = parse_trkpt_coord(attrs)?;
+                                cur_point =
+                                    Some(FlatPoint { coord, elevation_m: None, time: None });
                             }
                             _ => {}
                         }
@@ -679,17 +681,7 @@ impl PointBuf {
                     match name {
                         "ele" if path_parent(&path) == "trkpt" => {
                             if let Some(p) = cur_point.as_mut() {
-                                let v = parse_f64(cur.trim()).map_err(|_| {
-                                    GpxError::BadTrackPoint {
-                                        reason: format!("unparsable <ele>: {:?}", cur.trim()),
-                                    }
-                                })?;
-                                if !v.is_finite() {
-                                    return Err(GpxError::BadTrackPoint {
-                                        reason: format!("non-finite <ele>: {v}"),
-                                    });
-                                }
-                                p.elevation_m = Some(v);
+                                p.elevation_m = Some(parse_ele(cur)?);
                             }
                         }
                         "time" if path_parent(&path) == "trkpt" => {
@@ -731,13 +723,14 @@ impl PointBuf {
     }
 }
 
-fn path_tail<'p>(path: &[&'p str]) -> &'p str {
+/// The name of the innermost open element (`""` before the root).
+pub(crate) fn path_tail<'p>(path: &[&'p str]) -> &'p str {
     path.last().copied().unwrap_or("")
 }
 
 /// The name of the element *containing* the element currently being
 /// closed (the path still includes the closing element itself).
-fn path_parent<'p>(path: &[&'p str]) -> &'p str {
+pub(crate) fn path_parent<'p>(path: &[&'p str]) -> &'p str {
     if path.len() >= 2 {
         path[path.len() - 2]
     } else {
@@ -745,7 +738,8 @@ fn path_parent<'p>(path: &[&'p str]) -> &'p str {
     }
 }
 
-fn parse_trkpt_flat(attrs: &[(&str, &str)]) -> Result<FlatPoint, GpxError> {
+/// A `<trkpt>`'s coordinate from its raw `lat`/`lon` attributes.
+pub(crate) fn parse_trkpt_coord(attrs: &[(&str, &str)]) -> Result<LatLon, GpxError> {
     let get = |key: &str| {
         attrs
             .iter()
@@ -757,9 +751,20 @@ fn parse_trkpt_flat(attrs: &[(&str, &str)]) -> Result<FlatPoint, GpxError> {
         .map_err(|_| GpxError::BadTrackPoint { reason: "unparsable lat".into() })?;
     let lon: f64 = parse_f64(&decode_entities(get("lon")?)?)
         .map_err(|_| GpxError::BadTrackPoint { reason: "unparsable lon".into() })?;
-    let coord = LatLon::validated(lat, lon)
-        .map_err(|e| GpxError::BadTrackPoint { reason: e.to_string() })?;
-    Ok(FlatPoint { coord, elevation_m: None, time: None })
+    LatLon::validated(lat, lon).map_err(|e| GpxError::BadTrackPoint { reason: e.to_string() })
+}
+
+/// A `<trkpt>`'s elevation from its `<ele>` character data, which must
+/// be a finite number.
+pub(crate) fn parse_ele(text: &str) -> Result<f64, GpxError> {
+    let text = text.trim();
+    let v = parse_f64(text)
+        .map_err(|_| GpxError::BadTrackPoint { reason: format!("unparsable <ele>: {text:?}") })?;
+    if v.is_finite() {
+        Ok(v)
+    } else {
+        Err(GpxError::BadTrackPoint { reason: format!("non-finite <ele>: {v}") })
+    }
 }
 
 #[cfg(test)]

@@ -33,17 +33,22 @@ pub struct FlatMlp {
 }
 
 impl FlatMlp {
-    /// Expected flat-image length for the given dimensions.
-    pub fn param_len(input_dim: usize, hidden: usize, n_classes: usize) -> usize {
-        input_dim * hidden + hidden + hidden * n_classes + n_classes
+    /// Expected flat-image length for the given dimensions, or `None`
+    /// when it overflows `usize`.
+    pub fn param_len(input_dim: usize, hidden: usize, n_classes: usize) -> Option<usize> {
+        input_dim
+            .checked_mul(hidden)?
+            .checked_add(hidden)?
+            .checked_add(hidden.checked_mul(n_classes)?)?
+            .checked_add(n_classes)
     }
 
     /// Wraps an existing flat image.
     ///
     /// # Errors
     ///
-    /// Rejects zero dimensions and images whose length does not match
-    /// the dimensions.
+    /// Rejects zero dimensions, dimensions whose image length overflows,
+    /// and images whose length does not match the dimensions.
     pub fn from_params(
         input_dim: usize,
         hidden: usize,
@@ -55,7 +60,9 @@ impl FlatMlp {
                 "bad MLP dimensions: input_dim={input_dim} hidden={hidden} n_classes={n_classes}"
             ));
         }
-        let want = Self::param_len(input_dim, hidden, n_classes);
+        let want = Self::param_len(input_dim, hidden, n_classes).ok_or_else(|| {
+            format!("MLP dimensions {input_dim}x{hidden}x{n_classes} overflow the image length")
+        })?;
         if params.len() != want {
             return Err(format!("parameter image length {} != expected {want}", params.len()));
         }
@@ -71,7 +78,7 @@ impl FlatMlp {
         let mut params = Vec::new();
         net.export_params(&mut params);
         assert_eq!(
-            params.len(),
+            Some(params.len()),
             Self::param_len(input_dim, hidden, n_classes),
             "network shape does not match the declared MLP dimensions"
         );
@@ -237,7 +244,15 @@ mod tests {
     fn rejects_bad_dimensions() {
         assert!(FlatMlp::from_params(0, 4, 2, vec![]).is_err());
         assert!(FlatMlp::from_params(4, 4, 2, vec![0.0; 5]).is_err());
-        let ok = FlatMlp::from_params(4, 4, 2, vec![0.0; FlatMlp::param_len(4, 4, 2)]);
+        let ok = FlatMlp::from_params(4, 4, 2, vec![0.0; FlatMlp::param_len(4, 4, 2).unwrap()]);
         assert!(ok.is_ok());
+    }
+
+    #[test]
+    fn image_length_overflow_is_an_error() {
+        assert_eq!(FlatMlp::param_len(usize::MAX / 2, 3, 2), None);
+        assert_eq!(FlatMlp::param_len(2, usize::MAX / 4, 3), None);
+        let err = FlatMlp::from_params(usize::MAX / 2, 3, 2, vec![0.0; 8]).unwrap_err();
+        assert!(err.contains("overflow"), "{err}");
     }
 }

@@ -197,7 +197,7 @@ pub struct TrainConfig {
     /// Optional per-class loss weights (the paper's weighted loss).
     pub class_weights: Option<Vec<f32>>,
     /// Number of parallel gradient lanes per mini-batch (dense path).
-    /// `None` sizes lanes from [`exec::inner_threads_from_env`]. Either
+    /// `None` sizes lanes from [`exec::Executor::from_env`]. Either
     /// way the trained weights are bit-identical to the serial loop —
     /// per-sample gradients are reduced in global sample order — so
     /// this only trades memory for wall-clock.
@@ -229,16 +229,15 @@ impl TrainReport {
 /// `x` is `[N, ...]` with one leading sample axis; `y` holds one label
 /// per sample.
 ///
-/// When more than one lane is requested (`config.shards`, default
-/// [`exec::inner_threads_from_env`]) and the per-sample gradient stages
-/// fit the `MAX_STAGE_FLOATS` cap (2²⁴ floats), each mini-batch fans
-/// out across `Executor` lanes: every lane replays its contiguous shard
-/// of the batch one sample at a time into a per-sample gradient stage,
-/// and the main thread folds the stages in global sample order. Because
-/// every kernel accumulates ascending over the sample axis from +0.0,
-/// that fold reproduces the serial batch gradient bit for bit — the
-/// trained weights are identical at any
-/// `ELEV_THREADS`/`ELEV_INNER_THREADS`/shard setting.
+/// When more than one lane is requested (`config.shards`, by default
+/// the width of [`exec::Executor::from_env`]) and the per-sample
+/// gradient stages fit the `MAX_STAGE_FLOATS` cap (2²⁴ floats), each
+/// mini-batch fans out across `Executor` lanes: every lane replays its
+/// contiguous shard of the batch one sample at a time into a per-sample
+/// gradient stage, and the main thread folds the stages in global
+/// sample order. Because every kernel accumulates ascending over the
+/// sample axis from +0.0, that fold reproduces the serial batch
+/// gradient bit for bit — the trained weights are identical at any `ELEV_THREADS`/shard setting.
 ///
 /// # Panics
 ///
@@ -362,7 +361,7 @@ impl Lanes {
     /// loop stays serial: fewer than two lanes requested or usable, or
     /// per-sample stages past `MAX_STAGE_FLOATS`.
     fn new(net: &mut Sequential, shards: Option<usize>, batch: usize) -> Option<Self> {
-        let threads = exec::inner_threads_from_env();
+        let threads = exec::Executor::from_env().threads();
         let n_lanes = shards.unwrap_or(threads).min(batch);
         let n_params = net.n_params();
         if n_lanes < 2 || n_params.saturating_mul(batch) > MAX_STAGE_FLOATS {

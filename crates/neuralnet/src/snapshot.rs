@@ -8,7 +8,7 @@
 
 use crate::models::{mlp, paper_cnn};
 use crate::net::Sequential;
-use crate::Layer;
+use crate::{FlatMlp, Layer};
 use serde::{Deserialize, Serialize};
 use tensorlite::Tensor;
 
@@ -63,20 +63,37 @@ impl NetSnapshot {
 
     /// Rebuilds the network and restores the captured parameters.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the snapshot's parameter shapes do not match the
-    /// architecture (corrupt or hand-edited snapshot).
-    pub fn restore(&self) -> Sequential {
+    /// Rejects a snapshot whose parameter tensors differ from the
+    /// architecture's in number or shape (a corrupt or hand-edited
+    /// snapshot).
+    pub fn restore(&self) -> Result<Sequential, String> {
+        // Bound the architecture by the saved values before building
+        // it: an MLP's exact parameter count, a CNN's output bias.
+        let saved_len: usize = self.params.iter().map(Tensor::len).sum();
+        let arch_floor = match self.arch {
+            ArchSpec::Mlp { input_dim, hidden, n_classes } => {
+                FlatMlp::param_len(input_dim, hidden, n_classes)
+            }
+            ArchSpec::PaperCnn { n_classes } => Some(n_classes),
+        };
+        if arch_floor.is_none_or(|n| n > saved_len) {
+            return Err(format!("{saved_len} saved parameters do not fit {:?}", self.arch));
+        }
         let mut net = self.arch.build(0);
-        let mut iter = self.params.iter();
-        net.visit_params(&mut |p, _| {
-            let saved = iter.next().expect("snapshot has enough tensors");
-            assert_eq!(saved.shape(), p.shape(), "snapshot shape mismatch");
-            *p = saved.clone();
-        });
-        assert!(iter.next().is_none(), "snapshot has extra tensors");
-        net
+        let mut want = Vec::new();
+        net.visit_params(&mut |p, _| want.push(p.shape().to_vec()));
+        let saved: Vec<&[usize]> = self.params.iter().map(Tensor::shape).collect();
+        if saved != want {
+            return Err(format!(
+                "snapshot tensors of shapes {saved:?} do not fit {:?}, whose shapes are {want:?}",
+                self.arch
+            ));
+        }
+        let mut saved = self.params.iter();
+        net.visit_params(&mut |p, _| *p = saved.next().expect("counted above").clone());
+        Ok(net)
     }
 
     /// Serializes to JSON.
@@ -118,7 +135,7 @@ mod tests {
         assert_eq!(net.predict(&x), y);
         let arch = ArchSpec::Mlp { input_dim: 2, hidden: 8, n_classes: 2 };
         let snap = NetSnapshot::capture(arch, &mut net);
-        let mut restored = snap.restore();
+        let mut restored = snap.restore().unwrap();
         assert_eq!(restored.predict(&x), y);
         // Logits identical, not just argmax.
         let a = net.logits(&x);
@@ -133,7 +150,7 @@ mod tests {
         let snap = NetSnapshot::capture(arch, &mut net);
         let back = NetSnapshot::from_json(&snap.to_json()).unwrap();
         assert_eq!(back, snap);
-        assert_eq!(back.restore().logits(&x), net.logits(&x));
+        assert_eq!(back.restore().unwrap().logits(&x), net.logits(&x));
     }
 
     #[test]
@@ -141,21 +158,53 @@ mod tests {
         let mut net = paper_cnn(3, 9);
         let arch = ArchSpec::PaperCnn { n_classes: 3 };
         let snap = NetSnapshot::capture(arch, &mut net);
-        let mut restored = snap.restore();
+        let mut restored = snap.restore().unwrap();
         let x = Tensor::zeros(&[1, 3, 32, 32]);
         assert_eq!(net.logits(&x), restored.logits(&x));
     }
 
     #[test]
-    #[should_panic(expected = "shape mismatch")]
-    fn restoring_into_wrong_arch_panics() {
+    fn restoring_into_wrong_arch_is_an_error() {
         let (mut net, _, _) = trained_mlp();
-        let wrong = ArchSpec::Mlp { input_dim: 3, hidden: 8, n_classes: 2 };
-        let mut snap = NetSnapshot::capture(wrong, &mut net);
-        // Shapes recorded from the real net (2 inputs) conflict with the
-        // declared 3-input architecture at restore time.
-        snap.restore();
-        let _ = &mut snap;
+        // Shapes recorded from the real net (2 inputs, 8 hidden) conflict
+        // with each declared architecture at restore time.
+        for wrong in [
+            ArchSpec::Mlp { input_dim: 3, hidden: 8, n_classes: 2 },
+            ArchSpec::Mlp { input_dim: 2, hidden: 9, n_classes: 2 },
+            ArchSpec::PaperCnn { n_classes: 2 },
+        ] {
+            let err = NetSnapshot::capture(wrong, &mut net).restore().unwrap_err();
+            assert!(err.contains("do not fit"), "{err}");
+        }
+        let arch = ArchSpec::Mlp { input_dim: 2, hidden: 8, n_classes: 2 };
+        let mut snap = NetSnapshot::capture(arch, &mut net);
+        snap.params.pop();
+        assert!(snap.restore().is_err(), "a missing tensor restores");
+        // Dimensions far past the saved values are refused before the
+        // network is built.
+        for huge in [
+            ArchSpec::Mlp { input_dim: 2, hidden: 1 << 40, n_classes: 2 },
+            ArchSpec::Mlp { input_dim: usize::MAX, hidden: 2, n_classes: 2 },
+            ArchSpec::PaperCnn { n_classes: 1 << 40 },
+        ] {
+            snap.arch = huge;
+            assert!(snap.restore().unwrap_err().contains("saved parameters do not fit"));
+        }
+    }
+
+    #[test]
+    fn a_tensor_short_of_its_shape_does_not_load() {
+        let (mut net, _, _) = trained_mlp();
+        let arch = ArchSpec::Mlp { input_dim: 2, hidden: 8, n_classes: 2 };
+        let mut value = NetSnapshot::capture(arch, &mut net).to_value();
+        // The output bias `[2]` carries two values; drop the last.
+        let serde::Value::Object(snap) = &mut value else { panic!("a snapshot is an object") };
+        let Some(serde::Value::Array(params)) = snap.get_mut("params") else { panic!("no params") };
+        let Some(serde::Value::Object(bias)) = params.last_mut() else { panic!("no bias") };
+        let Some(serde::Value::Array(data)) = bias.get_mut("data") else { panic!("no data") };
+        data.pop();
+        let err = NetSnapshot::from_json(&serde_json::to_string(&value).unwrap()).unwrap_err();
+        assert!(err.contains("1 values for shape [2]"), "{err}");
     }
 
     #[test]

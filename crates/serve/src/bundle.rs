@@ -275,7 +275,8 @@ impl ModelBundle {
     /// # Errors
     ///
     /// Rejects record sets with a missing classifier, a missing
-    /// pipeline, or inconsistent label sets within a task.
+    /// pipeline, inconsistent label sets within a task, or a classifier
+    /// whose feature width is not its task pipeline's.
     pub fn from_records(records: Vec<ModelRecord>) -> Result<Self, String> {
         struct Partial {
             labels: Vec<String>,
@@ -319,14 +320,19 @@ impl ModelBundle {
             let pipeline = partial
                 .pipeline
                 .ok_or_else(|| format!("task {task}: no record carries the pipeline"))?;
-            tasks.push(TaskModels {
-                task: task.clone(),
-                labels: partial.labels,
-                pipeline,
-                svm: partial.svm.ok_or_else(|| format!("task {task}: missing svm"))?,
-                rfc: partial.rfc.ok_or_else(|| format!("task {task}: missing rfc"))?,
-                mlp: partial.mlp.ok_or_else(|| format!("task {task}: missing mlp"))?,
-            });
+            let svm = partial.svm.ok_or_else(|| format!("task {task}: missing svm"))?;
+            let rfc = partial.rfc.ok_or_else(|| format!("task {task}: missing rfc"))?;
+            let mlp = partial.mlp.ok_or_else(|| format!("task {task}: missing mlp"))?;
+            let n_features = pipeline.n_features();
+            let widths = [("svm", svm.dim()), ("rfc", rfc.dim()), ("mlp", mlp.input_dim())];
+            for (kind, width) in widths {
+                if width != n_features {
+                    return Err(format!(
+                        "task {task}: the {kind} takes {width} features, the pipeline makes {n_features}"
+                    ));
+                }
+            }
+            tasks.push(TaskModels { task, labels: partial.labels, pipeline, svm, rfc, mlp });
         }
         Ok(Self { version, generation: 0, tasks })
     }
@@ -356,11 +362,11 @@ impl ModelBundle {
     /// The full leakage report for raw uploaded bytes: quarantine
     /// ingestion → featurization → every task's classification.
     ///
-    /// Ingestion takes the streaming path — the arena's
-    /// [`elev_core::ingest::StreamingIngest`] reads the bytes DOM-free
-    /// with reused buffers — which is bit-identical to the offline
-    /// `ingest_one` path (pinned by the conformance suite's golden
-    /// served reports and stream-parity fuzz campaign).
+    /// Ingestion runs through the arena's
+    /// [`elev_core::ingest::StreamingIngest`], which reads the bytes
+    /// DOM-free with reused buffers, as every ingestion caller does
+    /// (pinned by the conformance suite's golden served reports and
+    /// stream-parity fuzz campaign).
     pub fn leakage_report(&self, raw: &[u8], arena: &mut InferenceArena) -> LeakageReport {
         let (disposition, profile) = arena.ingest.ingest_bytes(raw);
         match profile {

@@ -5,7 +5,9 @@
 
 mod common;
 
+use classicml::{ForestConfig, RandomForest, SvmClassifier, SvmConfig};
 use durable::ladder::TempDir;
+use neuralnet::FlatMlp;
 use serve::bundle::ModelBundle;
 use serve::client::HttpClient;
 use serve::registry::{self, read_record, write_record, ModelPayload, ModelRecord};
@@ -170,4 +172,45 @@ fn manifest_mtime_change_hot_reloads() {
     let (_, offline) = bundle.report_json(&raw, &mut arena);
     assert_eq!(served_body, offline);
     server.shutdown();
+}
+
+#[test]
+fn a_model_whose_width_is_not_its_pipelines_does_not_load() {
+    let records = common::tiny_bundle().to_records();
+    let task = records[0].task.clone();
+    let n_features = records[0].pipeline.as_ref().expect("text records carry one").n_features();
+    // Two-class rows as wide as asked.
+    let rows = |width: usize| -> (Vec<Vec<f32>>, Vec<u32>) {
+        let y: Vec<u32> = (0..8).map(|i| i % 2).collect();
+        (y.iter().map(|&c| vec![c as f32; width]).collect(), y)
+    };
+    let svm = |width| {
+        let (x, y) = rows(width);
+        let cfg = SvmConfig { epochs: 1, ..Default::default() };
+        ModelPayload::Svm(SvmClassifier::fit(&x, &y, &cfg, 1))
+    };
+    let forest = |width| {
+        let (x, y) = rows(width);
+        let cfg = ForestConfig { n_trees: 2, ..Default::default() };
+        ModelPayload::Forest(RandomForest::fit(&x, &y, &cfg, 1))
+    };
+    let mlp = |width| {
+        let params = vec![0.0; FlatMlp::param_len(width, 4, 2).unwrap()];
+        ModelPayload::Mlp(FlatMlp::from_params(width, 4, 2, params).unwrap())
+    };
+    for width in [n_features - 1, n_features + 1] {
+        for misfit in [svm(width), forest(width), mlp(width)] {
+            let kind = misfit.kind();
+            let mut records = records.clone();
+            let slot = records
+                .iter_mut()
+                .find(|r| r.task == task && r.payload.kind() == kind)
+                .expect("the task has a model of each kind");
+            slot.payload = misfit;
+            match ModelBundle::from_records(records) {
+                Ok(_) => panic!("a {width}-feature {} loaded", kind.name()),
+                Err(e) => assert!(e.contains(&format!("takes {width} features")), "{e}"),
+            }
+        }
+    }
 }

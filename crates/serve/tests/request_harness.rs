@@ -60,7 +60,6 @@ fn served_reports_match_goldens_and_are_thread_invariant() {
 
     // --- thread budget 1: train, serve (1 worker), collect ---
     std::env::set_var("ELEV_THREADS", "1");
-    std::env::set_var("ELEV_INNER_THREADS", "1");
     let offline_bundle = common::tiny_bundle();
 
     // The server gets the bundle via a registry round trip, so the
@@ -96,14 +95,12 @@ fn served_reports_match_goldens_and_are_thread_invariant() {
 
     // --- thread budget 4: fresh training, 4 workers, same bytes ---
     std::env::set_var("ELEV_THREADS", "4");
-    std::env::set_var("ELEV_INNER_THREADS", "4");
     let retrained = ModelBundle::train(common::SEED, &serve::BundleConfig::tiny());
     cfg.workers = 4;
     let server = Server::start(retrained, &cfg).expect("bind");
     let under_4 = serve_fixtures(&server, &fixtures);
     server.shutdown();
     std::env::remove_var("ELEV_THREADS");
-    std::env::remove_var("ELEV_INNER_THREADS");
 
     assert_eq!(under_1, under_4, "served bytes depend on the thread budget");
 

@@ -20,13 +20,35 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use serde::{Deserialize, Serialize};
+use serde::{derive_support, Deserialize, Error, Serialize, Value};
 
 /// A dense row-major `f32` tensor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Tensor {
     data: Vec<f32>,
     shape: Vec<usize>,
+}
+
+/// Accepts exactly what [`Serialize`] writes: a non-empty shape of
+/// nonzero dimensions whose product, without overflow, is the number
+/// of values.
+impl Deserialize for Tensor {
+    fn from_value(value: &Value) -> Result<Self, Error> {
+        let field = |key| derive_support::field(value, "Tensor", key);
+        let data = Vec::<f32>::from_value(field("data")?)?;
+        let shape = Vec::<usize>::from_value(field("shape")?)?;
+        let len = match shape.as_slice() {
+            [] => None,
+            dims => dims.iter().try_fold(1usize, |acc, &d| acc.checked_mul(d).filter(|_| d > 0)),
+        };
+        if len != Some(data.len()) {
+            return Err(Error::custom(format!(
+                "Tensor: {} values for shape {shape:?}",
+                data.len()
+            )));
+        }
+        Ok(Self { data, shape })
+    }
 }
 
 impl Tensor {
@@ -414,6 +436,24 @@ fn checked_len(shape: &[usize]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn deserialize_rejects_data_that_does_not_fill_the_shape() {
+        let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
+        assert_eq!(Tensor::from_value(&t.to_value()), Ok(t));
+        let with = |data: Vec<f32>, shape: Vec<usize>| {
+            derive_support::object(vec![("data", data.to_value()), ("shape", shape.to_value())])
+        };
+        for (data, shape) in [
+            (vec![1.0; 5], vec![2, 3]),
+            (vec![1.0; 7], vec![2, 3]),
+            (vec![], vec![]),
+            (vec![], vec![0, 3]),
+            (vec![1.0; 2], vec![usize::MAX, 2, 2]),
+        ] {
+            assert!(Tensor::from_value(&with(data, shape.clone())).is_err(), "{shape:?}");
+        }
+    }
 
     #[test]
     fn matmul_known_product() {

@@ -10,13 +10,16 @@
 //! `attack` trains on a directory of labelled GPX files
 //! (`<train>/<label>/*.gpx`) and predicts the label of target GPX
 //! files from their **elevation profiles only** — exactly the paper's
-//! adversary. `generate` produces synthetic labelled GPX corpora for
-//! trying the tool end to end without real data.
+//! adversary. Every file goes through the ingestion pipeline
+//! (`elev_core::ingest`): damaged tracks are repaired, and a training
+//! file ingestion quarantines is skipped with a warning. `generate`
+//! produces synthetic labelled GPX corpora for trying the tool end to
+//! end without real data.
 
 use datasets::{Dataset, Sample};
 use elev_core::attacker::TextAttacker;
+use elev_core::ingest::{Disposition, QuarantineReason, StreamingIngest};
 use elev_core::text::{TextAttackConfig, TextModel};
-use gpxfile::Gpx;
 use routegen::AthleteSimulator;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -122,6 +125,7 @@ fn cmd_attack(args: &[String]) -> Result<(), String> {
         return Err("at least one --target <gpx> is required".into());
     }
 
+    let mut ing = StreamingIngest::default();
     let mut attacker = if let Some(model_file) = flag(&flags, "load") {
         let json = std::fs::read_to_string(model_file)
             .map_err(|e| format!("cannot read {model_file}: {e}"))?;
@@ -142,7 +146,7 @@ fn cmd_attack(args: &[String]) -> Result<(), String> {
             .transpose()?
             .unwrap_or(8);
         let seed = parse_seed(&flags)?;
-        let ds = load_gpx_tree(Path::new(train_dir))?;
+        let ds = load_gpx_tree(Path::new(train_dir), &mut ing)?;
         eprintln!(
             "trained corpus: {} activities, {} labels: {}",
             ds.len(),
@@ -158,21 +162,34 @@ fn cmd_attack(args: &[String]) -> Result<(), String> {
     }
 
     for target in &targets {
-        let text = std::fs::read_to_string(target)
-            .map_err(|e| format!("cannot read {target}: {e}"))?;
-        let gpx = Gpx::parse(&text).map_err(|e| format!("{target}: {e}"))?;
-        let profile = gpx.elevation_profile();
-        if profile.is_empty() {
-            return Err(format!("{target}: no elevation data in GPX"));
-        }
+        let bytes = std::fs::read(target).map_err(|e| format!("cannot read {target}: {e}"))?;
+        let profile = ingest_gpx(&mut ing, &bytes)
+            .map_err(|reason| format!("{target}: quarantined ({reason})"))?;
         let label = attacker.predict_name(&profile).to_owned();
         println!("{target}: {label}");
     }
     Ok(())
 }
 
-/// Loads `<root>/<label>/*.gpx` into a labelled dataset.
-fn load_gpx_tree(root: &Path) -> Result<Dataset, String> {
+/// Ingests one GPX file's bytes: its elevation profile, or why
+/// ingestion quarantined it.
+fn ingest_gpx(ing: &mut StreamingIngest, bytes: &[u8]) -> Result<Vec<f64>, String> {
+    match ing.ingest_bytes(bytes) {
+        (_, Some(profile)) => Ok(profile),
+        (Disposition::Quarantined(reason), None) => Err(match &reason {
+            QuarantineReason::ParseFailed(e) | QuarantineReason::RepairPanicked(e) => {
+                format!("{}: {e}", reason.name())
+            }
+            QuarantineReason::TooShort { points } => format!("too_short: {points} points"),
+            _ => reason.name().to_owned(),
+        }),
+        (_, None) => unreachable!("ingestion accepts a track only with its profile"),
+    }
+}
+
+/// Loads `<root>/<label>/*.gpx` into a labelled dataset, skipping the
+/// files ingestion quarantines.
+fn load_gpx_tree(root: &Path, ing: &mut StreamingIngest) -> Result<Dataset, String> {
     let mut labels: Vec<(String, Vec<PathBuf>)> = Vec::new();
     let entries =
         std::fs::read_dir(root).map_err(|e| format!("cannot read {}: {e}", root.display()))?;
@@ -207,14 +224,15 @@ fn load_gpx_tree(root: &Path) -> Result<Dataset, String> {
     let mut ds = Dataset::new(labels.iter().map(|(l, _)| l.clone()).collect());
     for (i, (label, files)) in labels.iter().enumerate() {
         for file in files {
-            let text = std::fs::read_to_string(file)
+            let bytes = std::fs::read(file)
                 .map_err(|e| format!("cannot read {}: {e}", file.display()))?;
-            let gpx = Gpx::parse(&text).map_err(|e| format!("{}: {e}", file.display()))?;
-            let elevation = gpx.elevation_profile();
-            if elevation.is_empty() {
-                eprintln!("warning: {} has no elevation data, skipped", file.display());
-                continue;
-            }
+            let elevation = match ingest_gpx(ing, &bytes) {
+                Ok(profile) => profile,
+                Err(reason) => {
+                    eprintln!("warning: {} quarantined ({reason}), skipped", file.display());
+                    continue;
+                }
+            };
             ds.push(Sample { elevation, label: i as u32, path: None })
                 .map_err(|e| format!("{label}: {e}"))?;
         }

@@ -1,11 +1,11 @@
 //! Exercises the CLI's data path as a library: labelled GPX trees on
-//! disk → dataset → attack, matching what `elevation-privacy attack`
-//! does end to end.
+//! disk → ingestion → dataset → attack, matching what
+//! `elevation-privacy attack` does end to end.
 
 use datasets::{Dataset, Sample};
 use elevation_privacy::attack::attacker::TextAttacker;
+use elevation_privacy::attack::ingest::StreamingIngest;
 use elevation_privacy::attack::text::{TextAttackConfig, TextModel};
-use gpxfile::Gpx;
 use routegen::AthleteSimulator;
 use terrain::{CityId, SyntheticTerrain};
 use textrep::Discretizer;
@@ -42,6 +42,7 @@ fn load_tree(root: &std::path::Path) -> Dataset {
         .map(|d| d.file_name().unwrap().to_str().unwrap().to_owned())
         .collect();
     let mut ds = Dataset::new(names);
+    let mut ing = StreamingIngest::default();
     for (label, dir) in dirs.iter().enumerate() {
         let mut files: Vec<_> = std::fs::read_dir(dir)
             .unwrap()
@@ -50,13 +51,9 @@ fn load_tree(root: &std::path::Path) -> Dataset {
             .collect();
         files.sort();
         for f in files {
-            let gpx = Gpx::parse(&std::fs::read_to_string(&f).unwrap()).unwrap();
-            ds.push(Sample {
-                elevation: gpx.elevation_profile(),
-                label: label as u32,
-                path: None,
-            })
-            .unwrap();
+            let (_, profile) = ing.ingest_bytes(&std::fs::read(&f).unwrap());
+            let elevation = profile.expect("generated tracks are accepted");
+            ds.push(Sample { elevation, label: label as u32, path: None }).unwrap();
         }
     }
     ds
